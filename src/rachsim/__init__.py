@@ -25,7 +25,6 @@ from .kpi import (
     NoSuccessError,
     build_report,
     merge,
-    report_for,
 )
 from .reference import (
     REFERENCE_SCENARIOS,
@@ -83,7 +82,6 @@ __all__ = [
     "parse_scenario_text",
     "place_devices",
     "pooled_report",
-    "report_for",
     "run",
     "run_validation",
     "scenario_fingerprint",

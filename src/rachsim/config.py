@@ -165,7 +165,8 @@ class Scenario:
 
 
 # One row per config key: (section, attribute, parse kind, description).
-# Sections: "" = Scenario, "numerology", "timing", "topology", "traffic".
+# A section is "" for a Scenario field, else the Scenario field holding it.
+_SECTIONS = ("", "numerology", "timing", "topology", "traffic")
 _KEYS: dict[str, tuple[str, str, str, str]] = {
     "n_devices": ("", "n_devices", "int", "number of devices"),
     "urllc_fraction": ("", "urllc_fraction", "float",
@@ -275,9 +276,7 @@ def parse_scenario_text(text: str) -> dict[str, object]:
         section, attr, kind, _ = _KEYS[key]
         values[key] = (_parse_value(kind, raw, key, lineno), lineno)
 
-    sections: dict[str, dict[str, object]] = {
-        "": {}, "numerology": {}, "timing": {}, "topology": {}, "traffic": {}
-    }
+    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for key, (value, _) in values.items():
         section, attr, _, _ = _KEYS[key]
         sections[section][attr] = value
@@ -289,9 +288,9 @@ def build_scenario(text: str) -> Scenario:
     sections = parse_scenario_text(text)
     try:
         numerology = Numerology(**sections["numerology"])
+        timing = TimingParams(**sections["timing"])
     except ValueError as exc:
         raise ScenarioConstraintError(str(exc)) from exc
-    timing = TimingParams(**sections["timing"])
     topology = TopologyConfig(**sections["topology"])
     traffic = TrafficConfig(**sections["traffic"])
     top = dict(sections[""])
@@ -317,24 +316,21 @@ def apply_overrides(scenario: Scenario, pairs) -> Scenario:
     Keys and value syntax are the scenario-file ones; constraint
     validation reruns on the updated scenario.
     """
-    sections: dict[str, dict[str, object]] = {
-        "": {}, "numerology": {}, "timing": {}, "topology": {}, "traffic": {}
-    }
+    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for key, raw in pairs:
         if key not in _KEYS:
             raise ScenarioParseError(f"unknown key {key!r}")
         section, attr, kind, _ = _KEYS[key]
         sections[section][attr] = _parse_value(kind, str(raw).strip(), key, None)
-    numerology = scenario.numerology
-    if sections["numerology"]:
-        try:
-            numerology = replace(numerology, **sections["numerology"])
-        except ValueError as exc:
-            raise ScenarioConstraintError(str(exc)) from exc
+    try:
+        numerology = replace(scenario.numerology, **sections["numerology"])
+        timing = replace(scenario.timing, **sections["timing"])
+    except ValueError as exc:
+        raise ScenarioConstraintError(str(exc)) from exc
     return replace(
         scenario,
         numerology=numerology,
-        timing=replace(scenario.timing, **sections["timing"]),
+        timing=timing,
         topology=replace(scenario.topology, **sections["topology"]),
         traffic=replace(scenario.traffic, **sections["traffic"]),
         **sections[""],
@@ -346,13 +342,7 @@ def serialize_scenario(scenario: Scenario) -> str:
     lines = []
     for key in _KEYS:
         section, attr, kind, _ = _KEYS[key]
-        obj = {
-            "": scenario,
-            "numerology": scenario.numerology,
-            "timing": scenario.timing,
-            "topology": scenario.topology,
-            "traffic": scenario.traffic,
-        }[section]
+        obj = getattr(scenario, section) if section else scenario
         value = getattr(obj, attr)
         if kind == "flags":
             value = ",".join(sorted(value))

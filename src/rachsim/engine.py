@@ -17,6 +17,12 @@ immediately (early-data mode) or run the Msg3/Msg4 HARQ exchange under the
 contention-resolution deadline. Every failure path goes through the same
 backoff formula and returns at a later opportunity until the transmission
 budget runs out.
+
+Each opportunity runs five phases: pool sizing, preamble draw, cell
+outcome, RAR grants and resolution. An opportunity holds only a few
+contenders at the reference loads, so per-device state lives in plain
+lists during the loop. `RunResult` is columnar, one numpy array per device
+field; `RunResult.records` builds `AccessRecord` objects on each access.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import DYNAMIC, Scenario
+from .config import Scenario
 from .rng import RandomSource
 from .timebase import ms_to_ticks, time_scale_fraction
 from .topology import (
@@ -109,31 +115,64 @@ class OpportunityLog:
     r_max: int = 0
 
 
+# Per-device integer columns of RunResult, in AccessRecord field order;
+# -1 marks an absent time (failed device, or no Msg3/Msg4 leg).
+_TICK_COLUMNS = (
+    "msg1_count", "attempt_count", "arrival_ticks", "first_attempt_ticks",
+    "completion_ticks", "wait_ticks", "msg2_ticks", "msg3_ticks", "msg4_ticks",
+)
+
+
 @dataclass
 class RunResult:
-    records: list[AccessRecord]
+    """One run: per-device columns indexed by device id, plus the log.
+
+    Times are reference ticks; -1 in a tick column marks an absent value.
+    A device succeeded exactly when its `completion_ticks` is set.
+    """
+
     log: OpportunityLog
     scenario: Scenario
     layout: CellLayout
     placement: DevicePlacement
+    urllc: np.ndarray
+    msg1_count: np.ndarray
+    attempt_count: np.ndarray
+    arrival_ticks: np.ndarray
+    first_attempt_ticks: np.ndarray
+    completion_ticks: np.ndarray
+    wait_ticks: np.ndarray
+    msg2_ticks: np.ndarray
+    msg3_ticks: np.ndarray
+    msg4_ticks: np.ndarray
     trace: list[tuple] | None = None
+
+    @property
+    def records(self) -> list[AccessRecord]:
+        """One AccessRecord per device, built from the columns per access."""
+        t1 = ms_to_ticks(self.scenario.timing.t_msg1_ms)
+        cols = [getattr(self, name).tolist() for name in _TICK_COLUMNS]
+        out = []
+        for dev, row in enumerate(zip(self.urllc.tolist(), *cols)):
+            ur, msg1, att, arr, first, *ts = row
+            done, wait, msg2, msg3, msg4 = (v if v >= 0 else None for v in ts)
+            ok = done is not None
+            out.append(
+                AccessRecord(
+                    dev, ur, ok, msg1, att, arr, first, done, wait,
+                    t1 if ok else None, msg2, msg3, msg4,
+                )
+            )
+        return out
 
     @property
     def time_scale(self) -> Fraction:
         return time_scale_fraction(self.scenario.numerology)
 
-    @property
-    def ms_per_tick(self) -> float:
-        return float(self.time_scale / 56)
-
     def ticks_to_ms(self, ticks: int | None) -> float | None:
         if ticks is None:
             return None
         return float(Fraction(ticks) * self.time_scale / 56)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
 
 
 def run(
@@ -150,17 +189,6 @@ def run(
     deterministic experiments; by default everything derives from the
     scenario seed.
     """
-    enh = scenario.enhancements
-    edt = "edt" in enh
-    ebf = "ebf" in enh
-    pp = "pp" in enh
-    drp = "drp" in enh
-    timing = scenario.timing
-    n_pre = scenario.n_preambles
-    max_tx = scenario.max_preamble_tx
-    max_harq = scenario.max_harq
-    harq_fail = scenario.harq_fail_prob
-
     src = source or RandomSource.from_seed(scenario.seed)
     layout = build_layout(scenario.topology, src.placement)
     n = scenario.n_devices
@@ -175,272 +203,317 @@ def run(
     if arrivals.shape != (n,):
         raise ValueError("arrivals size does not match n_devices")
 
-    ra = ms_to_ticks(timing.ra_period_ms)
-    t1 = ms_to_ticks(timing.t_msg1_ms)
-    t2 = ms_to_ticks(timing.t_msg2_ms)
-    t3 = ms_to_ticks(timing.t_msg3_ms)
-    t4 = ms_to_ticks(timing.t_msg4_ms)
-    subframe = ms_to_ticks(1.0)
-    rar_window = 0 if ebf else ms_to_ticks(timing.rar_window_ms)
-    n_slots = max(1, rar_window // subframe) if rar_window else 1
-    cr_timer = ms_to_ticks(timing.contention_resolution_timer_ms)
-    bi_default = ms_to_ticks(timing.bi_max_ms)
-    bi_urllc = 0 if ebf else bi_default
-    bi_non = ms_to_ticks(EBF_BACKGROUND_BACKOFF_MS) if ebf else bi_default
-    grants_per_sf = (scenario.cce_total // scenario.cce_per_pdcch) * (
-        scenario.rar_grants_per_msg
+    sim = _Contention(
+        scenario, src, layout, placement, is_ur, arrivals, collect_trace
     )
-    sib2_samples = max(1, round(timing.sib2_period_ms / timing.ra_period_ms))
-    r_static = scenario.reserved_r if scenario.reserved_r != DYNAMIC else 0
-    rp_mode = "rp" in enh
-
-    log = OpportunityLog(
-        n_preambles=n_pre, n_gnbs=layout.n_gnbs, n_macro=layout.n_macro
+    sim.simulate(arrivals)
+    cols = {
+        name: np.array(getattr(sim, name), dtype=np.int64)
+        for name in _TICK_COLUMNS
+    }
+    return RunResult(
+        log=sim.log,
+        scenario=scenario,
+        layout=layout,
+        placement=placement,
+        urllc=np.asarray(is_ur, dtype=bool),
+        trace=sim.trace,
+        **cols,
     )
-    trace: list[tuple] | None = [] if collect_trace else None
 
-    serving = placement.serving_cell
-    femto = placement.femto_cell
 
-    tx_count = np.zeros(n, dtype=np.int64)
-    attempts = np.zeros(n, dtype=np.int64)
-    first_attempt = np.full(n, -1, dtype=np.int64)
-    completion = np.full(n, -1, dtype=np.int64)
-    failed = np.zeros(n, dtype=bool)
-    comp_wait = np.full(n, -1, dtype=np.int64)
-    comp_msg2 = np.full(n, -1, dtype=np.int64)
-    comp_msg3 = np.full(n, -1, dtype=np.int64)
-    comp_msg4 = np.full(n, -1, dtype=np.int64)
+class _Contention:
+    """Per-run state of the contention loop and its per-opportunity phases.
 
-    buckets: dict[int, list[int]] = defaultdict(list)
-    if n:
-        start = np.array([_ceil_div(int(a), ra) for a in arrivals])
-        for d in np.argsort(start, kind="stable"):
-            buckets[int(start[d])].append(int(d))
-        first_rao = int(start.min())
+    Device state is held in lists indexed by device id, named after the
+    RunResult columns; -1 marks a time not (yet) reached. A phase sees the
+    opportunity's contenders as `devs`, and a contender's position in it
+    is its local index.
+    """
+
+    def __init__(
+        self, scenario, src, layout, placement, is_ur, arrivals, collect_trace
+    ):
+        enh = scenario.enhancements
+        timing = scenario.timing
+        ebf = "ebf" in enh
+        self.scenario = scenario
+        self.src = src
+        self.edt, self.pp, self.drp, self.rp = (
+            flag in enh for flag in ("edt", "pp", "drp", "rp")
+        )
+        self.n_pre = scenario.n_preambles
+        self.max_tx = scenario.max_preamble_tx
+        self.n_macro = layout.n_macro
+        self.ra = ms_to_ticks(timing.ra_period_ms)
+        self.t1, self.t2, self.t3, self.t4 = (
+            ms_to_ticks(getattr(timing, f"t_msg{k}_ms")) for k in (1, 2, 3, 4)
+        )
+        self.subframe = ms_to_ticks(1.0)
+        self.rar_window = 0 if ebf else ms_to_ticks(timing.rar_window_ms)
+        self.n_slots = max(1, self.rar_window // self.subframe)
+        self.cr_timer = ms_to_ticks(timing.contention_resolution_timer_ms)
+        bi_default = ms_to_ticks(timing.bi_max_ms)
+        self.bi_urllc = 0 if ebf else bi_default
+        self.bi_non = (
+            ms_to_ticks(EBF_BACKGROUND_BACKOFF_MS) if ebf else bi_default
+        )
+        self.grants_per_sf = (scenario.cce_total // scenario.cce_per_pdcch) * (
+            scenario.rar_grants_per_msg
+        )
+        sib2 = max(1, round(timing.sib2_period_ms / timing.ra_period_ms))
+        self.drp_window: deque[int] = deque(maxlen=sib2)
+        self.r_static = scenario.reserved_r if self.rp else 0
+        self.p_detect = [
+            1.0 - math.exp(-float(i)) for i in range(self.max_tx + 1)
+        ]
+
+        self.log = OpportunityLog(
+            n_preambles=self.n_pre, n_gnbs=layout.n_gnbs, n_macro=self.n_macro
+        )
+        self.trace: list[tuple] | None = [] if collect_trace else None
+        self.buckets: dict[int, list[int]] = defaultdict(list)
+        self.last_resolution = 0
+        self.placement = placement
+        self.is_ur = is_ur.tolist()
+        self.serving = placement.serving_cell.tolist()
+        self.femto = placement.femto_cell.tolist()
+        n = len(arrivals)
+        for name in _TICK_COLUMNS:
+            setattr(self, name, [-1] * n)
+        self.msg1_count, self.attempt_count = [0] * n, [0] * n
+        self.arrival_ticks = arrivals.tolist()
+
+    def simulate(self, arrivals: np.ndarray) -> None:
+        """Run every opportunity from the first arrival to the last resolution.
+
+        Trailing opportunity subframes (after the final Msg 1) still count
+        toward KPI denominators and still advance the dynamic-pool window.
+        """
+        if not arrivals.size:
+            return
+        ra = self.ra
+        start = -(-arrivals // ra)
+        buckets = self.buckets
+        start_list = start.tolist()
+        for d in np.argsort(start, kind="stable").tolist():
+            buckets[start_list[d]].append(d)
+        rao_index = int(start.min())
         last_arrival_rao = int(start.max())
-    else:
-        first_rao = 0
-        last_arrival_rao = -1
-
-    drp_window: deque[int] = deque(maxlen=sib2_samples)
-    last_resolution = 0
-
-    sinr_gate = scenario.topology.sinr_threshold_db
-
-    def detection_ok(i_val: int, dev: int, gnb: int) -> bool:
-        p_detect = 1.0 - math.exp(-float(i_val))
-        ok = src.detection.random() < p_detect
-        if ok and sinr_gate is not None and gnb < layout.n_macro:
-            # Optional gate, off by default; a failed gate behaves exactly
-            # like a detection miss.
-            pl = path_loss_db(
-                max(float(placement.serving_dist[dev]), 1e-9),
-                scenario.topology,
-            )
-            power = ramped_tx_power_dbm(
-                pl, int(attempts[dev]), scenario.topology
-            )
-            ok = sinr_db(power - pl, [], scenario.topology) >= sinr_gate
-        return ok
-
-    # The loop covers the whole observation period: first arrival through
-    # the last device resolution, in whole RA periods. Trailing opportunity
-    # subframes (after the final Msg 1) still count toward KPI denominators
-    # and still advance the dynamic-pool window.
-    rao_index = first_rao
-    while n:
-        if not buckets and rao_index > max(
-            last_arrival_rao, _ceil_div(last_resolution, ra)
+        while buckets or rao_index <= max(
+            last_arrival_rao, -(-self.last_resolution // ra)
         ):
-            break
-        devs_list = buckets.pop(rao_index, [])
-        t = rao_index * ra
-        log.n_raos += 1
+            r_use = self.pool_size()
+            devs = buckets.pop(rao_index, None)
+            if devs:
+                t = rao_index * ra
+                cells, prio_macros = self.draw(t, devs, r_use)
+                detected = self.cell_outcome(devs, r_use, cells, prio_macros)
+                self.resolve(t, rao_index, devs, self.grants(t, detected))
+            elif self.drp:
+                self.drp_window.append(0)
+            rao_index += 1
 
-        # Reserved-pool size for this opportunity: broadcast value derived
-        # from the prior window, never from the current sample.
-        if drp:
-            if drp_window:
-                mean = sum(drp_window) / len(drp_window)
-                r_use = min(int(math.floor(mean + 0.5)), n_pre - 1)
-            else:
-                r_use = 0
-        elif rp_mode:
-            r_use = r_static
-        else:
+    def pool_size(self) -> int:
+        """Reserved-pool size broadcast for this opportunity.
+
+        Under `drp` it derives from the prior window, never from the
+        current sample.
+        """
+        n_pre = self.n_pre
+        r_use = self.r_static
+        if self.drp:
+            window = self.drp_window
             r_use = 0
+            if window:
+                mean = sum(window) / len(window)
+                r_use = min(int(math.floor(mean + 0.5)), n_pre - 1)
+        log = self.log
+        log.n_raos += 1
         log.sum_r += r_use
         log.r_max = max(log.r_max, r_use)
         log.sum_pool_urllc += r_use if r_use > 0 else n_pre
         log.sum_pool_non_urllc += (n_pre - r_use) if r_use > 0 else n_pre
+        return r_use
 
-        if not devs_list:
-            if drp:
-                drp_window.append(0)
-            rao_index += 1
-            continue
+    def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
+        """One preamble per copy: priority copies inside the reserved pool.
 
-        devs = np.array(devs_list, dtype=np.int64)
-        newly = first_attempt[devs] < 0
-        first_attempt[devs[newly]] = t
+        With a pool, the priority batch is drawn before the rest.
+        """
+        gen = self.src.preamble
+        if r_use <= 0:
+            return gen.integers(0, self.n_pre, len(prio)).tolist()
+        n_in = sum(prio)
+        n_out = len(prio) - n_in
+        inside = iter(gen.integers(0, r_use, n_in).tolist() if n_in else ())
+        outside = iter(
+            gen.integers(r_use, self.n_pre, n_out).tolist() if n_out else ()
+        )
+        return [next(inside) if p else next(outside) for p in prio]
 
-        d_ur = is_ur[devs]
-        d_retry = attempts[devs] > 0
-        if drp:
-            prio = d_ur | d_retry
-        elif rp_mode:
-            prio = d_ur.copy()
+    def draw(self, t: int, devs: list[int], r_use: int):
+        """Preamble draw: the serving copies, then the femto copies (`pp`).
+
+        Returns the occupied cells, keyed gnb * n_preambles + preamble so
+        that key order is (gnb, preamble) order, each listing its copies as
+        (local index, cumulative transmission count); and the serving
+        macros of the priority contenders when a pool is reserved.
+        """
+        is_ur, serving, femto = self.is_ur, self.serving, self.femto
+        attempts, tx_count = self.attempt_count, self.msg1_count
+        for d in devs:
+            if self.first_attempt_ticks[d] < 0:
+                self.first_attempt_ticks[d] = t
+        if self.drp:
+            prio = [is_ur[d] or attempts[d] > 0 for d in devs]
+            self.drp_window.append(sum(prio))
+        elif self.rp:
+            prio = [is_ur[d] for d in devs]
         else:
-            prio = np.zeros(len(devs), dtype=bool)
-        if drp:
-            drp_window.append(int(prio.sum()))
+            prio = [False] * len(devs)
+        dual = []
+        if self.pp:  # a femto copy needs two transmissions of budget left
+            last = self.max_tx - 2
+            dual = [
+                j for j, d in enumerate(devs)
+                if femto[d] >= 0 and tx_count[d] <= last
+            ]
+        pre1 = self._preambles(prio, r_use)
+        pre2 = self._preambles([prio[j] for j in dual], r_use) if dual else []
 
-        def draw_preambles(mask: np.ndarray) -> np.ndarray:
-            out = np.empty(mask.size, dtype=np.int64)
-            if r_use > 0:
-                n_prio = int(mask.sum())
-                if n_prio:
-                    out[mask] = src.preamble.integers(0, r_use, n_prio)
-                n_rest = mask.size - n_prio
-                if n_rest:
-                    out[~mask] = src.preamble.integers(r_use, n_pre, n_rest)
-            else:
-                out[:] = src.preamble.integers(0, n_pre, mask.size)
-            return out
+        base = [tx_count[d] for d in devs]
+        for d in devs:
+            tx_count[d] += 1
+            attempts[d] += 1
+        for j in dual:
+            tx_count[devs[j]] += 1
+        self.log.total_msg1_tx += len(devs) + len(dual)
 
-        budget = max_tx - tx_count[devs]
-        dual = (
-            (femto[devs] >= 0) & (budget >= 2)
-            if pp
-            else np.zeros(len(devs), dtype=bool)
-        )
-
-        pre1 = draw_preambles(prio)
-        branches: list[tuple[np.ndarray, np.ndarray, np.ndarray, int]] = [
-            (np.arange(len(devs)), serving[devs], pre1, 1)
-        ]
-        if dual.any():
-            idx2 = np.nonzero(dual)[0]
-            pre2 = draw_preambles(prio[idx2])
-            gnb2 = layout.n_macro + femto[devs[idx2]]
-            branches.append((idx2, gnb2, pre2, 2))
-
-        base_tx = tx_count[devs].copy()
-        n_copies = np.where(dual, 2, 1)
-        tx_count[devs] += n_copies
-        attempts[devs] += 1
-        log.total_msg1_tx += int(n_copies.sum())
-
-        prio_macros = {int(c) for c in serving[devs[prio]]}
+        prio_macros = set()
         if r_use > 0:
-            log.prio_macro_r_sum += r_use * len(prio_macros)
+            prio_macros = {serving[d] for d, p in zip(devs, prio) if p}
+            self.log.prio_macro_r_sum += r_use * len(prio_macros)
 
-        cellmap: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(
-            list
-        )
-        for idx, gnbs, pres, offset in branches:
-            for j in range(idx.size):
-                local = int(idx[j])
-                cellmap[(int(gnbs[j]), int(pres[j]))].append(
-                    (local, int(base_tx[local]) + offset)
-                )
+        n_pre = self.n_pre
+        cells: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        trace = self.trace
+        for j, (d, pre) in enumerate(zip(devs, pre1)):
+            cells[serving[d] * n_pre + pre].append((j, base[j] + 1))
             if trace is not None:
-                for j in range(idx.size):
-                    trace.append(
-                        (
-                            t,
-                            int(devs[idx[j]]),
-                            "msg1",
-                            int(pres[j]),
-                            int(gnbs[j]),
-                            int(attempts[devs[idx[j]]]),
-                        )
-                    )
+                trace.append((t, d, "msg1", pre, serving[d], attempts[d]))
+        for j, pre in zip(dual, pre2):
+            d = devs[j]
+            gnb = self.n_macro + femto[d]
+            cells[gnb * n_pre + pre].append((j, base[j] + 2))
+            if trace is not None:
+                trace.append((t, d, "msg1", pre, gnb, attempts[d]))
+        return cells, prio_macros
 
-        # Contention outcome per (gnb, preamble) cell, deterministic order.
-        per_gnb_detected: dict[int, list[tuple[int, int]]] = defaultdict(list)
-        for (gnb, pre), members in sorted(cellmap.items()):
-            in_res = pre < r_use
-            any_ur = any(is_ur[devs[m]] for m, _ in members)
-            any_non = any(not is_ur[devs[m]] for m, _ in members)
+    def cell_outcome(self, devs, r_use, cells, prio_macros):
+        """Count every occupied cell and detect its sole copy, if any.
+
+        Cells are visited in (gnb, preamble) order and each sole copy takes
+        one detection draw. Returns the detected copies as (gnb, local
+        index) in that order. Class counters add the bools any_ur and
+        any_non: a cell counts for every class with a copy in it.
+        """
+        log = self.log
+        is_ur = self.is_ur
+        n_pre = self.n_pre
+        p_detect = self.p_detect
+        draw = self.src.detection.random
+        detected = []
+        for key in sorted(cells):
+            members = cells[key]
+            gnb, pre = divmod(key, n_pre)
+            flags = [is_ur[devs[j]] for j, _ in members]
+            any_ur = True in flags
+            any_non = False in flags
             log.used_cells += 1
+            log.used_urllc += any_ur
+            log.used_non_urllc += any_non
+            in_res = pre < r_use
             if in_res:
                 log.used_reserved += 1
-                if gnb in prio_macros:
-                    log.used_reserved_at_prio_macro += 1
-                if any_ur:
-                    log.used_reserved_urllc += 1
-                if any_non:
-                    log.used_reserved_non_urllc += 1
+                log.used_reserved_at_prio_macro += gnb in prio_macros
+                log.used_reserved_urllc += any_ur
+                log.used_reserved_non_urllc += any_non
             else:
                 log.used_contention += 1
-                if any_ur:
-                    log.used_contention_urllc += 1
-                if any_non:
-                    log.used_contention_non_urllc += 1
-            if any_ur:
-                log.used_urllc += 1
-            if any_non:
-                log.used_non_urllc += 1
+                log.used_contention_urllc += any_ur
+                log.used_contention_non_urllc += any_non
             if len(members) >= 2:
                 log.collided_cells += 1
-                if in_res:
-                    log.collided_reserved += 1
-                if any_ur:
-                    log.collided_urllc += 1
-                if any_non:
-                    log.collided_non_urllc += 1
-            else:
-                local, i_val = members[0]
-                if detection_ok(i_val, int(devs[local]), gnb):
-                    per_gnb_detected[gnb].append((pre, local))
+                log.collided_reserved += in_res
+                log.collided_urllc += any_ur
+                log.collided_non_urllc += any_non
+                continue
+            j, i_val = members[0]
+            if draw() < p_detect[i_val] and self._sinr_ok(devs[j], gnb):
+                detected.append((gnb, j))
+        return detected
 
-        # RAR grants: per gNB, capacity-limited response subframes inside
-        # the window; earliest grant wins for dual transmitters, macro on
-        # an exact tie (macro gNB indices sort first).
+    def _sinr_ok(self, dev: int, gnb: int) -> bool:
+        """Optional macro-side gate, off by default; a failed gate behaves
+        exactly like a detection miss."""
+        cfg = self.scenario.topology
+        if cfg.sinr_threshold_db is None or gnb >= self.n_macro:
+            return True
+        dist = max(float(self.placement.serving_dist[dev]), 1e-9)
+        pl = path_loss_db(dist, cfg)
+        power = ramped_tx_power_dbm(pl, self.attempt_count[dev], cfg)
+        return sinr_db(power - pl, [], cfg) >= cfg.sinr_threshold_db
+
+    def grants(self, t: int, detected) -> dict[int, tuple[int, int]]:
+        """RAR grants: per gNB, capacity-limited response subframes.
+
+        A copy ranked past the window's capacity behaves as undetected. A
+        dual transmitter keeps its earliest grant, the macro's on an exact
+        tie (macro gNB indices sort first). Returns local index ->
+        (RAR time, gnb).
+        """
         rar_at: dict[int, tuple[int, int]] = {}
-        msg1_end = t + t1
-        for gnb in sorted(per_gnb_detected):
-            entries = sorted(per_gnb_detected[gnb])
-            for rank, (pre, local) in enumerate(entries):
-                slot = rank // grants_per_sf
-                if slot >= n_slots:
-                    continue  # window exhausted: behaves as undetected
-                rar_time = msg1_end + t2 + slot * subframe
-                key = (rar_time, gnb)
-                if local not in rar_at or key < rar_at[local]:
-                    rar_at[local] = key
+        first_rar = t + self.t1 + self.t2
+        rank, prev_gnb = 0, -1
+        for gnb, j in detected:
+            if gnb != prev_gnb:
+                rank, prev_gnb = 0, gnb
+            slot = rank // self.grants_per_sf
+            rank += 1
+            if slot >= self.n_slots:
+                continue
+            key = (first_rar + slot * self.subframe, gnb)
+            if j not in rar_at or key < rar_at[j]:
+                rar_at[j] = key
+        return rar_at
 
-        # Resolve each device: success path or failure path with backoff.
-        for local, dev in enumerate(devs):
-            dev = int(dev)
-            if local in rar_at:
-                rar_time, gnb = rar_at[local]
+    def resolve(self, t, rao_index, devs, rar_at) -> None:
+        """Resolve each contender: success path, or failure with backoff."""
+        src = self.src
+        trace = self.trace
+        t2, t3, t4 = self.t2, self.t3, self.t4
+        max_harq = self.scenario.max_harq
+        harq_fail = self.scenario.harq_fail_prob
+        msg1_end = t + self.t1
+        for j, dev in enumerate(devs):
+            grant = rar_at.get(j)
+            if grant is not None:
+                rar_time, gnb = grant
                 if trace is not None:
                     trace.append((rar_time, dev, "rar", -1, gnb, 0))
-                if edt:
-                    completion[dev] = rar_time
-                    comp_wait[dev] = t - arrivals[dev]
-                    comp_msg2[dev] = rar_time - msg1_end
-                    last_resolution = max(last_resolution, rar_time)
+                if self.edt:
+                    self._complete(dev, t, rar_time, rar_time - msg1_end)
                     if trace is not None:
                         trace.append((rar_time, dev, "connected", -1, gnb, 0))
                     continue
                 k3 = _harq_transmissions(src.harq, harq_fail, max_harq)
-                k4 = (
-                    _harq_transmissions(src.harq, harq_fail, max_harq)
-                    if k3
-                    else 0
-                )
-                if k3 and k4 and k3 * t3 + k4 * t4 <= cr_timer:
+                k4 = k3 and _harq_transmissions(src.harq, harq_fail, max_harq)
+                if k3 and k4 and k3 * t3 + k4 * t4 <= self.cr_timer:
                     done = rar_time + k3 * t3 + k4 * t4
-                    completion[dev] = done
-                    comp_wait[dev] = t - arrivals[dev]
-                    comp_msg2[dev] = rar_time - msg1_end
-                    comp_msg3[dev] = k3 * t3
-                    comp_msg4[dev] = k4 * t4
-                    last_resolution = max(last_resolution, done)
+                    self._complete(dev, t, done, rar_time - msg1_end)
+                    self.msg3_ticks[dev] = k3 * t3
+                    self.msg4_ticks[dev] = k4 * t4
                     if trace is not None:
                         trace.append((done, dev, "connected", -1, gnb, 0))
                     continue
@@ -449,65 +522,31 @@ def run(
                 elif not k4:
                     fail_base = rar_time + k3 * t3 + max_harq * t4
                 else:
-                    fail_base = rar_time + cr_timer
+                    fail_base = rar_time + self.cr_timer
             else:
                 fail_base = msg1_end
 
-            if tx_count[dev] >= max_tx:
-                failed[dev] = True
-                last_resolution = max(last_resolution, fail_base)
+            if self.msg1_count[dev] >= self.max_tx:
+                self.last_resolution = max(self.last_resolution, fail_base)
                 if trace is not None:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
-            bi_max = bi_urllc if is_ur[dev] else bi_non
-            bi = (
-                int(src.backoff.integers(0, bi_max + 1)) if bi_max > 0 else 0
-            )
-            next_eligible = fail_base + t2 + rar_window + bi
-            next_rao = max(_ceil_div(next_eligible, ra), rao_index + 1)
-            buckets[next_rao].append(dev)
+            bi_max = self.bi_urllc if self.is_ur[dev] else self.bi_non
+            bi = int(src.backoff.integers(0, bi_max + 1)) if bi_max > 0 else 0
+            next_eligible = fail_base + t2 + self.rar_window + bi
+            next_rao = max(-(-next_eligible // self.ra), rao_index + 1)
+            self.buckets[next_rao].append(dev)
             if trace is not None:
                 trace.append((next_eligible, dev, "backoff", -1, -1, 0))
 
-        rao_index += 1
-
-    records = []
-    for dev in range(n):
-        success = completion[dev] >= 0
-        records.append(
-            AccessRecord(
-                device_id=dev,
-                urllc=bool(is_ur[dev]),
-                success=bool(success),
-                msg1_count=int(tx_count[dev]),
-                attempt_count=int(attempts[dev]),
-                arrival_ticks=int(arrivals[dev]),
-                first_attempt_ticks=int(first_attempt[dev]),
-                completion_ticks=int(completion[dev]) if success else None,
-                wait_ticks=int(comp_wait[dev]) if success else None,
-                msg1_ticks=t1 if success else None,
-                msg2_ticks=int(comp_msg2[dev]) if success else None,
-                msg3_ticks=int(comp_msg3[dev])
-                if success and comp_msg3[dev] >= 0
-                else None,
-                msg4_ticks=int(comp_msg4[dev])
-                if success and comp_msg4[dev] >= 0
-                else None,
-            )
-        )
-    return RunResult(
-        records=records,
-        log=log,
-        scenario=scenario,
-        layout=layout,
-        placement=placement,
-        trace=trace,
-    )
+    def _complete(self, dev: int, t: int, done: int, msg2: int) -> None:
+        self.completion_ticks[dev] = done
+        self.wait_ticks[dev] = t - self.arrival_ticks[dev]
+        self.msg2_ticks[dev] = msg2
+        self.last_resolution = max(self.last_resolution, done)
 
 
-def _harq_transmissions(
-    rng, fail_prob: float, max_harq: int
-) -> int:
+def _harq_transmissions(rng, fail_prob: float, max_harq: int) -> int:
     """Transmissions until first delivery, or 0 when the budget exhausts."""
     for k in range(1, max_harq + 1):
         if rng.random() >= fail_prob:

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
-from .config import Scenario, scenario_fingerprint
-from .engine import RunResult
+import numpy as np
+
+from .config import scenario_fingerprint
+from .engine import OpportunityLog, RunResult
 
 PERCENTILE_LEVELS = (50.0, 95.0, 99.0, 99.99)
 DEEP_PERCENTILE_MIN_SAMPLES = 100_000
@@ -373,52 +375,36 @@ def csv_header() -> str:
 
 
 def build_report(result: RunResult) -> KpiReport:
-    """Fold one run's records and opportunity log into a report."""
+    """Fold one run's device columns and opportunity log into a report."""
     scenario = result.scenario
     log = result.log
-    report = KpiReport(
+    urllc = result.urllc
+    done = result.completion_ticks
+    success = done >= 0
+    delay = done - result.first_attempt_ticks
+    n_success = int(success.sum())
+    return KpiReport(
         fingerprint=scenario_fingerprint(scenario),
         time_scale=result.time_scale,
         n_seeds=1,
-        n_devices=len(result.records),
+        n_devices=len(urllc),
+        n_urllc=int(urllc.sum()),
+        n_success=n_success,
+        n_success_urllc=int((success & urllc).sum()),
+        n_failed=len(urllc) - n_success,
+        total_msg1=int(result.msg1_count.sum()),
         n_opportunities=log.n_raos,
-        n_gnbs=log.n_gnbs,
-        n_preambles=log.n_preambles,
-        used_cells=log.used_cells,
-        collided_cells=log.collided_cells,
-        used_urllc=log.used_urllc,
-        used_non_urllc=log.used_non_urllc,
-        collided_urllc=log.collided_urllc,
-        collided_non_urllc=log.collided_non_urllc,
-        used_reserved=log.used_reserved,
-        used_contention=log.used_contention,
-        collided_reserved=log.collided_reserved,
-        used_reserved_urllc=log.used_reserved_urllc,
-        used_reserved_non_urllc=log.used_reserved_non_urllc,
-        used_contention_urllc=log.used_contention_urllc,
-        used_contention_non_urllc=log.used_contention_non_urllc,
-        sum_r=log.sum_r,
-        sum_pool_urllc=log.sum_pool_urllc,
-        sum_pool_non_urllc=log.sum_pool_non_urllc,
-        prio_macro_r_sum=log.prio_macro_r_sum,
-        used_reserved_at_prio_macro=log.used_reserved_at_prio_macro,
-        r_max=log.r_max,
+        **{name: getattr(log, name) for name in _LOG_COUNTERS},
+        delay_hist=_histogram(delay[success]),
+        delay_hist_urllc=_histogram(delay[success & urllc]),
+        delay_hist_non_urllc=_histogram(delay[success & ~urllc]),
     )
-    for rec in result.records:
-        report.n_urllc += int(rec.urllc)
-        report.total_msg1 += rec.msg1_count
-        if rec.success:
-            report.n_success += 1
-            d = rec.delay_ticks
-            report.delay_hist[d] += 1
-            if rec.urllc:
-                report.n_success_urllc += 1
-                report.delay_hist_urllc[d] += 1
-            else:
-                report.delay_hist_non_urllc[d] += 1
-        else:
-            report.n_failed += 1
-    return report
+
+
+def _histogram(ticks: np.ndarray) -> Counter:
+    """Counter of int tick values."""
+    values, counts = np.unique(ticks, return_counts=True)
+    return Counter(dict(zip(values.tolist(), counts.tolist())))
 
 
 def merge(reports) -> KpiReport:
@@ -452,49 +438,27 @@ def _merge2(a: KpiReport, b: KpiReport) -> KpiReport:
     return out
 
 
-_SUM_FIELDS = (
-    "n_seeds",
-    "n_devices",
-    "n_urllc",
-    "n_success",
-    "n_success_urllc",
-    "n_failed",
-    "n_opportunities",
-    "total_msg1",
-    "used_cells",
-    "collided_cells",
-    "used_urllc",
-    "used_non_urllc",
-    "collided_urllc",
-    "collided_non_urllc",
-    "used_reserved",
-    "used_contention",
-    "collided_reserved",
-    "used_reserved_urllc",
-    "used_reserved_non_urllc",
-    "used_contention_urllc",
-    "used_contention_non_urllc",
-    "sum_r",
-    "sum_pool_urllc",
-    "sum_pool_non_urllc",
-    "prio_macro_r_sum",
-    "used_reserved_at_prio_macro",
+# Every int counter pools by sum, except these, which pool by max.
+_MAX_FIELDS = ("n_gnbs", "n_preambles", "r_max")
+_SUM_FIELDS = tuple(
+    f.name
+    for f in fields(KpiReport)
+    if f.type in ("int", int) and f.name not in _MAX_FIELDS
+)
+# OpportunityLog counters that a report carries under the same name.
+_LOG_COUNTERS = tuple(
+    f.name
+    for f in fields(OpportunityLog)
+    if f.name in {g.name for g in fields(KpiReport)}
 )
 
 
 def _add_into(dst: KpiReport, src: KpiReport) -> None:
     for name in _SUM_FIELDS:
         setattr(dst, name, getattr(dst, name) + getattr(src, name))
-    dst.n_gnbs = max(dst.n_gnbs, src.n_gnbs)
-    dst.n_preambles = max(dst.n_preambles, src.n_preambles)
-    dst.r_max = max(dst.r_max, src.r_max)
+    for name in _MAX_FIELDS:
+        setattr(dst, name, max(getattr(dst, name), getattr(src, name)))
     dst.delay_hist.update(src.delay_hist)
     dst.delay_hist_urllc.update(src.delay_hist_urllc)
     dst.delay_hist_non_urllc.update(src.delay_hist_non_urllc)
 
-
-def report_for(scenario: Scenario) -> KpiReport:
-    """Run the scenario once and report it (convenience wrapper)."""
-    from .engine import run
-
-    return build_report(run(scenario))

@@ -9,7 +9,8 @@ counts and event ordering never depends on floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 TICKS_PER_MS = 56
@@ -53,43 +54,6 @@ def time_scale(numerology: Numerology) -> float:
     return float(time_scale_fraction(numerology))
 
 
-@dataclass(frozen=True)
-class TimingParams:
-    """Control-plane durations in ms (reference numerology unless scaled)."""
-
-    t_msg1_ms: float = 1.0
-    t_msg2_ms: float = 3.0
-    t_msg3_ms: float = 5.0
-    t_msg4_ms: float = 5.0
-    ra_period_ms: float = 5.0
-    rar_window_ms: float = 5.0
-    bi_max_ms: float = 20.0
-    contention_resolution_timer_ms: float = 48.0
-    sib2_period_ms: float = 80.0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "t_msg1_ms",
-            "t_msg2_ms",
-            "t_msg3_ms",
-            "t_msg4_ms",
-            "ra_period_ms",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in (
-            "rar_window_ms",
-            "bi_max_ms",
-            "contention_resolution_timer_ms",
-            "sib2_period_ms",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-
-DEFAULT_TIMING = TimingParams()
-
-
 def ms_to_ticks(ms: float, scale: Fraction = Fraction(1)) -> int:
     """Quantize a duration to the tick lattice, rounding half up.
 
@@ -105,6 +69,44 @@ def ms_to_ticks(ms: float, scale: Fraction = Fraction(1)) -> int:
 def ticks_to_ms(ticks: int, scale: Fraction = Fraction(1)) -> float:
     """Tick count back to ms under the given scale factor."""
     return float(Fraction(ticks) * scale / TICKS_PER_MS)
+
+
+_POSITIVE_TIMINGS = (
+    "t_msg1_ms", "t_msg2_ms", "t_msg3_ms", "t_msg4_ms", "ra_period_ms"
+)
+
+
+@dataclass(frozen=True)
+class TimingParams:
+    """Control-plane durations in ms (reference numerology unless scaled)."""
+
+    t_msg1_ms: float = 1.0
+    t_msg2_ms: float = 3.0
+    t_msg3_ms: float = 5.0
+    t_msg4_ms: float = 5.0
+    ra_period_ms: float = 5.0
+    rar_window_ms: float = 5.0
+    bi_max_ms: float = 20.0
+    contention_resolution_timer_ms: float = 48.0
+    sib2_period_ms: float = 80.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
+            if f.name in _POSITIVE_TIMINGS and value <= 0:
+                raise ValueError(f"{f.name} must be positive")
+            if value < 0:
+                raise ValueError(f"{f.name} must be non-negative")
+            if value > 0 and ms_to_ticks(value) == 0:
+                raise ValueError(
+                    f"{f.name} = {value} ms is shorter than half a tick "
+                    f"(1/{TICKS_PER_MS} ms) and would quantize to zero"
+                )
+
+
+DEFAULT_TIMING = TimingParams()
 
 
 def scale_timing(base: TimingParams, numerology: Numerology) -> TimingParams:

@@ -1,7 +1,13 @@
 """Command-line contract: files, determinism, error routing, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rachsim
 from rachsim.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -84,6 +90,47 @@ def test_unknown_key_exits_config(tmp_path, capsys):
 def test_constraint_violation_exits_config(tmp_path, capsys):
     code = run_cli("run", "--out", str(tmp_path), "--set", "n_preambles=0")
     assert code == EXIT_CONFIG
+
+
+def python_m_rachsim(*argv, cwd):
+    """Run `python -m rachsim` in a child process on this checkout."""
+    env = dict(os.environ)
+    src = str(Path(rachsim.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "rachsim", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
+
+
+def test_python_m_rachsim_runs_the_cli(tmp_path):
+    proc = python_m_rachsim("keys", cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("n_devices ")
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ("--set", "ra_period_ms=0"),
+        ("--scenario", "zero-period.cfg"),
+        # 0.005 ms is 0.28 ticks: positive, but it quantizes to zero.
+        ("--set", "ra_period_ms=0.005"),
+    ],
+    ids=["set-zero", "file-zero", "set-sub-tick"],
+)
+def test_bad_timing_exits_config_without_traceback(tmp_path, source):
+    (tmp_path / "zero-period.cfg").write_text("ra_period_ms = 0\n")
+    proc = python_m_rachsim(
+        "run", "--out", str(tmp_path), "--set", "n_devices=10", *source,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("scenario error:"), proc.stderr
+    assert "ra_period_ms" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_scenario_file_exits_io(tmp_path, capsys):

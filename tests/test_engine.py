@@ -13,6 +13,7 @@ import pytest
 
 from rachsim.config import TopologyConfig, build_scenario, scenario_with
 from rachsim.engine import _harq_transmissions, run
+from rachsim.kpi import build_report
 from rachsim.rng import RandomSource
 from rachsim.topology import DevicePlacement
 
@@ -643,6 +644,76 @@ def test_invariants_on_mixed_runs(seed):
     assert log.collided_cells <= log.used_cells
     assert log.used_cells <= log.n_raos * log.n_gnbs * log.n_preambles
     assert log.total_msg1_tx == sum(r.msg1_count for r in res.records)
+
+
+def fold_records(result):
+    """build_report's device counts, folded one AccessRecord at a time."""
+    out = dict(n_devices=0, n_urllc=0, total_msg1=0, n_success=0,
+               n_success_urllc=0, n_failed=0)
+    hists = {"all": Counter(), "urllc": Counter(), "non_urllc": Counter()}
+    for rec in result.records:
+        out["n_devices"] += 1
+        out["n_urllc"] += rec.urllc
+        out["total_msg1"] += rec.msg1_count
+        if rec.success:
+            out["n_success"] += 1
+            out["n_success_urllc"] += rec.urllc
+            hists["all"][rec.delay_ticks] += 1
+            hists["urllc" if rec.urllc else "non_urllc"][rec.delay_ticks] += 1
+        else:
+            out["n_failed"] += 1
+    return out, hists
+
+
+OVERLOAD_TEXT = (
+    "n_devices = 3000\nurllc_fraction = 0.3\n"
+    "urllc_horizon_s = 0.5\nnon_urllc_horizon_s = 1.5\n"
+    "rar_window_ms = 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, topology",
+    [
+        ("", SINGLE),
+        (
+            "enhancements = edt,drp,ebf,pp\nreserved_r = dynamic\n",
+            TopologyConfig(n_macro_cells=3, n_femto_cells=12),
+        ),
+    ],
+    ids=["baseline", "edt-drp-ebf-pp"],
+)
+def test_invariants_under_overload(text, topology):
+    # Tens of contenders per opportunity and a one-subframe RAR window:
+    # grants overflow and transmission budgets run out.
+    sc = mk(OVERLOAD_TEXT + text, topology=topology, seed=5)
+    res = run(sc, collect_trace=True)
+    log = res.log
+    records = res.records
+    assert sum(r.attempt_count for r in records) >= 10 * log.n_raos
+
+    rep = build_report(res)
+    assert rep.n_success + rep.n_failed == sc.n_devices
+    assert 0 < rep.n_failed < sc.n_devices
+    assert all(
+        r.msg1_count == sc.max_preamble_tx for r in records if not r.success
+    )
+    assert log.total_msg1_tx == sum(r.msg1_count for r in records)
+    assert log.collided_cells <= log.used_cells
+    assert log.used_cells <= log.n_raos * log.n_gnbs * log.n_preambles
+
+    # RAR capacity binds: a full window at some gNB, never more than full.
+    capacity = (sc.cce_total // sc.cce_per_pdcch) * sc.rar_grants_per_msg
+    grants = Counter((t, g) for t, _, k, _, g, _ in res.trace if k == "rar")
+    assert max(grants.values()) == capacity
+
+    # The columnar report equals the record-by-record fold.
+    counts, hists = fold_records(res)
+    assert {k: getattr(rep, k) for k in counts} == counts
+    assert rep.delay_hist == hists["all"]
+    assert rep.delay_hist_urllc == hists["urllc"]
+    assert rep.delay_hist_non_urllc == hists["non_urllc"]
+    assert all(type(k) is int for k in rep.delay_hist)
 
 
 def test_determinism_same_seed_identical_results():

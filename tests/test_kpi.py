@@ -1,8 +1,10 @@
 """KPI arithmetic on hand-built records and exact multi-seed merging."""
 
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
@@ -16,7 +18,14 @@ from rachsim.kpi import (
     build_report,
     csv_header,
     merge,
-    report_for,
+)
+
+
+# The RunResult integer columns: AccessRecord fields that are not derived.
+TICK_COLUMNS = tuple(
+    f.name
+    for f in fields(AccessRecord)
+    if f.name not in ("device_id", "urllc", "success", "msg1_ticks")
 )
 
 
@@ -58,16 +67,26 @@ def failure(dev, urllc=True):
 
 
 def result_with(records, scenario=None, **log_over):
+    """A RunResult whose device columns hold the given records."""
     scenario = scenario or build_scenario("")
     log = OpportunityLog(n_preambles=54, n_gnbs=1, n_macro=1)
     for key, value in log_over.items():
         setattr(log, key, value)
+    columns = {
+        name: np.array(
+            [-1 if getattr(r, name) is None else getattr(r, name)
+             for r in records],
+            dtype=np.int64,
+        )
+        for name in TICK_COLUMNS
+    }
     return RunResult(
-        records=records,
         log=log,
         scenario=scenario,
         layout=None,
         placement=None,
+        urllc=np.array([r.urllc for r in records], dtype=bool),
+        **columns,
     )
 
 
@@ -249,7 +268,7 @@ def test_merge_empty_rejected():
 
 
 def test_ratios_bounded_on_real_run():
-    rep = report_for(build_scenario("n_devices = 400\n"))
+    rep = build_report(run(build_scenario("n_devices = 400\n")))
     assert 0.0 <= rep.collision_probability() <= 1.0
     for value in rep.preamble_utilization().values():
         if value is not None:
@@ -259,7 +278,7 @@ def test_ratios_bounded_on_real_run():
 
 
 def test_csv_row_matches_header_width():
-    rep = report_for(build_scenario("n_devices = 50\n"))
+    rep = build_report(run(build_scenario("n_devices = 50\n")))
     row = rep.csv_row()
     assert len(row.split(",")) == len(REPORT_COLUMNS)
     assert csv_header().split(",") == list(REPORT_COLUMNS)
@@ -277,8 +296,10 @@ def test_csv_row_on_empty_run_has_blank_kpis():
 
 def test_time_scale_propagates_to_ms():
     sc = build_scenario("n_devices = 30\nsubcarrier_spacing_khz = 30\n")
-    rep = report_for(sc)
-    base = report_for(scenario_with(sc, numerology=build_scenario("").numerology))
+    rep = build_report(run(sc))
+    base = build_report(
+        run(scenario_with(sc, numerology=build_scenario("").numerology))
+    )
     # Same tick histograms at the same seed, reported at half scale.
     assert rep.mean_access_delay_ms() == pytest.approx(
         base.mean_access_delay_ms() / 2
@@ -286,6 +307,6 @@ def test_time_scale_propagates_to_ms():
 
 
 def test_format_table_smoke():
-    rep = report_for(build_scenario("n_devices = 25\n"))
+    rep = build_report(run(build_scenario("n_devices = 25\n")))
     text = rep.format_table()
     assert "collision" in text and "mean delay" in text

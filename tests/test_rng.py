@@ -42,3 +42,26 @@ def test_replaced_substitutes_only_named_streams():
     assert out.preamble is src.preamble
     with pytest.raises(ValueError):
         src.replaced(nonsense=sub)
+
+
+@pytest.mark.parametrize("r", [1, 3, 27, 53])
+def test_batched_draws_equal_scalar_draws(r):
+    """Under PCG64 a batch of k draws equals k scalar draws, bit for bit.
+
+    The engine draws preambles in per-opportunity batches
+    (`integers(lo, hi, k)`); this pins that any batching or splitting of
+    those draws leaves the stream, and so every result, unchanged.
+    """
+    for lo, hi in ((0, 54), (0, r), (r, 54)):
+        for k in (1, 2, 3, 7, 40):
+            batch = np.random.Generator(np.random.PCG64(11))
+            scalar = np.random.Generator(np.random.PCG64(11))
+            drawn = batch.integers(lo, hi, k).tolist()
+            assert drawn == [int(scalar.integers(lo, hi)) for _ in range(k)]
+            # Both generators are left in the same state.
+            assert batch.integers(0, 2**62) == scalar.integers(0, 2**62)
+    for k in (1, 2, 5, 64):
+        batch = np.random.Generator(np.random.PCG64(12))
+        scalar = np.random.Generator(np.random.PCG64(12))
+        assert batch.random(k).tolist() == [scalar.random() for _ in range(k)]
+        assert batch.random() == scalar.random()
