@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Scenario
-from .rng import RandomSource
+from .rng import RandomSource, buffered
 from .timebase import ms_to_ticks, time_scale_fraction
 from .topology import (
     CellLayout,
@@ -187,7 +187,9 @@ def run(
 
     `source`, `placement` and `arrivals` are injection points for
     deterministic experiments; by default everything derives from the
-    scenario seed.
+    scenario seed. The source's four contention streams (preamble,
+    detection, harq, backoff) are read in blocks (`rng.BlockStream`), so
+    those generators end up to one block past the draws the run used.
     """
     src = source or RandomSource.from_seed(scenario.seed)
     layout = build_layout(scenario.topology, src.placement)
@@ -228,7 +230,8 @@ class _Contention:
     Device state is held in lists indexed by device id, named after the
     RunResult columns; -1 marks a time not (yet) reached. A phase sees the
     opportunity's contenders as `devs`, and a contender's position in it
-    is its local index.
+    is its local index. Every random draw is a scalar `random()` or
+    `integers(lo, hi)` on one of the four contention streams.
     """
 
     def __init__(
@@ -238,7 +241,11 @@ class _Contention:
         timing = scenario.timing
         ebf = "ebf" in enh
         self.scenario = scenario
-        self.src = src
+        self.preamble, self.detection, self.harq, self.backoff = (
+            buffered(gen)
+            for gen in (src.preamble, src.detection, src.harq, src.backoff)
+        )
+        self.sinr_gate = scenario.topology.sinr_threshold_db is not None
         self.edt, self.pp, self.drp, self.rp = (
             flag in enh for flag in ("edt", "pp", "drp", "rp")
         )
@@ -337,19 +344,16 @@ class _Contention:
         return r_use
 
     def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
-        """One preamble per copy: priority copies inside the reserved pool.
+        """One scalar draw per copy: priority copies inside the reserved pool.
 
-        With a pool, the priority batch is drawn before the rest.
+        With a pool, the priority copies are drawn before the rest.
         """
-        gen = self.src.preamble
+        draw = self.preamble.integers
+        n_pre = self.n_pre
         if r_use <= 0:
-            return gen.integers(0, self.n_pre, len(prio)).tolist()
-        n_in = sum(prio)
-        n_out = len(prio) - n_in
-        inside = iter(gen.integers(0, r_use, n_in).tolist() if n_in else ())
-        outside = iter(
-            gen.integers(r_use, self.n_pre, n_out).tolist() if n_out else ()
-        )
+            return [draw(0, n_pre) for _ in prio]
+        inside = iter([draw(0, r_use) for p in prio if p])
+        outside = iter([draw(r_use, n_pre) for p in prio if not p])
         return [next(inside) if p else next(outside) for p in prio]
 
     def draw(self, t: int, devs: list[int], r_use: int):
@@ -422,7 +426,8 @@ class _Contention:
         is_ur = self.is_ur
         n_pre = self.n_pre
         p_detect = self.p_detect
-        draw = self.src.detection.random
+        draw = self.detection.random
+        sinr_gate = self.sinr_gate
         detected = []
         for key in sorted(cells):
             members = cells[key]
@@ -450,15 +455,17 @@ class _Contention:
                 log.collided_non_urllc += any_non
                 continue
             j, i_val = members[0]
-            if draw() < p_detect[i_val] and self._sinr_ok(devs[j], gnb):
+            if draw() < p_detect[i_val] and (
+                not sinr_gate or self._sinr_ok(devs[j], gnb)
+            ):
                 detected.append((gnb, j))
         return detected
 
     def _sinr_ok(self, dev: int, gnb: int) -> bool:
-        """Optional macro-side gate, off by default; a failed gate behaves
-        exactly like a detection miss."""
+        """Optional macro-side gate (`sinr_gate`, off by default); a failed
+        gate behaves exactly like a detection miss."""
         cfg = self.scenario.topology
-        if cfg.sinr_threshold_db is None or gnb >= self.n_macro:
+        if gnb >= self.n_macro:
             return True
         dist = max(float(self.placement.serving_dist[dev]), 1e-9)
         pl = path_loss_db(dist, cfg)
@@ -490,7 +497,7 @@ class _Contention:
 
     def resolve(self, t, rao_index, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff."""
-        src = self.src
+        harq = self.harq
         trace = self.trace
         t2, t3, t4 = self.t2, self.t3, self.t4
         max_harq = self.scenario.max_harq
@@ -507,8 +514,8 @@ class _Contention:
                     if trace is not None:
                         trace.append((rar_time, dev, "connected", -1, gnb, 0))
                     continue
-                k3 = _harq_transmissions(src.harq, harq_fail, max_harq)
-                k4 = k3 and _harq_transmissions(src.harq, harq_fail, max_harq)
+                k3 = _harq_transmissions(harq, harq_fail, max_harq)
+                k4 = k3 and _harq_transmissions(harq, harq_fail, max_harq)
                 if k3 and k4 and k3 * t3 + k4 * t4 <= self.cr_timer:
                     done = rar_time + k3 * t3 + k4 * t4
                     self._complete(dev, t, done, rar_time - msg1_end)
@@ -532,7 +539,7 @@ class _Contention:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
             bi_max = self.bi_urllc if self.is_ur[dev] else self.bi_non
-            bi = int(src.backoff.integers(0, bi_max + 1)) if bi_max > 0 else 0
+            bi = self.backoff.integers(0, bi_max + 1) if bi_max > 0 else 0
             next_eligible = fail_base + t2 + self.rar_window + bi
             next_rao = max(-(-next_eligible // self.ra), rao_index + 1)
             self.buckets[next_rao].append(dev)

@@ -23,7 +23,12 @@ STREAM_NAMES = (
 
 @dataclass
 class RandomSource:
-    """Bundle of independent per-purpose generators."""
+    """Bundle of independent per-purpose generators.
+
+    `engine.run` reads the four contention streams (preamble, detection,
+    harq, backoff) through `BlockStream`, so after a run those generators
+    end up to one block past the draws the run used.
+    """
 
     placement: np.random.Generator
     arrivals: np.random.Generator
@@ -49,3 +54,62 @@ class RandomSource:
             raise ValueError(f"unknown stream names: {sorted(unknown)}")
         current.update(streams)
         return RandomSource(**current)
+
+
+# Values fetched per block draw of a BlockStream.
+BLOCK = 1024
+_WORD = 1 << 32
+_LOW = _WORD - 1
+
+
+class BlockStream:
+    """Scalar `random()` and `integers(lo, hi)` served from block draws.
+
+    Doubles come from `gen.random(BLOCK)`; integers apply numpy's Lemire
+    rule for ranges up to 2**32 to raw 32-bit words from
+    `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`. Each value therefore
+    equals the one the generator's own scalar call would return, bit for
+    bit, as long as a stream is read by one kind of draw only; the
+    generator itself runs up to one block ahead.
+    """
+
+    __slots__ = ("_gen", "_doubles", "_words")
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+        self._doubles: list[float] = []
+        self._words: list[int] = []
+
+    def random(self) -> float:
+        return (self._doubles or self._refill_doubles()).pop()
+
+    def integers(self, lo: int, hi: int) -> int:
+        n = hi - lo
+        if n <= 1:
+            if n == 1:  # numpy returns lo without consuming a word
+                return lo
+            raise ValueError("low >= high")
+        m = (self._words or self._refill_words()).pop() * n
+        if m & _LOW < n:  # the threshold is below n; skip its modulo
+            if n > _WORD:
+                raise ValueError("range wider than 2**32")
+            threshold = (_WORD - n) % n
+            while m & _LOW < threshold:
+                m = (self._words or self._refill_words()).pop() * n
+        return lo + (m >> 32)
+
+    def _refill_doubles(self) -> list[float]:
+        self._doubles = self._gen.random(BLOCK).tolist()[::-1]
+        return self._doubles
+
+    def _refill_words(self) -> list[int]:
+        block = self._gen.integers(0, _WORD, BLOCK, dtype=np.uint32)
+        self._words = block.tolist()[::-1]
+        return self._words
+
+
+def buffered(gen):
+    """A BlockStream over a numpy Generator; any other object as it is."""
+    if isinstance(gen, np.random.Generator):
+        return BlockStream(gen)
+    return gen

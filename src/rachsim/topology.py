@@ -51,6 +51,12 @@ class DevicePlacement:
 
 
 def _macro_centers(cfg: TopologyConfig) -> np.ndarray:
+    """Macro centers: the triangle of the first three, then a straight row.
+
+    Macros past the third extend the first row to the right at the same
+    spacing (the fourth at (2s, 0), the fifth at (3s, 0), ...); this is not
+    a hexagonal grid. The reference scenarios use at most three.
+    """
     spacing = 2.0 * cfg.cell_radius_m * math.cos(math.pi / 6)
     pts = [(0.0, 0.0)]
     if cfg.n_macro_cells >= 2:
@@ -58,7 +64,6 @@ def _macro_centers(cfg: TopologyConfig) -> np.ndarray:
     if cfg.n_macro_cells >= 3:
         pts.append((spacing / 2.0, spacing * math.sin(math.pi / 3)))
     if cfg.n_macro_cells > 3:
-        # Extend along the first row; the reference scenarios use <= 3.
         for k in range(3, cfg.n_macro_cells):
             pts.append((spacing * (k - 1), 0.0))
     return np.array(pts[: cfg.n_macro_cells], dtype=float)
@@ -171,46 +176,3 @@ def sinr_db(
     interference_mw = sum(10.0 ** (p / 10.0) for p in interferer_rx_dbm)
     signal_mw = 10.0 ** (rx_power_dbm / 10.0)
     return 10.0 * math.log10(signal_mw / (noise_mw + interference_mw))
-
-
-def received_power_dbm(
-    tx_power_dbm: float, distance_m: float, cfg: TopologyConfig
-) -> float:
-    return tx_power_dbm - path_loss_db(distance_m, cfg)
-
-
-def sinr_for_device(
-    device_idx: int,
-    tx_power_dbm: float,
-    concurrent: list[tuple[int, float]],
-    placement: DevicePlacement,
-    layout: CellLayout,
-    cfg: TopologyConfig,
-) -> float:
-    """Uplink SINR of one device at its serving station.
-
-    `concurrent` lists (device index, tx power) transmitting in the same
-    subframe; only devices served by other cells interfere (same-cell
-    signatures are orthogonal).
-    """
-    serving = int(placement.serving_cell[device_idx])
-    center = layout.macro_centers[serving]
-    rx = tx_power_dbm - path_loss_db(
-        float(placement.serving_dist[device_idx]), cfg
-    )
-    interferer_rx = []
-    for other, power in concurrent:
-        if other == device_idx:
-            continue
-        if int(placement.serving_cell[other]) == serving:
-            continue
-        d = float(np.linalg.norm(placement.positions[other] - center))
-        interferer_rx.append(power - path_loss_db(max(d, 1e-9), cfg))
-    return sinr_db(rx, interferer_rx, cfg)
-
-
-def femto_coverage_fraction(placement: DevicePlacement) -> float:
-    """Measured fraction of devices with a usable secondary station."""
-    if len(placement) == 0:
-        return 0.0
-    return float((placement.femto_cell >= 0).mean())

@@ -269,16 +269,11 @@ class _Fixed:
     def __init__(self, value):
         self.value = value
 
-    def random(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def random(self):
+        return self.value
 
-    def integers(self, lo, hi, size=None):
-        v = min(max(lo, int(self.value)), hi - 1)
-        if size is None:
-            return v
-        return np.full(size, v, dtype=np.int64)
+    def integers(self, lo, hi):
+        return min(max(lo, int(self.value)), hi - 1)
 
 
 class _Scripted:
@@ -290,12 +285,8 @@ class _Scripted:
     def random(self):
         return float(self.q.popleft())
 
-    def integers(self, lo, hi, size=None):
-        if size is None:
-            return int(self.q.popleft())
-        return np.array(
-            [int(self.q.popleft()) for _ in range(size)], dtype=np.int64
-        )
+    def integers(self, lo, hi):
+        return int(self.q.popleft())
 
 
 MIXED = build_scenario(

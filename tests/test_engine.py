@@ -6,6 +6,7 @@ spans 56, the RAR arrives at Msg1 end + 168 plus 56 per deferred response
 subframe, and Msg3/Msg4 each cost 280 per HARQ transmission.
 """
 
+import math
 from collections import Counter, deque
 
 import numpy as np
@@ -26,16 +27,11 @@ class Fixed:
     def __init__(self, value):
         self.value = value
 
-    def random(self, size=None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
+    def random(self):
+        return self.value
 
-    def integers(self, lo, hi, size=None):
-        v = min(max(lo, int(self.value)), hi - 1)
-        if size is None:
-            return v
-        return np.full(size, v, dtype=np.int64)
+    def integers(self, lo, hi):
+        return min(max(lo, int(self.value)), hi - 1)
 
 
 class Scripted:
@@ -47,16 +43,12 @@ class Scripted:
     def random(self):
         return float(self.q.popleft())
 
-    def integers(self, lo, hi, size=None):
-        if size is None:
-            return int(self.q.popleft())
-        return np.array(
-            [int(self.q.popleft()) for _ in range(size)], dtype=np.int64
-        )
+    def integers(self, lo, hi):
+        return int(self.q.popleft())
 
 
 class RoundRobin:
-    """integers(lo, hi, size) fills lo..hi-1 cyclically across calls.
+    """integers(lo, hi) steps through lo..hi-1 cyclically across calls.
 
     Forces every simultaneous transmitter onto a distinct preamble, so
     contention outcomes become deterministic.
@@ -65,15 +57,9 @@ class RoundRobin:
     def __init__(self):
         self.k = 0
 
-    def integers(self, lo, hi, size=None):
-        span = hi - lo
-        if size is None:
-            v = lo + self.k % span
-            self.k += 1
-            return v
-        out = lo + (self.k + np.arange(size)) % span
-        self.k += int(size)
-        return out.astype(np.int64)
+    def integers(self, lo, hi):
+        self.k += 1
+        return lo + (self.k - 1) % (hi - lo)
 
     def random(self):
         return 0.0
@@ -557,6 +543,71 @@ def test_collision_bookkeeping_hand_case():
     assert res.log.total_msg1_tx == 3
     assert res.log.used_urllc == 2 and res.log.collided_urllc == 1
     assert res.log.n_raos == 2  # completion at 224 -> one trailing
+
+
+def _occupancy(cells, k):
+    """E[used] and E[collided] cells when k copies pick uniformly among
+    `cells` preambles (occupancy analysis of slotted ALOHA)."""
+    empty = (1 - 1 / cells) ** k
+    sole = (k / cells) * (1 - 1 / cells) ** (k - 1)
+    return cells * (1 - empty), cells * (1 - empty - sole)
+
+
+def _within_clt_band(samples, expected, z=4.5):
+    x = np.asarray(samples, dtype=float)
+    half = z * x.std(ddof=1) / math.sqrt(len(x))
+    return abs(x.mean() - expected) <= half
+
+
+@pytest.mark.parametrize(
+    "text, k, n_ur",
+    [
+        ("", 20, 0),
+        ("n_preambles = 8\n", 8, 0),
+        (
+            "n_preambles = 16\nenhancements = rp\nreserved_r = 6\n"
+            "urllc_fraction = 0.5\n",
+            16,
+            8,
+        ),
+    ],
+    ids=["baseline", "small-pool", "rp"],
+)
+def test_contention_occupancy_matches_oracle(text, k, n_ur):
+    # k devices at one macro all transmit once at opportunity 0 on real
+    # seeded streams. Per pool of c preambles holding m copies, the mean
+    # used and collided cell counts over the seeds must match the
+    # occupancy expectations: the reserved pool (r preambles, the n_ur
+    # priority copies) and the contention pool (N - r, the rest). With
+    # N = 8, a draw range one preamble short moves the mean used count by
+    # about 8 standard errors; with N = 54 by about one.
+    sc = mk(
+        text + f"n_devices = {k}\nmax_preamble_tx = 1\n", topology=SINGLE
+    )
+    r = sc.reserved_r if n_ur else 0
+    n_pre = sc.n_preambles
+    pools = {"reserved": [], "contention": []}
+    for seed in range(600):
+        log = run(
+            scenario_with(sc, seed=seed), arrivals=np.zeros(k, dtype=np.int64)
+        ).log
+        assert log.total_msg1_tx == k
+        pools["reserved"].append((log.used_reserved, log.collided_reserved))
+        pools["contention"].append(
+            (log.used_contention, log.collided_cells - log.collided_reserved)
+        )
+    for name, cells, m in (
+        ("reserved", r, n_ur), ("contention", n_pre - r, k - n_ur)
+    ):
+        used, collided = np.array(pools[name]).T
+        if not m:
+            assert not used.any() and not collided.any()
+            continue
+        exp_used, exp_collided = _occupancy(cells, m)
+        assert _within_clt_band(used, exp_used), (name, used.mean(), exp_used)
+        assert _within_clt_band(collided, exp_collided), (
+            name, collided.mean(), exp_collided,
+        )
 
 
 def test_input_validation():

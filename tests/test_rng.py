@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from rachsim.rng import STREAM_NAMES, RandomSource
+from rachsim.rng import (
+    BLOCK,
+    STREAM_NAMES,
+    BlockStream,
+    RandomSource,
+    buffered,
+)
 
 
 def test_same_seed_same_streams():
@@ -48,9 +54,10 @@ def test_replaced_substitutes_only_named_streams():
 def test_batched_draws_equal_scalar_draws(r):
     """Under PCG64 a batch of k draws equals k scalar draws, bit for bit.
 
-    The engine draws preambles in per-opportunity batches
-    (`integers(lo, hi, k)`); this pins that any batching or splitting of
-    those draws leaves the stream, and so every result, unchanged.
+    The golden fixtures were written when the engine drew each
+    opportunity's preambles in one batch (`integers(lo, hi, k)`); it now
+    makes one scalar draw per copy. This pins that the split leaves the
+    stream, and so every result, unchanged.
     """
     for lo, hi in ((0, 54), (0, r), (r, 54)):
         for k in (1, 2, 3, 7, 40):
@@ -65,3 +72,68 @@ def test_batched_draws_equal_scalar_draws(r):
         scalar = np.random.Generator(np.random.PCG64(12))
         assert batch.random(k).tolist() == [scalar.random() for _ in range(k)]
         assert batch.random() == scalar.random()
+
+
+def twins(seed):
+    """A BlockStream and a Generator in the same state as the one it reads."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    twin = np.random.Generator(np.random.PCG64(seed))
+    return BlockStream(gen), twin
+
+
+@pytest.mark.parametrize("r", [1, 3, 27, 53])
+def test_block_stream_integers_equal_scalar_draws(r):
+    # Interleaved ranges over several blocks; (0, 1) consumes no word.
+    ranges = [(0, 54), (0, r), (r, 54), (0, 1), (0, 2)]
+    pick = np.random.default_rng(r).integers(0, len(ranges), 4 * BLOCK)
+    stream, twin = twins(20 + r)
+    for c in pick.tolist():
+        lo, hi = ranges[c]
+        assert stream.integers(lo, hi) == twin.integers(lo, hi)
+
+
+def test_block_stream_integers_equal_scalar_draws_under_rejection():
+    # For n = 2**31 + 1 numpy's Lemire rule rejects about half of all
+    # words, so the reader must redraw exactly when numpy does.
+    ranges = [(0, 2**31 + 1), (7, 7 + 3 * 2**30 + 5), (0, 2**32 - 1), (0, 54)]
+    stream, twin = twins(31)
+    for i in range(3 * BLOCK):
+        lo, hi = ranges[i % len(ranges)]
+        assert stream.integers(lo, hi) == twin.integers(lo, hi)
+    # Both are aligned on the next raw word (n = 2**32 never rejects).
+    assert stream.integers(0, 2**32) == twin.integers(0, 2**32)
+
+
+def test_block_stream_starts_on_a_buffered_half_word():
+    # One prior scalar draw leaves half of a 64-bit output buffered.
+    gen = np.random.Generator(np.random.PCG64(41))
+    twin = np.random.Generator(np.random.PCG64(41))
+    gen.integers(0, 54)
+    twin.integers(0, 54)
+    stream = BlockStream(gen)
+    for _ in range(2 * BLOCK + 3):
+        assert stream.integers(0, 54) == twin.integers(0, 54)
+
+
+def test_block_stream_random_equals_scalar_draws():
+    stream, twin = twins(51)
+    for _ in range(3 * BLOCK + 5):
+        assert stream.random() == twin.random()
+
+
+def test_block_stream_rejects_empty_range():
+    stream, _ = twins(61)
+    with pytest.raises(ValueError):
+        stream.integers(5, 5)
+
+
+def test_buffered_wraps_only_generators():
+    gen = np.random.Generator(np.random.PCG64(1))
+    assert isinstance(buffered(gen), BlockStream)
+
+    class Stub:
+        def random(self):
+            return 0.0
+
+    stub = Stub()
+    assert buffered(stub) is stub
