@@ -199,7 +199,10 @@ _KEYS: dict[str, tuple[str, str, str, str]] = {
                      "spacing of RA opportunities"),
     "rar_window_ms": ("timing", "rar_window_ms", "float",
                       "RAR response window"),
-    "bi_max_ms": ("timing", "bi_max_ms", "float", "default backoff bound"),
+    "bi_max_ms": ("timing", "bi_max_ms", "float",
+                  "default backoff bound; no effect under ebf, where "
+                  "priority backoff is 0 and background backoff is "
+                  "bounded by 10 ms"),
     "contention_resolution_timer_ms": ("timing",
                                        "contention_resolution_timer_ms",
                                        "float",

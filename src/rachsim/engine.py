@@ -18,11 +18,15 @@ contention-resolution deadline. Every failure path goes through the same
 backoff formula and returns at a later opportunity until the transmission
 budget runs out.
 
-Each opportunity runs five phases: pool sizing, preamble draw, cell
-outcome, RAR grants and resolution. An opportunity holds only a few
-contenders at the reference loads, so per-device state lives in plain
-lists during the loop. `RunResult` is columnar, one numpy array per device
-field; `RunResult.records` builds `AccessRecord` objects on each access.
+The loop sizes the reserved pool for each opportunity itself. An
+opportunity with two or more contenders then runs four phases: preamble
+draw, cell outcome, RAR grants and resolution. One with a single
+contender, the most common kind at sparse loads, cannot collide and runs
+one method that takes the same draws and makes the same counts without
+the cell bookkeeping. An opportunity holds only a few contenders at the
+reference loads, so per-device state lives in plain lists during the
+loop. `RunResult` is columnar, one numpy array per device field;
+`RunResult.records` builds `AccessRecord` objects on each access.
 """
 
 from __future__ import annotations
@@ -232,6 +236,10 @@ class _Contention:
     opportunity's contenders as `devs`, and a contender's position in it
     is its local index. Every random draw is a scalar `random()` or
     `integers(lo, hi)` on one of the four contention streams.
+
+    `simulate` sizes the reserved pool, then sends a sole contender to
+    `one_contender` and any larger batch through `draw`, `cell_outcome`,
+    `grants` and `resolve`.
     """
 
     def __init__(
@@ -296,6 +304,10 @@ class _Contention:
 
         Trailing opportunity subframes (after the final Msg 1) still count
         toward KPI denominators and still advance the dynamic-pool window.
+        Pool sizing happens here: under `drp` the broadcast size is the
+        rounded mean of the prior window, never of the current sample,
+        and the window keeps an exact integer running sum. The pool
+        tallies stay in locals and reach the log once per run.
         """
         if not arrivals.size:
             return
@@ -307,41 +319,44 @@ class _Contention:
             buckets[start_list[d]].append(d)
         rao_index = int(start.min())
         last_arrival_rao = int(start.max())
+        n_pre, drp, window = self.n_pre, self.drp, self.drp_window
+        r_use, window_sum = self.r_static, 0
+        n_raos = sum_r = r_max = zero_r = 0
         while buckets or rao_index <= max(
             last_arrival_rao, -(-self.last_resolution // ra)
         ):
-            r_use = self.pool_size()
+            if drp:
+                r_use = 0
+                if window:
+                    mean = window_sum / len(window)
+                    r_use = min(math.floor(mean + 0.5), n_pre - 1)
+            n_raos += 1
+            sum_r += r_use
+            r_max = max(r_max, r_use)
+            zero_r += r_use == 0
             devs = buckets.pop(rao_index, None)
             if devs:
                 t = rao_index * ra
-                cells, prio_macros = self.draw(t, devs, r_use)
-                detected = self.cell_outcome(devs, r_use, cells, prio_macros)
-                self.resolve(t, rao_index, devs, self.grants(t, detected))
-            elif self.drp:
-                self.drp_window.append(0)
+                if len(devs) == 1:
+                    n_prio = self.one_contender(t, rao_index, devs, r_use)
+                else:
+                    cells, prio_macros, n_prio = self.draw(t, devs, r_use)
+                    detected = self.cell_outcome(
+                        devs, r_use, cells, prio_macros
+                    )
+                    self.resolve(t, rao_index, devs, self.grants(t, detected))
+            else:
+                n_prio = 0
+            if drp:
+                if len(window) == window.maxlen:
+                    window_sum -= window[0]
+                window.append(n_prio)
+                window_sum += n_prio
             rao_index += 1
-
-    def pool_size(self) -> int:
-        """Reserved-pool size broadcast for this opportunity.
-
-        Under `drp` it derives from the prior window, never from the
-        current sample.
-        """
-        n_pre = self.n_pre
-        r_use = self.r_static
-        if self.drp:
-            window = self.drp_window
-            r_use = 0
-            if window:
-                mean = sum(window) / len(window)
-                r_use = min(int(math.floor(mean + 0.5)), n_pre - 1)
         log = self.log
-        log.n_raos += 1
-        log.sum_r += r_use
-        log.r_max = max(log.r_max, r_use)
-        log.sum_pool_urllc += r_use if r_use > 0 else n_pre
-        log.sum_pool_non_urllc += (n_pre - r_use) if r_use > 0 else n_pre
-        return r_use
+        log.n_raos, log.sum_r, log.r_max = n_raos, sum_r, r_max
+        log.sum_pool_urllc = sum_r + n_pre * zero_r
+        log.sum_pool_non_urllc = n_pre * n_raos - sum_r
 
     def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
         """One scalar draw per copy: priority copies inside the reserved pool.
@@ -361,8 +376,9 @@ class _Contention:
 
         Returns the occupied cells, keyed gnb * n_preambles + preamble so
         that key order is (gnb, preamble) order, each listing its copies as
-        (local index, cumulative transmission count); and the serving
-        macros of the priority contenders when a pool is reserved.
+        (local index, cumulative transmission count); the serving macros of
+        the priority contenders when a pool is reserved; and the number of
+        priority contenders.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         attempts, tx_count = self.attempt_count, self.msg1_count
@@ -371,7 +387,6 @@ class _Contention:
                 self.first_attempt_ticks[d] = t
         if self.drp:
             prio = [is_ur[d] or attempts[d] > 0 for d in devs]
-            self.drp_window.append(sum(prio))
         elif self.rp:
             prio = [is_ur[d] for d in devs]
         else:
@@ -412,7 +427,78 @@ class _Contention:
             cells[gnb * n_pre + pre].append((j, base[j] + 2))
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, attempts[d]))
-        return cells, prio_macros
+        return cells, prio_macros, sum(prio)
+
+    def one_contender(
+        self, t: int, rao_index: int, devs: list[int], r_use: int
+    ) -> int:
+        """All phases for an opportunity with one contender; returns 1 if
+        it is a priority contender, else 0.
+
+        Nothing can collide: a femto copy goes to another gNB. So each copy
+        is a sole copy that takes its detection draw, the macro's first,
+        and the earliest grant is the first response subframe at the
+        macro if it detected, else at the femto (capacity is at least one
+        grant). The draws, log increments and trace rows are those of
+        `draw`, `cell_outcome` and `grants` for a one-element `devs`.
+        """
+        (d,) = devs
+        ur = self.is_ur[d]
+        base = self.msg1_count[d]
+        attempt = self.attempt_count[d] + 1
+        if self.first_attempt_ticks[d] < 0:
+            self.first_attempt_ticks[d] = t
+        prio = (ur or attempt > 1) if self.drp else (ur and self.rp)
+        n_pre = self.n_pre
+        lo, hi = 0, n_pre
+        if r_use > 0:
+            lo, hi = (0, r_use) if prio else (r_use, n_pre)
+        draw = self.preamble.integers
+        pre = draw(lo, hi)
+        femto = self.femto[d]
+        dual = self.pp and femto >= 0 and base <= self.max_tx - 2
+        if dual:
+            pre2 = draw(lo, hi)
+        self.msg1_count[d] = base + 1 + dual
+        self.attempt_count[d] = attempt
+
+        macro = self.serving[d]
+        trace = self.trace
+        if trace is not None:
+            trace.append((t, d, "msg1", pre, macro, attempt))
+            if dual:
+                trace.append(
+                    (t, d, "msg1", pre2, self.n_macro + femto, attempt)
+                )
+        n_cells = 1 + dual
+        n_ur = n_cells if ur else 0
+        log = self.log
+        log.total_msg1_tx += n_cells
+        log.used_cells += n_cells
+        log.used_urllc += n_ur
+        log.used_non_urllc += n_cells - n_ur
+        if pre < r_use:  # priority copies, both in the reserved pool
+            log.prio_macro_r_sum += r_use
+            log.used_reserved += n_cells
+            log.used_reserved_at_prio_macro += 1
+            log.used_reserved_urllc += n_ur
+            log.used_reserved_non_urllc += n_cells - n_ur
+        else:
+            log.used_contention += n_cells
+            log.used_contention_urllc += n_ur
+            log.used_contention_non_urllc += n_cells - n_ur
+
+        detect, p_detect = self.detection.random, self.p_detect
+        gnb = -1
+        if detect() < p_detect[base + 1] and (
+            not self.sinr_gate or self._sinr_ok(d, macro)
+        ):
+            gnb = macro
+        if dual and detect() < p_detect[base + 2] and gnb < 0:
+            gnb = self.n_macro + femto
+        rar_at = {0: (t + self.t1 + self.t2, gnb)} if gnb >= 0 else {}
+        self.resolve(t, rao_index, devs, rar_at)
+        return int(prio)
 
     def cell_outcome(self, devs, r_use, cells, prio_macros):
         """Count every occupied cell and detect its sole copy, if any.

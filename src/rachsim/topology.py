@@ -120,17 +120,13 @@ def place_devices(
     )
     positions = layout.macro_centers[home] + offsets
 
-    d_macro = np.linalg.norm(
-        positions[:, None, :] - layout.macro_centers[None, :, :], axis=2
-    )
+    d_macro = _distances(positions, layout.macro_centers)
     serving = d_macro.argmin(axis=1)
     serving_dist = d_macro[np.arange(n), serving]
 
     femto = np.full(n, -1, dtype=np.int64)
     if layout.n_femto > 0:
-        d_femto = np.linalg.norm(
-            positions[:, None, :] - layout.femto_centers[None, :, :], axis=2
-        )
+        d_femto = _distances(positions, layout.femto_centers)
         nearest = d_femto.argmin(axis=1)
         within = d_femto[np.arange(n), nearest] <= layout.femto_radius_m
         femto[within] = nearest[within]
@@ -140,6 +136,22 @@ def place_devices(
         femto_cell=femto,
         serving_dist=serving_dist,
     )
+
+
+def _distances(positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) distances from each position to each center.
+
+    sqrt(dx*dx + dy*dy) from the separate coordinates, the value that
+    `np.linalg.norm` of the difference vector gives, bit for bit, without
+    an (n, k, 2) intermediate. Callers take `argmin` on these roots, not
+    on the squares: two distinct squares can round to the same root.
+    """
+    dx = np.subtract.outer(positions[:, 0], centers[:, 0])
+    dy = np.subtract.outer(positions[:, 1], centers[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def path_loss_db(d_m: float, cfg: TopologyConfig) -> float:

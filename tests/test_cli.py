@@ -16,6 +16,7 @@ from rachsim.cli import (
     EXIT_VALIDATION,
     main,
 )
+from rachsim.engine import EBF_BACKGROUND_BACKOFF_MS
 
 SMALL = ["--set", "n_devices=120"]
 
@@ -253,6 +254,10 @@ def test_keys_listing(capsys):
     out = capsys.readouterr().out
     for key in ("n_devices", "enhancements", "sinr_threshold_db"):
         assert key in out
+    # bi_max_ms says that ebf overrides it, with the background bound.
+    (bi_line,) = [line for line in out.splitlines() if line.startswith("bi_")]
+    assert "no effect under ebf" in bi_line
+    assert f"{EBF_BACKGROUND_BACKOFF_MS:g} ms" in bi_line
 
 
 def test_validate_smoke_exit_code(capsys):

@@ -7,14 +7,21 @@ subframe, and Msg3/Msg4 each cost 280 per HARQ transmission.
 """
 
 import math
-from collections import Counter, deque
+from collections import Counter, defaultdict, deque
 
 import numpy as np
 import pytest
 
-from rachsim.config import TopologyConfig, build_scenario, scenario_with
+from rachsim import engine
+from rachsim.config import (
+    TopologyConfig,
+    apply_overrides,
+    build_scenario,
+    scenario_with,
+)
 from rachsim.engine import _harq_transmissions, run
 from rachsim.kpi import build_report
+from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
 from rachsim.topology import DevicePlacement
 
@@ -842,3 +849,58 @@ def test_sinr_gate_disabled_equals_trivial_gate():
     )
     off = mk("n_devices = 50\n", topology=SINGLE)
     assert run(on).records == run(off).records
+
+
+# -- one-contender path ------------------------------------------------------
+
+
+def _phases(self, t, rao_index, devs, r_use):
+    """Reference for `_Contention.one_contender`: the four phases that a
+    batch of any size runs."""
+    cells, prio_macros, n_prio = self.draw(t, devs, r_use)
+    detected = self.cell_outcome(devs, r_use, cells, prio_macros)
+    self.resolve(t, rao_index, devs, self.grants(t, detected))
+    return n_prio
+
+
+SINR_4DB = (("cell_radius_m", "1000"), ("sinr_threshold_db", "4"))
+
+# case id -> (reference scenario, overrides)
+ONE_CONTENDER_CASES = {
+    "baseline": ("baseline-mixed", ()),
+    "rp-r3": ("rp-r3", ()),
+    "drp": ("drp-mixed", (("n_devices", "5000"),)),
+    "edt-pp": ("edt-pp", ()),
+    "ebf": ("edt-pp-ebf", ()),
+    "sinr-4db": ("baseline-mixed", SINR_4DB),
+    "sinr-4db-pp": ("edt-pp", SINR_4DB + (("femto_radius_m", "300"),)),
+    "pp-max-tx-1": ("edt-pp", (("max_preamble_tx", "1"),)),
+    "pp-max-tx-2": ("edt-pp", (("max_preamble_tx", "2"),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_CONTENDER_CASES))
+def test_one_contender_path_equals_general_phases(case, monkeypatch):
+    name, overrides = ONE_CONTENDER_CASES[case]
+    sc = apply_overrides(
+        REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
+    )
+    fast = run(sc, collect_trace=True)
+    monkeypatch.setattr(engine._Contention, "one_contender", _phases)
+    ref = run(sc, collect_trace=True)
+
+    for col in ("urllc",) + engine._TICK_COLUMNS:
+        assert np.array_equal(getattr(fast, col), getattr(ref, col)), col
+    assert fast.log == ref.log
+    assert fast.trace == ref.trace
+
+    # The case holds sole contenders next to larger batches, and a sole
+    # contender sends a femto copy wherever the budget allows one.
+    copies = defaultdict(list)
+    for t, dev, kind, *_ in fast.trace:
+        if kind == "msg1":
+            copies[t].append(dev)
+    sole = [devs for devs in copies.values() if len(set(devs)) == 1]
+    assert 0 < len(sole) < len(copies)
+    dual = any(len(devs) == 2 for devs in sole)
+    assert dual == ("pp" in sc.enhancements and sc.max_preamble_tx >= 2)

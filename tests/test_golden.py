@@ -5,8 +5,8 @@ reference scenario written out as a scenario file, and compares the output
 files byte for byte with the copies under `tests/golden/`. The cases cover
 every enhancement (edt, pp, ebf, rp, drp), mixed traffic, non-default
 numerologies, one Msg1 trace with dual copies, the reserved pool and
-backoff, and one run where the SINR detection gate rejects some but not
-all devices.
+backoff, one run where the SINR detection gate rejects some but not all
+devices, and one overload run where the dynamic reserved pool grows.
 
 The fixtures pin the model, so a refactor that claims to change nothing
 must pass them unchanged. Regenerate them (`python tests/test_golden.py`)
@@ -65,6 +65,24 @@ CASES["sinr-gate/seed1"] = (
         "--set", "n_devices=2000",
         "--set", "cell_radius_m=1000",
         "--set", "sinr_threshold_db=4",
+    ),
+    REPORT_FILES,
+)
+
+# The load of test_invariants_under_overload with every enhancement of
+# drp-mixed on: the dynamic pool moves (r_max 38 of 54 preambles), which
+# the reference loads never make it do.
+CASES["drp-overload/seed5"] = (
+    "drp-mixed",
+    5,
+    (
+        "--set", "n_devices=3000",
+        "--set", "urllc_fraction=0.3",
+        "--set", "urllc_horizon_s=0.5",
+        "--set", "non_urllc_horizon_s=1.5",
+        "--set", "rar_window_ms=1",
+        "--set", "n_femto_cells=12",
+        "--set", "femto_radius_m=10",
     ),
     REPORT_FILES,
 )

@@ -1,5 +1,6 @@
 """Geometry, placement, path loss, power ramping, and SINR."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -126,6 +127,66 @@ def test_placement_deterministic_under_stream():
     pa = place_devices(50, la, a_src.placement)
     pb = place_devices(50, lb, b_src.placement)
     assert np.array_equal(pa.positions, pb.positions)
+
+
+# -- placement against the np.linalg.norm formulation ------------------------
+
+
+def norm_distances(positions, centers):
+    """The oracle: np.linalg.norm over (n, k, 2) difference vectors."""
+    return np.linalg.norm(positions[:, None, :] - centers[None, :, :], axis=2)
+
+
+def assert_matches_norm_oracle(placement, layout):
+    """serving_cell, serving_dist and femto_cell, bit for bit as the
+    np.linalg.norm formulation derives them from the positions."""
+    n = len(placement)
+    d_macro = norm_distances(placement.positions, layout.macro_centers)
+    serving = d_macro.argmin(axis=1)
+    femto = np.full(n, -1, dtype=np.int64)
+    if layout.n_femto > 0:
+        d_femto = norm_distances(placement.positions, layout.femto_centers)
+        nearest = d_femto.argmin(axis=1)
+        within = d_femto[np.arange(n), nearest] <= layout.femto_radius_m
+        femto[within] = nearest[within]
+    expected = {
+        "serving_cell": serving.astype(np.int64),
+        "serving_dist": d_macro[np.arange(n), serving],
+        "femto_cell": femto,
+    }
+    for name, want in expected.items():
+        got = getattr(placement, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("n_femto", [0, 1, 75])
+@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_placement_matches_norm_oracle(seed, n, n_femto):
+    cfg = TopologyConfig(
+        n_macro_cells=3, n_femto_cells=n_femto, femto_radius_m=49.0
+    )
+    src = RandomSource.from_seed(seed)
+    layout = build_layout(cfg, src.placement)
+    assert_matches_norm_oracle(place_devices(n, layout, src.placement), layout)
+
+
+def test_device_exactly_at_femto_radius_is_covered():
+    cfg = TopologyConfig(n_macro_cells=3, n_femto_cells=1)
+    layout = build_layout(cfg, rng(7))
+    positions = place_devices(5, layout, rng(8)).positions
+    edge = norm_distances(positions, layout.femto_centers)[0, 0]
+    at_edge = dataclasses.replace(layout, femto_radius_m=float(edge))
+    placement = place_devices(5, at_edge, rng(8))
+    assert placement.femto_cell[0] == 0
+    assert_matches_norm_oracle(placement, at_edge)
+    inside = dataclasses.replace(
+        layout, femto_radius_m=float(np.nextafter(edge, 0.0))
+    )
+    placement = place_devices(5, inside, rng(8))
+    assert placement.femto_cell[0] == -1
+    assert_matches_norm_oracle(placement, inside)
 
 
 # -- path loss and power -----------------------------------------------------
