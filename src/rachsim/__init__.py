@@ -40,7 +40,6 @@ from .timebase import (
     TimingParams,
     ms_to_ticks,
     ticks_to_ms,
-    time_scale,
 )
 from .topology import CellLayout, DevicePlacement, build_layout, place_devices
 from .traffic import assign_classes, generate_arrivals
@@ -88,6 +87,5 @@ __all__ = [
     "scenario_with",
     "serialize_scenario",
     "ticks_to_ms",
-    "time_scale",
     "__version__",
 ]

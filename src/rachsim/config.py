@@ -289,23 +289,10 @@ def parse_scenario_text(text: str) -> dict[str, object]:
 def build_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; empty text yields defaults."""
     sections = parse_scenario_text(text)
-    try:
-        numerology = Numerology(**sections["numerology"])
-        timing = TimingParams(**sections["timing"])
-    except ValueError as exc:
-        raise ScenarioConstraintError(str(exc)) from exc
-    topology = TopologyConfig(**sections["topology"])
-    traffic = TrafficConfig(**sections["traffic"])
-    top = dict(sections[""])
+    top = sections[""]
     if "rp" in top.get("enhancements", frozenset()) and "reserved_r" not in top:
         top["reserved_r"] = 3
-    return Scenario(
-        numerology=numerology,
-        timing=timing,
-        topology=topology,
-        traffic=traffic,
-        **top,
-    )
+    return _updated(Scenario(), sections)
 
 
 def scenario_with(scenario: Scenario, **overrides) -> Scenario:
@@ -325,6 +312,11 @@ def apply_overrides(scenario: Scenario, pairs) -> Scenario:
             raise ScenarioParseError(f"unknown key {key!r}")
         section, attr, kind, _ = _KEYS[key]
         sections[section][attr] = _parse_value(kind, str(raw).strip(), key, None)
+    return _updated(scenario, sections)
+
+
+def _updated(scenario: Scenario, sections) -> Scenario:
+    """`scenario` with per-section field values replaced and revalidated."""
     try:
         numerology = replace(scenario.numerology, **sections["numerology"])
         timing = replace(scenario.timing, **sections["timing"])

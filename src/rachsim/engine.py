@@ -23,10 +23,11 @@ opportunity with two or more contenders then runs four phases: preamble
 draw, cell outcome, RAR grants and resolution. One with a single
 contender, the most common kind at sparse loads, cannot collide and runs
 one method that takes the same draws and makes the same counts without
-the cell bookkeeping. An opportunity holds only a few contenders at the
-reference loads, so per-device state lives in plain lists during the
-loop. `RunResult` is columnar, one numpy array per device field;
-`RunResult.records` builds `AccessRecord` objects on each access.
+the cell bookkeeping. Both count each occupied cell under a five-bit
+code in a histogram that lives for the run, and the run folds it into
+the cell counters of `OpportunityLog` once, at its end. Per-device state
+lives in plain lists. `RunResult` is columnar, one numpy array per device
+field; `RunResult.records` builds `AccessRecord` objects on each access.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Scenario
-from .rng import RandomSource, buffered
+from .rng import RandomSource, buffered, bulk_integers
 from .timebase import ms_to_ticks, time_scale_fraction
 from .topology import (
     CellLayout,
@@ -118,6 +119,17 @@ class OpportunityLog:
     total_msg1_tx: int = 0
     r_max: int = 0
 
+
+# Cell counters of OpportunityLog as (bits, value): a counter sums the
+# cell histogram over the codes with code & bits == value.
+_CELL_COUNTERS = dict(
+    used_cells=(0, 0), collided_cells=(4, 4), used_reserved=(8, 8),
+    used_contention=(8, 0), collided_reserved=(12, 12), used_urllc=(1, 1),
+    used_non_urllc=(2, 2), collided_urllc=(5, 5), collided_non_urllc=(6, 6),
+    used_reserved_urllc=(9, 9), used_reserved_non_urllc=(10, 10),
+    used_contention_urllc=(9, 1), used_contention_non_urllc=(10, 2),
+    used_reserved_at_prio_macro=(16, 16),
+)
 
 # Per-device integer columns of RunResult, in AccessRecord field order;
 # -1 marks an absent time (failed device, or no Msg3/Msg4 leg).
@@ -235,11 +247,17 @@ class _Contention:
     RunResult columns; -1 marks a time not (yet) reached. A phase sees the
     opportunity's contenders as `devs`, and a contender's position in it
     is its local index. Every random draw is a scalar `random()` or
-    `integers(lo, hi)` on one of the four contention streams.
+    `integers(lo, hi)` on one of the four contention streams, except that
+    `draw` takes its preambles with one bulk draw per pool range
+    (`rng.bulk_integers`), which gives the same values.
 
     `simulate` sizes the reserved pool, then sends a sole contender to
     `one_contender` and any larger batch through `draw`, `cell_outcome`,
-    `grants` and `resolve`.
+    `grants` and `resolve`. A cell's code is the sum of bits 1 (a URLLC
+    copy), 2 (a background copy), 4 (collided), 8 (reserved pool) and 16
+    (reserved pool at a priority macro). `one_contender` and
+    `cell_outcome` count each occupied cell under its code in `hist`,
+    which `simulate` folds into the log once per run.
     """
 
     def __init__(
@@ -253,6 +271,7 @@ class _Contention:
             buffered(gen)
             for gen in (src.preamble, src.detection, src.harq, src.backoff)
         )
+        self.preambles = bulk_integers(self.preamble)
         self.sinr_gate = scenario.topology.sinr_threshold_db is not None
         self.edt, self.pp, self.drp, self.rp = (
             flag in enh for flag in ("edt", "pp", "drp", "rp")
@@ -291,6 +310,8 @@ class _Contention:
         self.last_resolution = 0
         self.placement = placement
         self.is_ur = is_ur.tolist()
+        self.cls = [2 - u for u in self.is_ur]  # cell code class bit
+        self.hist = [0] * 32  # occupied cells per cell code
         self.serving = placement.serving_cell.tolist()
         self.femto = placement.femto_cell.tolist()
         n = len(arrivals)
@@ -307,7 +328,9 @@ class _Contention:
         Pool sizing happens here: under `drp` the broadcast size is the
         rounded mean of the prior window, never of the current sample,
         and the window keeps an exact integer running sum. The pool
-        tallies stay in locals and reach the log once per run.
+        tallies stay in locals and reach the log once per run, as do the
+        cell counters, folded from `hist` by `_CELL_COUNTERS`, and
+        `total_msg1_tx`, the sum of the final Msg1 counts.
         """
         if not arrivals.size:
             return
@@ -357,57 +380,54 @@ class _Contention:
         log.n_raos, log.sum_r, log.r_max = n_raos, sum_r, r_max
         log.sum_pool_urllc = sum_r + n_pre * zero_r
         log.sum_pool_non_urllc = n_pre * n_raos - sum_r
+        log.total_msg1_tx = sum(self.msg1_count)
+        for name, (bits, value) in _CELL_COUNTERS.items():
+            setattr(log, name, sum(
+                n for code, n in enumerate(self.hist) if code & bits == value
+            ))
 
     def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
-        """One scalar draw per copy: priority copies inside the reserved pool.
-
-        With a pool, the priority copies are drawn before the rest.
-        """
-        draw = self.preamble.integers
-        n_pre = self.n_pre
+        """Preambles in copy order, one bulk draw per range; with a pool,
+        the priority copies are drawn first, inside the reserved pool."""
+        draw, n_pre = self.preambles, self.n_pre
         if r_use <= 0:
-            return [draw(0, n_pre) for _ in prio]
-        inside = iter([draw(0, r_use) for p in prio if p])
-        outside = iter([draw(r_use, n_pre) for p in prio if not p])
+            return draw(0, n_pre, len(prio))
+        n_in = sum(prio)
+        inside = iter(draw(0, r_use, n_in))
+        outside = iter(draw(r_use, n_pre, len(prio) - n_in))
         return [next(inside) if p else next(outside) for p in prio]
 
     def draw(self, t: int, devs: list[int], r_use: int):
         """Preamble draw: the serving copies, then the femto copies (`pp`).
 
-        Returns the occupied cells, keyed gnb * n_preambles + preamble so
-        that key order is (gnb, preamble) order, each listing its copies as
-        (local index, cumulative transmission count); the serving macros of
-        the priority contenders when a pool is reserved; and the number of
-        priority contenders.
+        Returns the occupied cells as `(first, mask, base)`; the serving
+        macros of the priority contenders when a pool is reserved; and the
+        number of priority contenders. `first` and `mask` are keyed
+        gnb * n_preambles + preamble, so that key order is (gnb, preamble)
+        order. `first` holds a cell's first copy as its local index * 2,
+        plus 1 for a femto copy; `mask` holds the cell's code bits 1 (a URLLC copy),
+        2 (a background copy) and 4 (collided). `base` lists each
+        contender's transmission count before this opportunity.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         attempts, tx_count = self.attempt_count, self.msg1_count
-        for d in devs:
-            if self.first_attempt_ticks[d] < 0:
-                self.first_attempt_ticks[d] = t
+        first_attempt, cls = self.first_attempt_ticks, self.cls
         if self.drp:
             prio = [is_ur[d] or attempts[d] > 0 for d in devs]
         elif self.rp:
             prio = [is_ur[d] for d in devs]
         else:
             prio = [False] * len(devs)
+        base = [tx_count[d] for d in devs]
         dual = []
         if self.pp:  # a femto copy needs two transmissions of budget left
             last = self.max_tx - 2
             dual = [
                 j for j, d in enumerate(devs)
-                if femto[d] >= 0 and tx_count[d] <= last
+                if femto[d] >= 0 and base[j] <= last
             ]
         pre1 = self._preambles(prio, r_use)
         pre2 = self._preambles([prio[j] for j in dual], r_use) if dual else []
-
-        base = [tx_count[d] for d in devs]
-        for d in devs:
-            tx_count[d] += 1
-            attempts[d] += 1
-        for j in dual:
-            tx_count[devs[j]] += 1
-        self.log.total_msg1_tx += len(devs) + len(dual)
 
         prio_macros = set()
         if r_use > 0:
@@ -415,19 +435,34 @@ class _Contention:
             self.log.prio_macro_r_sum += r_use * len(prio_macros)
 
         n_pre = self.n_pre
-        cells: dict[int, list[tuple[int, int]]] = defaultdict(list)
+        first: dict[int, int] = {}
+        mask: dict[int, int] = {}
+        claim = first.setdefault
         trace = self.trace
-        for j, (d, pre) in enumerate(zip(devs, pre1)):
-            cells[serving[d] * n_pre + pre].append((j, base[j] + 1))
+        for jj, d, pre in zip(range(0, 2 * len(devs), 2), devs, pre1):
+            if first_attempt[d] < 0:
+                first_attempt[d] = t
+            tx_count[d] += 1
+            attempts[d] += 1
+            key = serving[d] * n_pre + pre
+            if claim(key, jj) == jj:
+                mask[key] = cls[d]
+            else:
+                mask[key] |= cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, serving[d], attempts[d]))
-        for j, pre in zip(dual, pre2):
-            d = devs[j]
+        for jj, pre in zip([2 * j + 1 for j in dual], pre2):
+            d = devs[jj >> 1]
+            tx_count[d] += 1
             gnb = self.n_macro + femto[d]
-            cells[gnb * n_pre + pre].append((j, base[j] + 2))
+            key = gnb * n_pre + pre
+            if claim(key, jj) == jj:
+                mask[key] = cls[d]
+            else:
+                mask[key] |= cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, attempts[d]))
-        return cells, prio_macros, sum(prio)
+        return (first, mask, base), prio_macros, sum(prio)
 
     def one_contender(
         self, t: int, rao_index: int, devs: list[int], r_use: int
@@ -439,8 +474,8 @@ class _Contention:
         is a sole copy that takes its detection draw, the macro's first,
         and the earliest grant is the first response subframe at the
         macro if it detected, else at the femto (capacity is at least one
-        grant). The draws, log increments and trace rows are those of
-        `draw`, `cell_outcome` and `grants` for a one-element `devs`.
+        grant). The draws, cell codes and trace rows are those of `draw`,
+        `cell_outcome` and `grants` for a one-element `devs`.
         """
         (d,) = devs
         ur = self.is_ur[d]
@@ -470,23 +505,14 @@ class _Contention:
                 trace.append(
                     (t, d, "msg1", pre2, self.n_macro + femto, attempt)
                 )
-        n_cells = 1 + dual
-        n_ur = n_cells if ur else 0
-        log = self.log
-        log.total_msg1_tx += n_cells
-        log.used_cells += n_cells
-        log.used_urllc += n_ur
-        log.used_non_urllc += n_cells - n_ur
+        code = self.cls[d]
         if pre < r_use:  # priority copies, both in the reserved pool
-            log.prio_macro_r_sum += r_use
-            log.used_reserved += n_cells
-            log.used_reserved_at_prio_macro += 1
-            log.used_reserved_urllc += n_ur
-            log.used_reserved_non_urllc += n_cells - n_ur
-        else:
-            log.used_contention += n_cells
-            log.used_contention_urllc += n_ur
-            log.used_contention_non_urllc += n_cells - n_ur
+            self.log.prio_macro_r_sum += r_use
+            code |= 8
+        # The macro cell; in the reserved pool it is at a priority macro.
+        self.hist[code | (code & 8) * 2] += 1
+        if dual:
+            self.hist[code] += 1
 
         detect, p_detect = self.detection.random, self.p_detect
         gnb = -1
@@ -504,44 +530,28 @@ class _Contention:
         """Count every occupied cell and detect its sole copy, if any.
 
         Cells are visited in (gnb, preamble) order and each sole copy takes
-        one detection draw. Returns the detected copies as (gnb, local
-        index) in that order. Class counters add the bools any_ur and
-        any_non: a cell counts for every class with a copy in it.
+        one detection draw. A cell's code adds 8 for the reserved pool and
+        16 for the reserved pool at a priority macro to the class and
+        collision bits of `draw`, and counts once in the run's histogram.
+        Returns the detected copies as (gnb, local index) in that order.
         """
-        log = self.log
-        is_ur = self.is_ur
+        first, mask, base = cells
+        hist = self.hist
         n_pre = self.n_pre
         p_detect = self.p_detect
         draw = self.detection.random
         sinr_gate = self.sinr_gate
         detected = []
-        for key in sorted(cells):
-            members = cells[key]
-            gnb, pre = divmod(key, n_pre)
-            flags = [is_ur[devs[j]] for j, _ in members]
-            any_ur = True in flags
-            any_non = False in flags
-            log.used_cells += 1
-            log.used_urllc += any_ur
-            log.used_non_urllc += any_non
-            in_res = pre < r_use
-            if in_res:
-                log.used_reserved += 1
-                log.used_reserved_at_prio_macro += gnb in prio_macros
-                log.used_reserved_urllc += any_ur
-                log.used_reserved_non_urllc += any_non
-            else:
-                log.used_contention += 1
-                log.used_contention_urllc += any_ur
-                log.used_contention_non_urllc += any_non
-            if len(members) >= 2:
-                log.collided_cells += 1
-                log.collided_reserved += in_res
-                log.collided_urllc += any_ur
-                log.collided_non_urllc += any_non
+        for key in sorted(mask):
+            code = mask[key]
+            if r_use and key % n_pre < r_use:
+                code |= 24 if key // n_pre in prio_macros else 8
+            hist[code] += 1
+            if code & 4:
                 continue
-            j, i_val = members[0]
-            if draw() < p_detect[i_val] and (
+            jj, gnb = first[key], key // n_pre
+            j = jj >> 1
+            if draw() < p_detect[base[j] + 1 + (jj & 1)] and (
                 not sinr_gate or self._sinr_ok(devs[j], gnb)
             ):
                 detected.append((gnb, j))
@@ -583,11 +593,13 @@ class _Contention:
 
     def resolve(self, t, rao_index, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff."""
-        harq = self.harq
-        trace = self.trace
-        t2, t3, t4 = self.t2, self.t3, self.t4
-        max_harq = self.scenario.max_harq
-        harq_fail = self.scenario.harq_fail_prob
+        harq, backoff, trace = self.harq, self.backoff, self.trace
+        t3, t4, cr_timer = self.t3, self.t4, self.cr_timer
+        sc = self.scenario
+        max_harq, harq_fail = sc.max_harq, sc.harq_fail_prob
+        edt, max_tx, ra = self.edt, self.max_tx, self.ra
+        is_ur, msg1_count, buckets = self.is_ur, self.msg1_count, self.buckets
+        retry_gap, last = self.t2 + self.rar_window, self.last_resolution
         msg1_end = t + self.t1
         for j, dev in enumerate(devs):
             grant = rar_at.get(j)
@@ -595,18 +607,22 @@ class _Contention:
                 rar_time, gnb = grant
                 if trace is not None:
                     trace.append((rar_time, dev, "rar", -1, gnb, 0))
-                if self.edt:
-                    self._complete(dev, t, rar_time, rar_time - msg1_end)
-                    if trace is not None:
-                        trace.append((rar_time, dev, "connected", -1, gnb, 0))
-                    continue
-                k3 = _harq_transmissions(harq, harq_fail, max_harq)
-                k4 = k3 and _harq_transmissions(harq, harq_fail, max_harq)
-                if k3 and k4 and k3 * t3 + k4 * t4 <= self.cr_timer:
-                    done = rar_time + k3 * t3 + k4 * t4
-                    self._complete(dev, t, done, rar_time - msg1_end)
-                    self.msg3_ticks[dev] = k3 * t3
-                    self.msg4_ticks[dev] = k4 * t4
+                if edt:
+                    done = rar_time
+                else:
+                    k3 = _harq_transmissions(harq, harq_fail, max_harq)
+                    k4 = k3 and _harq_transmissions(harq, harq_fail, max_harq)
+                    done = -1
+                    if k3 and k4 and k3 * t3 + k4 * t4 <= cr_timer:
+                        done = rar_time + k3 * t3 + k4 * t4
+                        self.msg3_ticks[dev] = k3 * t3
+                        self.msg4_ticks[dev] = k4 * t4
+                if done >= 0:
+                    self.completion_ticks[dev] = done
+                    self.wait_ticks[dev] = t - self.arrival_ticks[dev]
+                    self.msg2_ticks[dev] = rar_time - msg1_end
+                    if done > last:
+                        last = done
                     if trace is not None:
                         trace.append((done, dev, "connected", -1, gnb, 0))
                     continue
@@ -615,28 +631,26 @@ class _Contention:
                 elif not k4:
                     fail_base = rar_time + k3 * t3 + max_harq * t4
                 else:
-                    fail_base = rar_time + self.cr_timer
+                    fail_base = rar_time + cr_timer
             else:
                 fail_base = msg1_end
 
-            if self.msg1_count[dev] >= self.max_tx:
-                self.last_resolution = max(self.last_resolution, fail_base)
+            if msg1_count[dev] >= max_tx:
+                if fail_base > last:
+                    last = fail_base
                 if trace is not None:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
-            bi_max = self.bi_urllc if self.is_ur[dev] else self.bi_non
-            bi = self.backoff.integers(0, bi_max + 1) if bi_max > 0 else 0
-            next_eligible = fail_base + t2 + self.rar_window + bi
-            next_rao = max(-(-next_eligible // self.ra), rao_index + 1)
-            self.buckets[next_rao].append(dev)
+            bi_max = self.bi_urllc if is_ur[dev] else self.bi_non
+            bi = backoff.integers(0, bi_max + 1) if bi_max > 0 else 0
+            next_eligible = fail_base + retry_gap + bi
+            next_rao = -(-next_eligible // ra)
+            if next_rao <= rao_index:
+                next_rao = rao_index + 1
+            buckets[next_rao].append(dev)
             if trace is not None:
                 trace.append((next_eligible, dev, "backoff", -1, -1, 0))
-
-    def _complete(self, dev: int, t: int, done: int, msg2: int) -> None:
-        self.completion_ticks[dev] = done
-        self.wait_ticks[dev] = t - self.arrival_ticks[dev]
-        self.msg2_ticks[dev] = msg2
-        self.last_resolution = max(self.last_resolution, done)
+        self.last_resolution = last
 
 
 def _harq_transmissions(rng, fail_prob: float, max_harq: int) -> int:

@@ -70,7 +70,10 @@ class BlockStream:
     `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`. Each value therefore
     equals the one the generator's own scalar call would return, bit for
     bit, as long as a stream is read by one kind of draw only; the
-    generator itself runs up to one block ahead.
+    generator itself runs up to one block ahead. `integers_bulk(lo, hi, k)`
+    gives the next k values of `integers(lo, hi)`: it maps k buffered words
+    at once when the block holds them and none could be a Lemire rejection,
+    and otherwise makes k scalar draws.
     """
 
     __slots__ = ("_gen", "_doubles", "_words")
@@ -98,6 +101,16 @@ class BlockStream:
                 m = (self._words or self._refill_words()).pop() * n
         return lo + (m >> 32)
 
+    def integers_bulk(self, lo: int, hi: int, k: int) -> list[int]:
+        n = hi - lo
+        words = self._words
+        if n > 1 and 0 < k <= len(words):
+            prods = [w * n for w in words[-k:]]
+            if min([m & _LOW for m in prods]) >= n:  # no word can be rejected
+                del words[-k:]
+                return [lo + (m >> 32) for m in reversed(prods)]
+        return [self.integers(lo, hi) for _ in range(k)]
+
     def _refill_doubles(self) -> list[float]:
         self._doubles = self._gen.random(BLOCK).tolist()[::-1]
         return self._doubles
@@ -113,3 +126,11 @@ def buffered(gen):
     if isinstance(gen, np.random.Generator):
         return BlockStream(gen)
     return gen
+
+
+def bulk_integers(stream):
+    """(lo, hi, k) -> the next k values of `stream.integers(lo, hi)`: one
+    call on a BlockStream, k scalar calls on any other stream."""
+    if isinstance(stream, BlockStream):
+        return stream.integers_bulk
+    return lambda lo, hi, k: [stream.integers(lo, hi) for _ in range(k)]

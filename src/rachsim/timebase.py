@@ -49,11 +49,6 @@ def time_scale_fraction(numerology: Numerology) -> Fraction:
     )
 
 
-def time_scale(numerology: Numerology) -> float:
-    """Duration scale factor as a float; 1.0 at (15 kHz, 7 sym)."""
-    return float(time_scale_fraction(numerology))
-
-
 def ms_to_ticks(ms: float, scale: Fraction = Fraction(1)) -> int:
     """Quantize a duration to the tick lattice, rounding half up.
 
@@ -78,7 +73,8 @@ _POSITIVE_TIMINGS = (
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Control-plane durations in ms (reference numerology unless scaled)."""
+    """Control-plane durations in ms at the reference numerology, each a
+    whole number of ticks (1/56 ms)."""
 
     t_msg1_ms: float = 1.0
     t_msg2_ms: float = 3.0
@@ -99,37 +95,15 @@ class TimingParams:
                 raise ValueError(f"{f.name} must be positive")
             if value < 0:
                 raise ValueError(f"{f.name} must be non-negative")
-            if value > 0 and ms_to_ticks(value) == 0:
+            ticks = Fraction(value).limit_denominator(10**9) * TICKS_PER_MS
+            if ticks.denominator != 1:
+                lo = math.floor(ticks)
                 raise ValueError(
-                    f"{f.name} = {value} ms is shorter than half a tick "
-                    f"(1/{TICKS_PER_MS} ms) and would quantize to zero"
+                    f"{f.name} = {value} ms is off the 1/{TICKS_PER_MS} ms "
+                    f"tick lattice; the nearest lattice values are "
+                    f"{ticks_to_ms(lo)} ms and {ticks_to_ms(lo + 1)} ms"
                 )
 
 
 DEFAULT_TIMING = TimingParams()
 
-
-def scale_timing(base: TimingParams, numerology: Numerology) -> TimingParams:
-    """Scale every duration by the numerology factor, tick-quantized.
-
-    Ordering of durations is preserved because scaling is a single positive
-    factor and the defaults quantize exactly.
-    """
-    s = time_scale_fraction(numerology)
-
-    def scaled(ms: float) -> float:
-        return ticks_to_ms(ms_to_ticks(ms, s))
-
-    return TimingParams(
-        t_msg1_ms=scaled(base.t_msg1_ms),
-        t_msg2_ms=scaled(base.t_msg2_ms),
-        t_msg3_ms=scaled(base.t_msg3_ms),
-        t_msg4_ms=scaled(base.t_msg4_ms),
-        ra_period_ms=scaled(base.ra_period_ms),
-        rar_window_ms=scaled(base.rar_window_ms),
-        bi_max_ms=scaled(base.bi_max_ms),
-        contention_resolution_timer_ms=scaled(
-            base.contention_resolution_timer_ms
-        ),
-        sib2_period_ms=scaled(base.sib2_period_ms),
-    )

@@ -119,8 +119,10 @@ def test_python_m_rachsim_runs_the_cli(tmp_path):
         ("--scenario", "zero-period.cfg"),
         # 0.005 ms is 0.28 ticks: positive, but it quantizes to zero.
         ("--set", "ra_period_ms=0.005"),
+        # 5.01 ms is 280.56 ticks: off the 1/56 ms lattice.
+        ("--set", "ra_period_ms=5.01"),
     ],
-    ids=["set-zero", "file-zero", "set-sub-tick"],
+    ids=["set-zero", "file-zero", "set-sub-tick", "set-off-lattice"],
 )
 def test_bad_timing_exits_config_without_traceback(tmp_path, source):
     (tmp_path / "zero-period.cfg").write_text("ra_period_ms = 0\n")

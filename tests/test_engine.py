@@ -8,6 +8,7 @@ subframe, and Msg3/Msg4 each cost 280 per HARQ transmission.
 
 import math
 from collections import Counter, defaultdict, deque
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -772,6 +773,77 @@ def test_invariants_under_overload(text, topology):
     assert rep.delay_hist_urllc == hists["urllc"]
     assert rep.delay_hist_non_urllc == hists["non_urllc"]
     assert all(type(k) is int for k in rep.delay_hist)
+
+
+# OpportunityLog's per-cell counters: every used_* and collided_* field.
+CELL_COUNTERS = [
+    f.name for f in fields(engine.OpportunityLog)
+    if f.name.startswith(("used_", "collided_"))
+]
+
+
+def recount_cells(res, reserved_r):
+    """The cell counters, recounted from the Msg1 trace rows.
+
+    A cell is one (opportunity, gNB, preamble); it counts for each class
+    with a copy in it, and collides with two or more copies. For a static
+    pool, preambles below `reserved_r` form the reserved pool, and the
+    priority macros of an opportunity serve its URLLC contenders.
+    """
+    ur = res.urllc.tolist()
+    serving = res.placement.serving_cell.tolist()
+    cells = defaultdict(list)
+    prio_macros = defaultdict(set)
+    for t, dev, kind, pre, gnb, _ in res.trace:
+        if kind == "msg1":
+            cells[t, gnb, pre].append(ur[dev])
+            if ur[dev]:
+                prio_macros[t].add(serving[dev])
+    out = Counter()
+    for (t, gnb, pre), classes in cells.items():
+        pool = "reserved" if pre < reserved_r else "contention"
+        collided = len(classes) >= 2
+        out["used_cells"] += 1
+        out[f"used_{pool}"] += 1
+        out["collided_cells"] += collided
+        out["collided_reserved"] += collided and pool == "reserved"
+        out["used_reserved_at_prio_macro"] += (
+            pool == "reserved" and gnb in prio_macros[t]
+        )
+        for cls, present in (
+            ("urllc", True in classes), ("non_urllc", False in classes)
+        ):
+            if present:
+                out[f"used_{cls}"] += 1
+                out[f"used_{pool}_{cls}"] += 1
+                out[f"collided_{cls}"] += collided
+    return {name: out[name] for name in CELL_COUNTERS}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "enhancements = rp\nreserved_r = 3\n", "enhancements = edt,pp\n"],
+    ids=["baseline", "rp-r3", "edt-pp"],
+)
+def test_cell_counters_equal_trace_recount(text):
+    # Off the reference loads: tens of contenders per opportunity on three
+    # macros, and under `pp` copies to twelve femtos.
+    sc = mk(
+        OVERLOAD_TEXT + text, seed=5,
+        topology=TopologyConfig(n_macro_cells=3, n_femto_cells=12),
+    )
+    res = run(sc, collect_trace=True)
+    static_pool = "rp" in sc.enhancements
+    recount = recount_cells(res, sc.reserved_r if static_pool else 0)
+    assert len(CELL_COUNTERS) == 14
+    assert {name: getattr(res.log, name) for name in CELL_COUNTERS} == recount
+    assert recount["collided_urllc"] > 0 and recount["collided_non_urllc"] > 0
+    if static_pool:
+        assert recount["collided_reserved"] > 0
+        assert recount["used_reserved_at_prio_macro"] > 0
+    if "pp" in sc.enhancements:
+        n_macro = res.layout.n_macro
+        assert any(row[4] >= n_macro for row in res.trace if row[2] == "msg1")
 
 
 def test_determinism_same_seed_identical_results():

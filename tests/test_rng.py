@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachsim.rng import (
     BLOCK,
@@ -9,6 +11,7 @@ from rachsim.rng import (
     BlockStream,
     RandomSource,
     buffered,
+    bulk_integers,
 )
 
 
@@ -113,6 +116,52 @@ def test_block_stream_starts_on_a_buffered_half_word():
     stream = BlockStream(gen)
     for _ in range(2 * BLOCK + 3):
         assert stream.integers(0, 54) == twin.integers(0, 54)
+
+
+# A range width: small ones like the preamble pools, n = 1 (no word is
+# consumed), and widths in [2**31, 2**32), where numpy's Lemire rule
+# rejects up to half of all words.
+_WIDTHS = st.one_of(
+    st.integers(2, 200), st.just(1), st.integers(2**31, 2**32 - 1)
+)
+# k values include runs that end on, or cross, a block boundary.
+_COUNTS = st.one_of(
+    st.integers(0, 300), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2**40), _WIDTHS, _COUNTS),
+        min_size=1, max_size=10,
+    ),
+)
+def test_bulk_draw_equals_scalar_draws(seed, calls):
+    stream, twin = twins(seed)
+    for lo, n, k in calls:
+        scalar = [int(twin.integers(lo, lo + n)) for _ in range(k)]
+        assert stream.integers_bulk(lo, lo + n, k) == scalar
+    # Both are aligned on the next raw word (n = 2**32 never rejects).
+    assert stream.integers(0, 2**32) == twin.integers(0, 2**32)
+
+
+def test_bulk_integers_makes_scalar_calls_on_other_streams():
+    class Counting:
+        def __init__(self):
+            self.calls = []
+
+        def integers(self, lo, hi):
+            self.calls.append((lo, hi))
+            return lo + len(self.calls)
+
+    stub = Counting()
+    assert bulk_integers(stub)(10, 20, 3) == [11, 12, 13]
+    assert stub.calls == [(10, 20)] * 3
+    assert bulk_integers(stub)(0, 5, 0) == []
+    stream, _ = twins(71)
+    assert bulk_integers(stream) == stream.integers_bulk
 
 
 def test_block_stream_random_equals_scalar_draws():

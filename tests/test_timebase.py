@@ -10,19 +10,16 @@ from rachsim.timebase import (
     SUBCARRIER_SPACINGS_KHZ,
     SYMBOLS_PER_SLOT,
     TICKS_PER_MS,
-    DEFAULT_TIMING,
     Numerology,
     TimingParams,
     ms_to_ticks,
-    scale_timing,
     ticks_to_ms,
-    time_scale,
     time_scale_fraction,
 )
 
 
 def test_reference_scale_is_unity():
-    assert time_scale(Numerology(15, 7)) == 1.0
+    assert time_scale_fraction(Numerology(15, 7)) == 1
 
 
 # Frozen oracle: scale = (15/scs) * (sym/7), computed by hand for each
@@ -62,17 +59,23 @@ def test_grid_scales_are_exact_on_ticks(scs, sym):
 
 def test_slot_duration_examples():
     # 30 kHz halves the slot; fewer symbols shorten it proportionally.
-    assert time_scale(Numerology(30, 7)) == 0.5
-    assert time_scale(Numerology(120, 2)) == pytest.approx(1 / 28)
+    assert time_scale_fraction(Numerology(30, 7)) == Fraction(1, 2)
+    assert time_scale_fraction(Numerology(120, 2)) == Fraction(1, 28)
     assert ms_to_ticks(3.0, time_scale_fraction(Numerology(30, 7))) == 84
 
 
 def test_scale_strictly_decreases_in_each_axis():
     for sym in SYMBOLS_PER_SLOT:
-        scales = [time_scale(Numerology(s, sym)) for s in SUBCARRIER_SPACINGS_KHZ]
+        scales = [
+            time_scale_fraction(Numerology(s, sym))
+            for s in SUBCARRIER_SPACINGS_KHZ
+        ]
         assert all(a > b for a, b in zip(scales, scales[1:]))
     for scs in SUBCARRIER_SPACINGS_KHZ:
-        scales = [time_scale(Numerology(scs, sym)) for sym in SYMBOLS_PER_SLOT]
+        scales = [
+            time_scale_fraction(Numerology(scs, sym))
+            for sym in SYMBOLS_PER_SLOT
+        ]
         assert all(a > b for a, b in zip(scales, scales[1:]))
 
 
@@ -100,15 +103,6 @@ def test_half_up_rounding():
     assert ms_to_ticks(1 / 113) == 0
 
 
-def test_scale_timing_scales_every_field():
-    scaled = scale_timing(DEFAULT_TIMING, Numerology(30, 7))
-    assert scaled.t_msg1_ms == 0.5
-    assert scaled.t_msg2_ms == 1.5
-    assert scaled.ra_period_ms == 2.5
-    assert scaled.contention_resolution_timer_ms == 24.0
-    assert scaled.sib2_period_ms == 40.0
-
-
 def test_timing_validation():
     with pytest.raises(ValueError):
         TimingParams(t_msg1_ms=0.0)
@@ -117,3 +111,7 @@ def test_timing_validation():
     # Zero-length response window is legal: it models the beam-focused
     # immediate-response mode.
     TimingParams(rar_window_ms=0.0)
+    # 1.01 ms is 56.56 ticks: off the lattice, and the message names the
+    # two nearest lattice values.
+    with pytest.raises(ValueError, match=r"1\.0 ms and 1\.0178571428571428 ms"):
+        TimingParams(t_msg1_ms=1.01)
