@@ -246,10 +246,12 @@ class _Contention:
     Device state is held in lists indexed by device id, named after the
     RunResult columns; -1 marks a time not (yet) reached. A phase sees the
     opportunity's contenders as `devs`, and a contender's position in it
-    is its local index. Every random draw is a scalar `random()` or
-    `integers(lo, hi)` on one of the four contention streams, except that
-    `draw` takes its preambles with one bulk draw per pool range
-    (`rng.bulk_integers`), which gives the same values.
+    is its local index. The detection and HARQ draws are scalar
+    `random()` calls. `draw` takes its preambles with one bulk draw per
+    pool range and `resolve` its backoffs with one bulk draw
+    (`rng.bulk_integers`); `one_contender` takes scalar `integers(lo, hi)`
+    draws. A bulk draw gives the values of the same number of scalar
+    draws.
 
     `simulate` sizes the reserved pool, then sends a sole contender to
     `one_contender` and any larger batch through `draw`, `cell_outcome`,
@@ -272,6 +274,7 @@ class _Contention:
             for gen in (src.preamble, src.detection, src.harq, src.backoff)
         )
         self.preambles = bulk_integers(self.preamble)
+        self.backoffs = bulk_integers(self.backoff)
         self.sinr_gate = scenario.topology.sinr_threshold_db is not None
         self.edt, self.pp, self.drp, self.rp = (
             flag in enh for flag in ("edt", "pp", "drp", "rp")
@@ -287,10 +290,11 @@ class _Contention:
         self.rar_window = 0 if ebf else ms_to_ticks(timing.rar_window_ms)
         self.n_slots = max(1, self.rar_window // self.subframe)
         self.cr_timer = ms_to_ticks(timing.contention_resolution_timer_ms)
-        bi_default = ms_to_ticks(timing.bi_max_ms)
-        self.bi_urllc = 0 if ebf else bi_default
-        self.bi_non = (
-            ms_to_ticks(EBF_BACKGROUND_BACKOFF_MS) if ebf else bi_default
+        # The run's one backoff bound: URLLC devices draw none under `ebf`,
+        # where background devices use EBF_BACKGROUND_BACKOFF_MS instead.
+        self.bi_max = (
+            ms_to_ticks(EBF_BACKGROUND_BACKOFF_MS) if ebf
+            else ms_to_ticks(timing.bi_max_ms)
         )
         self.grants_per_sf = (scenario.cce_total // scenario.cce_per_pdcch) * (
             scenario.rar_grants_per_msg
@@ -311,6 +315,10 @@ class _Contention:
         self.placement = placement
         self.is_ur = is_ur.tolist()
         self.cls = [2 - u for u in self.is_ur]  # cell code class bit
+        # 1 for a device that draws a backoff when it retries, else 0.
+        self.draws_bi = [
+            int(self.bi_max > 0 and not (ebf and u)) for u in self.is_ur
+        ]
         self.hist = [0] * 32  # occupied cells per cell code
         self.serving = placement.serving_cell.tolist()
         self.femto = placement.femto_cell.tolist()
@@ -592,15 +600,26 @@ class _Contention:
         return rar_at
 
     def resolve(self, t, rao_index, devs, rar_at) -> None:
-        """Resolve each contender: success path, or failure with backoff."""
-        harq, backoff, trace = self.harq, self.backoff, self.trace
+        """Resolve each contender: success path, or failure with backoff.
+
+        Two passes. The first settles every contender in device order:
+        its HARQ draws, success or failure, and its trace rows, with a
+        slot reserved for each backoff row. The second takes the backoff
+        draws of all retrying contenders in one bulk draw, in the same
+        order, queues them and fills the reserved rows. The HARQ and
+        backoff streams are separate, so every draw and every row comes
+        out as a one-pass loop would give it.
+        """
+        harq, trace = self.harq, self.trace
         t3, t4, cr_timer = self.t3, self.t4, self.cr_timer
         sc = self.scenario
         max_harq, harq_fail = sc.max_harq, sc.harq_fail_prob
-        edt, max_tx, ra = self.edt, self.max_tx, self.ra
-        is_ur, msg1_count, buckets = self.is_ur, self.msg1_count, self.buckets
-        retry_gap, last = self.t2 + self.rar_window, self.last_resolution
+        edt, max_tx = self.edt, self.max_tx
+        msg1_count, draws_bi = self.msg1_count, self.draws_bi
+        last = self.last_resolution
         msg1_end = t + self.t1
+        retry = []  # (dev, fail_base, trace slot) of each retrying contender
+        n_bi = 0
         for j, dev in enumerate(devs):
             grant = rar_at.get(j)
             if grant is not None:
@@ -641,16 +660,29 @@ class _Contention:
                 if trace is not None:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
-            bi_max = self.bi_urllc if is_ur[dev] else self.bi_non
-            bi = backoff.integers(0, bi_max + 1) if bi_max > 0 else 0
-            next_eligible = fail_base + retry_gap + bi
+            n_bi += draws_bi[dev]
+            if trace is None:
+                retry.append((dev, fail_base, 0))
+            else:
+                retry.append((dev, fail_base, len(trace)))
+                trace.append(None)
+        self.last_resolution = last
+        if not retry:
+            return
+
+        bis = iter(self.backoffs(0, self.bi_max + 1, n_bi))
+        ra, buckets = self.ra, self.buckets
+        retry_gap = self.t2 + self.rar_window
+        for dev, fail_base, slot in retry:
+            next_eligible = fail_base + retry_gap
+            if draws_bi[dev]:
+                next_eligible += next(bis)
             next_rao = -(-next_eligible // ra)
             if next_rao <= rao_index:
                 next_rao = rao_index + 1
             buckets[next_rao].append(dev)
             if trace is not None:
-                trace.append((next_eligible, dev, "backoff", -1, -1, 0))
-        self.last_resolution = last
+                trace[slot] = (next_eligible, dev, "backoff", -1, -1, 0)
 
 
 def _harq_transmissions(rng, fail_prob: float, max_harq: int) -> int:

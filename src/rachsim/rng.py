@@ -3,6 +3,9 @@
 One master seed fans out into independent generators, one per consumer, so
 that adding or removing draws in one part of the simulator never shifts the
 sequences seen by another. Equal seed means equal streams, bit for bit.
+
+`BlockStream` reads a generator in blocks and serves scalar and bulk draws
+from them, with the values of the generator's own scalar draws.
 """
 
 from __future__ import annotations
@@ -60,65 +63,123 @@ class RandomSource:
 BLOCK = 1024
 _WORD = 1 << 32
 _LOW = _WORD - 1
+_INT64 = 1 << 63
 
 
 class BlockStream:
-    """Scalar `random()` and `integers(lo, hi)` served from block draws.
+    """Scalar `random()`, `integers(lo, hi)` and bulk `integers_bulk(lo, hi,
+    k)` served from block draws.
 
-    Doubles come from `gen.random(BLOCK)`; integers apply numpy's Lemire
-    rule for ranges up to 2**32 to raw 32-bit words from
-    `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`. Each value therefore
+    Doubles come from `gen.random(BLOCK)`. Integers apply numpy's Lemire
+    rule for ranges up to 2**32 to the raw 32-bit words of
+    `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`, read through a
+    position pointer into the current block. The first draw of a range in
+    a block maps the whole block at once, `lo + (word * n) >> 32`, into a
+    list of values, and the maps are dropped at each refill. So a scalar
+    draw is one list index and a bulk draw of k values is one slice.
+
+    A word with `(word * n) mod 2**32 < n` could be a Lemire rejection. A
+    block that holds one for a range gets no map for it, and that range
+    is read word by word in that block, with numpy's rejections. A bulk
+    draw that crosses the block's end takes the rest of the block and goes
+    on in the next one; n = 1 consumes no word. Each value therefore
     equals the one the generator's own scalar call would return, bit for
-    bit, as long as a stream is read by one kind of draw only; the
-    generator itself runs up to one block ahead. `integers_bulk(lo, hi, k)`
-    gives the next k values of `integers(lo, hi)`: it maps k buffered words
-    at once when the block holds them and none could be a Lemire rejection,
-    and otherwise makes k scalar draws.
+    bit, as long as a stream is read by one kind of draw only (doubles or
+    integers); the generator itself runs up to one block ahead.
     """
 
-    __slots__ = ("_gen", "_doubles", "_words")
+    __slots__ = ("_gen", "_doubles", "_block", "_pos", "_maps")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._doubles: list[float] = []
-        self._words: list[int] = []
+        self._block = np.zeros(0, dtype=np.uint32)
+        self._pos = BLOCK  # the first draw refills
+        # (lo, hi) -> the current block mapped into that range; [] when a
+        # word of the block could be rejected (the word-by-word path).
+        self._maps: dict[tuple[int, int], list[int]] = {}
 
     def random(self) -> float:
         return (self._doubles or self._refill_doubles()).pop()
 
     def integers(self, lo: int, hi: int) -> int:
+        vals = self._maps.get((lo, hi))
+        if vals:
+            pos = self._pos
+            if pos < BLOCK:
+                self._pos = pos + 1
+                return vals[pos]
+        return self._draw(lo, hi, 1)[0]
+
+    def integers_bulk(self, lo: int, hi: int, k: int) -> list[int]:
+        vals = self._maps.get((lo, hi))
+        if vals:
+            pos = self._pos
+            end = pos + k
+            if end <= BLOCK:
+                self._pos = end
+                return vals[pos:end]
+        return self._draw(lo, hi, k)
+
+    def _draw(self, lo: int, hi: int, k: int) -> list[int]:
+        """The next k values of range (lo, hi) when no map serves them all:
+        map the block first, or take the rest of the block and go on in
+        the next one, or go word by word."""
         n = hi - lo
         if n <= 1:
             if n == 1:  # numpy returns lo without consuming a word
-                return lo
+                return [lo] * k
             raise ValueError("low >= high")
-        m = (self._words or self._refill_words()).pop() * n
-        if m & _LOW < n:  # the threshold is below n; skip its modulo
-            if n > _WORD:
-                raise ValueError("range wider than 2**32")
-            threshold = (_WORD - n) % n
-            while m & _LOW < threshold:
-                m = (self._words or self._refill_words()).pop() * n
-        return lo + (m >> 32)
+        if n > _WORD:
+            raise ValueError("range wider than 2**32")
+        if lo < -_INT64 or hi > _INT64:  # numpy's int64 bounds; maps are int64
+            raise ValueError("range outside int64")
+        out: list[int] = []
+        while k:
+            if self._pos == BLOCK:
+                self._refill_words()
+            vals = self._maps.get((lo, hi))
+            if vals is None:
+                vals = self._maps[lo, hi] = self._map(lo, n)
+            if not vals:
+                out += [self._exact(lo, n) for _ in range(k)]
+                break
+            pos = self._pos
+            end = min(pos + k, BLOCK)
+            out += vals[pos:end]
+            k -= end - pos
+            self._pos = end
+        return out
 
-    def integers_bulk(self, lo: int, hi: int, k: int) -> list[int]:
-        n = hi - lo
-        words = self._words
-        if n > 1 and 0 < k <= len(words):
-            prods = [w * n for w in words[-k:]]
-            if min([m & _LOW for m in prods]) >= n:  # no word can be rejected
-                del words[-k:]
-                return [lo + (m >> 32) for m in reversed(prods)]
-        return [self.integers(lo, hi) for _ in range(k)]
+    def _map(self, lo: int, n: int) -> list[int]:
+        block = self._block
+        # The low word of word * n, wrapped in uint32; n = 2**32 leaves 0.
+        if n == _WORD or (block * np.uint32(n)).min() < n:
+            return []
+        high = (block.astype(np.uint64) * np.uint64(n)) >> np.uint64(32)
+        if lo:
+            high = high.astype(np.int64) + lo
+        return high.tolist()
+
+    def _exact(self, lo: int, n: int) -> int:
+        """One value by numpy's Lemire rule, rejections included."""
+        threshold = (_WORD - n) % n
+        while True:
+            if self._pos == BLOCK:
+                self._refill_words()
+            m = int(self._block[self._pos]) * n
+            self._pos += 1
+            if m & _LOW >= threshold:
+                return lo + (m >> 32)
 
     def _refill_doubles(self) -> list[float]:
         self._doubles = self._gen.random(BLOCK).tolist()[::-1]
         return self._doubles
 
-    def _refill_words(self) -> list[int]:
-        block = self._gen.integers(0, _WORD, BLOCK, dtype=np.uint32)
-        self._words = block.tolist()[::-1]
-        return self._words
+    def _refill_words(self) -> None:
+        self._block = self._gen.integers(0, _WORD, BLOCK, dtype=np.uint32)
+        self._pos = 0
+        self._maps = {}
 
 
 def buffered(gen):

@@ -24,6 +24,7 @@ from rachsim.engine import _harq_transmissions, run
 from rachsim.kpi import build_report
 from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
+from rachsim.timebase import ms_to_ticks
 from rachsim.topology import DevicePlacement
 
 SINGLE = TopologyConfig(n_macro_cells=1)
@@ -844,6 +845,83 @@ def test_cell_counters_equal_trace_recount(text):
     if "pp" in sc.enhancements:
         n_macro = res.layout.n_macro
         assert any(row[4] >= n_macro for row in res.trace if row[2] == "msg1")
+
+
+def opportunity_groups(trace):
+    """Split a trace into opportunities: each opportunity's run of Msg1
+    rows, then the outcome rows up to the next opportunity's Msg1 rows."""
+    groups = []
+    for row in trace:
+        if row[2] == "msg1":
+            if not groups or groups[-1][1]:
+                groups.append(([], []))
+            groups[-1][0].append(row)
+        else:
+            groups[-1][1].append(row)
+    return groups
+
+
+@pytest.mark.parametrize("text", ["", "enhancements = ebf\n"],
+                         ids=["baseline", "ebf"])
+def test_outcome_rows_follow_contender_order(text):
+    # `resolve` settles every contender before it takes the backoff draws
+    # in one bulk; the outcome rows must still come out contender by
+    # contender, and each backoff inside its bound.
+    sc = mk(OVERLOAD_TEXT + text, seed=5)
+    res = run(sc, collect_trace=True)
+    timing = sc.timing
+    t1, t2, t3, t4, cr_timer = (
+        ms_to_ticks(v) for v in (
+            timing.t_msg1_ms, timing.t_msg2_ms, timing.t_msg3_ms,
+            timing.t_msg4_ms, timing.contention_resolution_timer_ms,
+        )
+    )
+    ebf = "ebf" in sc.enhancements
+    gap = t2 + (0 if ebf else ms_to_ticks(timing.rar_window_ms))
+    bi_max = ms_to_ticks(
+        engine.EBF_BACKGROUND_BACKOFF_MS if ebf else timing.bi_max_ms
+    )
+    ur = res.urllc.tolist()
+    groups = opportunity_groups(res.trace)
+    assert groups and all(msg1 and outcomes for msg1, outcomes in groups)
+    drawn = []
+    for msg1, outcomes in groups:
+        t = msg1[0][0]
+        assert {row[0] for row in msg1} == {t}
+        contenders = list(dict.fromkeys(row[1] for row in msg1))
+        assert list(dict.fromkeys(row[1] for row in outcomes)) == contenders
+        rar, done = {}, set()
+        for time, dev, kind, *_ in outcomes:
+            assert dev not in done  # a contender's last row ends its rows
+            if kind == "rar":
+                assert dev not in rar
+                rar[dev] = time
+                continue
+            assert kind in ("connected", "failed", "backoff")
+            done.add(dev)
+            if kind != "backoff":
+                continue
+            if dev in rar:  # failed after its grant: HARQ or the timer
+                r, h = rar[dev], sc.max_harq
+                bases = {r + h * t3, r + cr_timer}
+                bases |= {r + k3 * t3 + h * t4 for k3 in range(1, h + 1)}
+            else:
+                bases = {t + t1}
+            delays = [time - b - gap for b in bases]
+            bound = 0 if ebf and ur[dev] else bi_max
+            assert any(0 <= d <= bound for d in delays), (t, dev)
+            if dev not in rar:
+                drawn.append((ur[dev], delays[0]))
+        assert done == set(contenders)
+    # Backoff rows without a grant have an exact base: the draws span
+    # their range, and under `ebf` URLLC devices draw none.
+    for cls in (False, True):
+        delays = [d for u, d in drawn if u == cls]
+        assert min(delays) < 0.05 * bi_max
+        if ebf and cls:
+            assert max(delays) == 0
+        else:
+            assert max(delays) > 0.95 * bi_max
 
 
 def test_determinism_same_seed_identical_results():

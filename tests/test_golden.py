@@ -21,9 +21,11 @@ import pytest
 
 from rachsim.cli import EXIT_OK, main
 from rachsim.config import serialize_scenario
-from rachsim.reference import REFERENCE_SCENARIOS
+from rachsim.reference import REFERENCE_SCENARIOS, run_validation
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
+# The `measured` column of every reference entry at seeds 1 and 2.
+VALIDATION_GOLDEN = GOLDEN_DIR / "validation-seeds-1-2.txt"
 
 SCENARIOS = (
     "baseline-5k",
@@ -115,6 +117,24 @@ def test_sinr_case_gates_some_devices(tmp_path, capsys):
     assert 0 < int(report["n_failed"]) < int(report["n_devices"])
 
 
+def validation_text() -> str:
+    """One line per reference entry: table, entry id, measured value.
+
+    Two seeds are too few for the deep-percentile entries, and their
+    "insufficient samples" value is pinned along with the rest.
+    """
+    return "".join(
+        f"{r.table}\t{r.entry_id}\t{r.measured}\n"
+        for r in run_validation(seeds=(1, 2), jobs=1)
+    )
+
+
+def test_validation_measured_column_matches_golden():
+    """Every table's drp, rp, ebf and numerology scenarios, which the
+    run cases above only sample, pinned through `run_validation`."""
+    assert validation_text() == VALIDATION_GOLDEN.read_text()
+
+
 def regenerate() -> None:
     import tempfile
 
@@ -126,6 +146,8 @@ def regenerate() -> None:
             for fname in CASES[case][3]:
                 (dest / fname).write_bytes((Path(tmp) / fname).read_bytes())
         print(f"wrote {GOLDEN_DIR / case}", file=sys.stderr)
+    VALIDATION_GOLDEN.write_text(validation_text())
+    print(f"wrote {VALIDATION_GOLDEN}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -133,18 +133,39 @@ _COUNTS = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
+    ranges=st.lists(
+        st.tuples(st.integers(0, 2**40), _WIDTHS), min_size=1, max_size=4
+    ),
     calls=st.lists(
-        st.tuples(st.integers(0, 2**40), _WIDTHS, _COUNTS),
-        min_size=1, max_size=10,
+        st.tuples(
+            st.sampled_from(["integers", "integers_bulk", "random"]),
+            st.integers(0, 3),
+            _COUNTS,
+        ),
+        min_size=1, max_size=40,
     ),
 )
-def test_bulk_draw_equals_scalar_draws(seed, calls):
-    stream, twin = twins(seed)
-    for lo, n, k in calls:
-        scalar = [int(twin.integers(lo, lo + n)) for _ in range(k)]
-        assert stream.integers_bulk(lo, lo + n, k) == scalar
+def test_bulk_draw_equals_scalar_draws(seed, ranges, calls):
+    """Bulk and scalar draws, interleaved over several ranges, mapped or
+    word by word, across block ends, against scalar draws of a twin
+    generator; `random` reads a second stream, as the engine's detection
+    and HARQ streams do."""
+    ints, twin = twins(seed)
+    doubles, twin_doubles = twins(seed + 1)
+    for kind, r, k in calls:
+        lo, n = ranges[r % len(ranges)]
+        if kind == "integers":
+            for _ in range(min(k, 50)):  # short: the twin's draws are slow
+                assert ints.integers(lo, lo + n) == twin.integers(lo, lo + n)
+        elif kind == "integers_bulk":
+            scalar = [int(twin.integers(lo, lo + n)) for _ in range(k)]
+            assert ints.integers_bulk(lo, lo + n, k) == scalar
+        else:
+            for _ in range(k):
+                assert doubles.random() == twin_doubles.random()
     # Both are aligned on the next raw word (n = 2**32 never rejects).
-    assert stream.integers(0, 2**32) == twin.integers(0, 2**32)
+    assert ints.integers(0, 2**32) == twin.integers(0, 2**32)
+    assert doubles.random() == twin_doubles.random()
 
 
 def test_bulk_integers_makes_scalar_calls_on_other_streams():
@@ -174,6 +195,9 @@ def test_block_stream_rejects_empty_range():
     stream, _ = twins(61)
     with pytest.raises(ValueError):
         stream.integers(5, 5)
+    # Beyond int64, as numpy's own draw; a mapped value would wrap.
+    with pytest.raises(ValueError):
+        stream.integers_bulk(2**63 - 3, 2**63 + 2, 4)
 
 
 def test_buffered_wraps_only_generators():
