@@ -315,10 +315,8 @@ class _Contention:
         self.placement = placement
         self.is_ur = is_ur.tolist()
         self.cls = [2 - u for u in self.is_ur]  # cell code class bit
-        # 1 for a device that draws a backoff when it retries, else 0.
-        self.draws_bi = [
-            int(self.bi_max > 0 and not (ebf and u)) for u in self.is_ur
-        ]
+        # True for a device that draws a backoff when it retries.
+        self.draws_bi = ((self.bi_max > 0) & ~(ebf & is_ur)).tolist()
         self.hist = [0] * 32  # occupied cells per cell code
         self.serving = placement.serving_cell.tolist()
         self.femto = placement.femto_cell.tolist()

@@ -1,16 +1,17 @@
 """Record rows of the benchmark trajectory as BENCH_<nnn>_<short-sha>.json.
 
-    python3 tools/record_bench.py --rev HEAD~1 --rev HEAD --seeds 1-5
+    python3 tools/record_bench.py --rev HEAD~1 --rev HEAD
 
 Each revision is extracted with `git archive` into a temporary directory,
 so a row measures the committed files only. In each checkout, for every
-workload of its BENCHMARK.json and every seed, the script runs
+workload of its BENCHMARK.json and every seed of SEEDS, the script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-and reads the result from the last stdout line. With several revisions the
-runs alternate between them, seed by seed, so a slow minute of a shared
-machine falls on both. Then it runs `rachsim validate --jobs 1` once per
+with T the `run_seconds` of that BENCHMARK.json, and reads the result
+from the last stdout line. With several revisions the runs alternate
+between them, seed by seed, so a slow minute of a shared machine falls
+on both. Then it runs `rachsim validate --jobs 1` once per
 revision.
 
 One file per revision is written at the repository root, numbered after
@@ -40,6 +41,9 @@ from pathlib import Path
 import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
+# Ten seeds, so that two revisions give the ten pairs of runs a gain is
+# judged on.
+SEEDS = list(range(1, 11))
 
 
 def git(*args: str) -> str:
@@ -47,14 +51,6 @@ def git(*args: str) -> str:
         ["git", "-C", str(ROOT), *args],
         capture_output=True, text=True, check=True,
     ).stdout.strip()
-
-
-def parse_seeds(text: str) -> list[int]:
-    """"1-5" or "1,3,7" -> the seed list."""
-    if re.fullmatch(r"\d+-\d+", text):
-        a, b = map(int, text.split("-"))
-        return list(range(a, b + 1))
-    return [int(s) for s in text.split(",")]
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -124,28 +120,24 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", action="append", required=True,
                     help="git revision to measure (repeatable)")
-    ap.add_argument("--seeds", default="1-5", help='"1-5" or "1,3,7"')
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workload", action="append",
-                    help="restrict to one workload (repeatable)")
     args = ap.parse_args(argv)
-    seeds = parse_seeds(args.seeds)
     shas = [git("rev-parse", rev) for rev in args.rev]
 
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
         trees = [checkout(sha, Path(tmp) / sha[:10]) for sha in shas]
         spec = json.loads((trees[0] / "BENCHMARK.json").read_text())
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
+        workloads = [w["name"] for w in spec["workloads"]]
         metrics = [m["name"] for m in spec["end_to_end"]]
         results = [{w: [] for w in workloads} for _ in trees]
         for workload in workloads:
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(SEEDS):
                 order = list(range(len(trees)))
                 if i % 2:
                     order.reverse()
                 for k in order:
                     results[k][workload].append(
-                        bench_run(trees[k], workload, seed, args.seconds))
+                        bench_run(trees[k], workload, seed, seconds))
         validation = [validate_run(tree) for tree in trees]
         lines = [line_count(tree) for tree in trees]
 
@@ -170,8 +162,8 @@ def main(argv=None) -> int:
             "src_rachsim_lines": lines[k],
             "provenance": {
                 "command": "python3 perfbench/run.py --workload W --seed S "
-                           f"--seconds {args.seconds} --trace 0",
-                "seeds": seeds,
+                           f"--seconds {seconds} --trace 0",
+                "seeds": SEEDS,
                 "paired_with": [s for s in shas if s != sha],
                 "recorded_utc": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"),
