@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .config import (
@@ -34,7 +33,7 @@ from .kpi import (
     csv_header,
     merge,
 )
-from .reference import TABLES, gates_passed, run_validation
+from .reference import TABLES, gates_passed, replicate, run_validation
 from .rng import RandomSource
 from .topology import build_layout, path_loss_db, place_devices
 from .traffic import assign_classes
@@ -176,37 +175,22 @@ def _parse_sweep_spec(tokens: list[str]) -> tuple[str, list[str], tuple[int, ...
     return sweep_key, sweep_values, seeds
 
 
-def _run_cell(args: tuple[Scenario, int]) -> KpiReport:
-    scenario, seed = args
-    return build_report(run(scenario_with(scenario, seed=seed)))
-
-
 def _cmd_sweep(args) -> int:
     # --set pairs and the swept value are applied together so combined
     # constraints (rp + reserved_r, drp + dynamic) validate per cell.
     base = _load_scenario(args.scenario, [])
     fixed = _set_pairs(args.set or [])
     key, values, seeds = _parse_sweep_spec(args.spec)
-    cells: list[tuple[str, Scenario]] = []
-    for value in values:
-        cells.append((value, apply_overrides(base, fixed + [(key, value)])))
-
-    jobs = args.jobs if args.jobs and args.jobs > 0 else (os.cpu_count() or 1)
-    work = [(sc, seed) for _, sc in cells for seed in seeds]
-    if jobs == 1 or len(work) == 1:
-        reports = [_run_cell(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            reports = list(pool.map(_run_cell, work, chunksize=1))
+    cells = [apply_overrides(base, fixed + [(key, v)]) for v in values]
+    # Every (cell, seed) pair goes into one fan-out, so a sweep of few
+    # seeds still fills the pool.
+    reports = replicate([(sc, s) for sc in cells for s in seeds], args.jobs)
 
     lines = [f"{key},seed," + csv_header()]
-    idx = 0
-    for value, _ in cells:
-        per_seed = []
-        for seed in seeds:
-            rep = reports[idx]
-            idx += 1
-            per_seed.append(rep)
+    n = len(seeds)
+    for i, value in enumerate(values):
+        per_seed = reports[i * n:(i + 1) * n]
+        for seed, rep in zip(seeds, per_seed):
             lines.append(f"{value},{seed},{rep.csv_row()}")
         pooled = merge(per_seed)
         lines.append(f"{value},pooled,{pooled.csv_row()}")

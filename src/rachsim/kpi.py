@@ -207,7 +207,7 @@ class KpiReport:
         if total == 0:
             raise NoSuccessError(f"no successful {klass} records")
         ticks = sum(t * c for t, c in hist.items())
-        return self._ticks_to_ms(ticks) / total if total else 0.0
+        return self._ticks_to_ms(ticks) / total
 
     def delay_percentile_ms(self, p: float, klass: str = "all") -> float:
         """Smallest delay whose empirical CDF reaches p percent."""

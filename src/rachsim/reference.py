@@ -1,11 +1,20 @@
-"""Reference scenarios, expected-value entries, and the validation harness.
+"""Reference scenarios, the reference entries as data, and their scoring.
 
 The shipped reference set encodes the target values this simulator is
 validated against, grouped by opaque table ids (II through VII plus FIG6).
-Each entry names a frozen scenario, a KPI, an expected value with its
-tolerance, and the frozen seed list that produces the measurement. Deep
-tail entries (99.99th percentiles) carry seed lists long enough to pool
-at least 100 000 successes of the class being measured.
+`ENTRIES` maps each table id to its entries in output order. Most entries
+are `Row`s: a frozen scenario and seed list, a KPI read off the pooled
+report, a check (an absolute or relative band around the target, or a
+`<=` / `>=` bound), the value format, a description and whether the entry
+is a gate. One scorer turns any row into an `EntryResult`; adding an
+entry means adding a row. Deep tail entries (99.99th percentiles) carry
+seed lists long enough to pool at least 100 000 successes of the class
+being measured.
+
+Seven entries read several pooled scenarios at once: the collision
+spreads of FIG6 and V, the monotone rows of III and VI, the reduction of
+III and the delay grid of V. Each is a small derived check placed in its
+table among the rows.
 
 Eight gated entries, across tables II, FIG6, VI and VII, are known to
 fail against a faithful implementation of the documented contention
@@ -19,6 +28,7 @@ pass.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -38,8 +48,6 @@ SEEDS_21 = tuple(range(1, 22))
 # deep-percentile gate, with margin for the rare failed device.
 SEEDS_DEEP = tuple(range(1, 406))
 GRID_SEEDS = (1, 2, 3)
-
-TABLES = ("II", "FIG6", "III", "IV", "V", "VI", "VII")
 
 _SINGLE_MACRO = TopologyConfig(n_macro_cells=1)
 # Dense small-cell overlay: three macro cells with enough wide femtos that
@@ -137,10 +145,26 @@ class EntryResult:
 # -- replication machinery ------------------------------------------------
 
 
-def _report_for(args: tuple[str, int]) -> KpiReport:
-    name, seed = args
-    scenario = scenario_with(REFERENCE_SCENARIOS[name], seed=seed)
-    return build_report(run(scenario))
+def _report_for(item: tuple[Scenario, int]) -> KpiReport:
+    scenario, seed = item
+    return build_report(run(scenario_with(scenario, seed=seed)))
+
+
+def replicate(
+    work: list[tuple[Scenario, int]], jobs: int | None = None
+) -> list[KpiReport]:
+    """One report per (scenario, seed) pair, in the order of `work`.
+
+    The pairs are independent, so they fan out over one process pool of
+    `jobs` workers (the CPU count when unset), or run in this process at
+    `jobs == 1`. The output order is that of `work` for any job count, so
+    every report merged from it is the same to the byte.
+    """
+    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    if jobs == 1 or len(work) <= 1:
+        return [_report_for(item) for item in work]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
+        return list(pool.map(_report_for, work))
 
 
 _POOL_CACHE: dict[tuple[str, tuple[int, ...]], KpiReport] = {}
@@ -156,528 +180,323 @@ def pooled_report(
     jobs: int | None = None,
     log=None,
 ) -> KpiReport:
-    """Run `name` once per seed and merge; memoized per (name, seeds).
-
-    Replications are independent, so they may fan out over a process
-    pool; reports are merged in seed order either way, keeping pooled
-    output identical for any job count.
-    """
+    """Run `name` once per seed and merge; memoized per (name, seeds)."""
     key = (name, tuple(seeds))
-    if key in _POOL_CACHE:
-        return _POOL_CACHE[key]
-    if log:
-        log(f"running {name} over {len(seeds)} seed(s)")
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-    work = [(name, s) for s in seeds]
-    if jobs == 1 or len(work) == 1:
-        reports = [_report_for(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            reports = list(pool.map(_report_for, work, chunksize=4))
-    out = merge(reports)
-    _POOL_CACHE[key] = out
-    return out
+    if key not in _POOL_CACHE:
+        if log:
+            log(f"running {name} over {len(seeds)} seed(s)")
+        scenario = REFERENCE_SCENARIOS[name]
+        work = [(scenario, s) for s in seeds]
+        _POOL_CACHE[key] = merge(replicate(work, jobs))
+    return _POOL_CACHE[key]
 
 
-# -- entry helpers ---------------------------------------------------------
+# -- value formats and metrics ----------------------------------------------
 
 
 def _pct(x: float | None) -> str:
     return "absent" if x is None else f"{x * 100:.4g}%"
 
 
+def _pct1(x: float | None) -> str:
+    return "absent" if x is None else f"{x * 100:.1f}%"
+
+
 def _ms(x: float | None) -> str:
     return "absent" if x is None else f"{x:.4g} ms"
 
 
-def _approx(
-    entry_id: str,
-    table: str,
-    desc: str,
-    measured: float | None,
-    expected: float,
-    *,
-    tol_abs: float | None = None,
-    tol_rel: float | None = None,
-    fmt=_ms,
-    gate: bool = True,
-) -> EntryResult:
-    tol = tol_abs if tol_abs is not None else abs(expected) * (tol_rel or 0)
-    ok = measured is not None and abs(measured - expected) <= tol
-    shown = (
-        f"{fmt(expected)} +-{tol_rel * 100:.0f}%"
-        if tol_rel is not None
-        else f"{fmt(expected)} +-{fmt(tol_abs)}"
-    )
-    return EntryResult(entry_id, table, gate, ok, fmt(measured), shown, desc)
+def _num(x: float | None) -> str:
+    return "absent" if x is None else f"{x:.4g}"
 
 
-def _bound(
-    entry_id: str,
-    table: str,
-    desc: str,
-    measured: float | None,
-    limit: float,
-    *,
-    at_most: bool,
-    fmt=_ms,
-    gate: bool = True,
-) -> EntryResult:
-    if measured is None:
-        ok = False
-    else:
-        ok = measured <= limit if at_most else measured >= limit
-    rel = "<=" if at_most else ">="
-    return EntryResult(
-        entry_id, table, gate, ok, fmt(measured), f"{rel} {fmt(limit)}", desc
-    )
+Metric = Callable[[KpiReport], float | None]
+# pool(scenario name, the entry's seed list) -> pooled report
+Pool = Callable[[str, tuple[int, ...]], KpiReport]
 
 
-def _monotone(values: list[float], eps: float = 1e-12) -> bool:
-    return all(b <= a + eps for a, b in zip(values, values[1:]))
+def _collision(klass: str = "overall") -> Metric:
+    return lambda rep: rep.collision_probability(klass)
 
 
-def _res_priority_util(rep: KpiReport) -> float | None:
+_mean_delay = KpiReport.mean_access_delay_ms
+
+
+def _median_delay(rep: KpiReport) -> float:
+    return rep.delay_percentile_ms(50)
+
+
+def _p9999(klass: str = "all") -> Metric:
+    return lambda rep: rep.delay_percentiles(klass)[99.99]
+
+
+def _mean_msg1(rep: KpiReport) -> float:
+    return rep.mean_msg1_count
+
+
+def _reserved_util(rep: KpiReport) -> float | None:
     return rep.preamble_utilization()["reserved_priority"]
 
 
-def _p9999(rep: KpiReport, klass: str = "all") -> float | None:
-    return rep.delay_percentiles(klass)[99.99]
+# -- the entries --------------------------------------------------------------
 
 
-# -- per-table evaluators ---------------------------------------------------
+@dataclass(frozen=True)
+class Row:
+    """One reference entry read off one pooled scenario.
+
+    `check` is "abs" (|measured - target| <= tol), "rel" (the same with
+    tol a fraction of the target), "<=" or ">=" (tol unused).
+    """
+
+    entry_id: str
+    scenario: str
+    seeds: tuple[int, ...]
+    metric: Metric
+    check: str
+    target: float
+    tol: float | None
+    fmt: Callable[[float | None], str]
+    description: str
+    gate: bool = True
 
 
-def _table_ii(seeds, jobs, log) -> list[EntryResult]:
-    seeds = seeds or SEEDS_10
-    out = []
-    for tag, name, coll, coll_tol, msg1, delay in (
-        ("5k", "baseline-5k", 0.0048, 0.0015, 1.4, 28.98),
-        ("10k", "baseline-10k", 0.0195, 0.003, 1.42, 33.62),
-    ):
-        rep = pooled_report(name, seeds, jobs, log)
-        out.append(
-            _approx(
-                f"II/{tag}/collision",
-                "II",
-                f"{tag} baseline collision probability",
-                rep.collision_probability(),
-                coll,
-                tol_abs=coll_tol,
-                fmt=_pct,
-            )
+def _score(table: str, row: Row, pool: Pool) -> EntryResult:
+    """Measure `row` on its pooled scenario and judge it."""
+    measured = row.metric(pool(row.scenario, row.seeds))
+    target, tol, fmt = row.target, row.tol, row.fmt
+    if row.check in ("<=", ">="):
+        ok = measured is not None and (
+            measured <= target if row.check == "<=" else measured >= target
         )
-        out.append(
-            _approx(
-                f"II/{tag}/mean-msg1",
-                "II",
-                f"{tag} baseline mean preamble transmissions",
-                rep.mean_msg1_count,
-                msg1,
-                tol_abs=0.15,
-                fmt=lambda v: "absent" if v is None else f"{v:.4g}",
-            )
+        shown = f"{row.check} {fmt(target)}"
+    else:
+        band = tol if row.check == "abs" else abs(target) * tol
+        ok = measured is not None and abs(measured - target) <= band
+        shown = (
+            f"{fmt(target)} +-{fmt(tol)}"
+            if row.check == "abs"
+            else f"{fmt(target)} +-{tol * 100:.0f}%"
         )
-        out.append(
-            _approx(
-                f"II/{tag}/mean-delay",
-                "II",
-                f"{tag} baseline mean access delay",
-                rep.mean_access_delay_ms(),
-                delay,
-                tol_rel=0.15,
-            )
-        )
-    return out
-
-
-def _fig6(seeds, jobs, log) -> list[EntryResult]:
-    seeds = seeds or SEEDS_10
-    base = pooled_report("baseline-5k", seeds, jobs, log)
-    edt = pooled_report("edt-5k", seeds, jobs, log)
-    out = [
-        _approx(
-            "FIG6/median-baseline",
-            "FIG6",
-            "baseline median access delay",
-            base.delay_percentile_ms(50),
-            29.0,
-            tol_abs=1.5,
-        ),
-        _approx(
-            "FIG6/median-edt",
-            "FIG6",
-            "early-data median access delay",
-            edt.delay_percentile_ms(50),
-            6.0,
-            tol_abs=1.5,
-        ),
-        _bound(
-            "FIG6/collision-equal",
-            "FIG6",
-            "early-data collision matches baseline (same seeds)",
-            abs(
-                edt.collision_probability() - base.collision_probability()
-            ),
-            0.001,
-            at_most=True,
-            fmt=_pct,
-        ),
-    ]
-    return out
-
-
-_FEMTO_SWEEP = (0, 5, 8, 10, 12)
-_FEMTO_EXPECTED = (0.0048, 0.0042, 0.0034, 0.0026, 0.0022)
-
-
-def _table_iii(seeds, jobs, log) -> list[EntryResult]:
-    seeds = seeds or SEEDS_20
-    colls = []
-    out = []
-    for n_femto, expected in zip(_FEMTO_SWEEP, _FEMTO_EXPECTED):
-        rep = pooled_report(f"pp-femto-{n_femto}", seeds, jobs, log)
-        c = rep.collision_probability()
-        colls.append(c)
-        out.append(
-            _approx(
-                f"III/femto-{n_femto}/collision",
-                "III",
-                f"collision at {n_femto} femto cells (absolute)",
-                c,
-                expected,
-                tol_abs=0.0015,
-                fmt=_pct,
-                gate=False,
-            )
-        )
-    out.append(
-        EntryResult(
-            "III/monotone",
-            "III",
-            True,
-            _monotone(colls),
-            " -> ".join(_pct(c) for c in colls),
-            "non-increasing in femto count",
-            "collision probability falls as femto cells are added",
-        )
+    return EntryResult(
+        row.entry_id, table, row.gate, ok, fmt(measured), shown,
+        row.description,
     )
-    reduction = (colls[0] - colls[3]) / colls[0] if colls[0] else 0.0
-    out.append(
-        _bound(
-            "III/reduction-at-10",
-            "III",
-            "relative collision reduction with 10 femto cells",
-            reduction,
-            0.40,
-            at_most=False,
-            fmt=lambda v: "absent" if v is None else f"{v * 100:.1f}%",
+
+
+# Derived checks: each reads several pooled scenarios and returns a
+# callable (table, pool) -> EntryResult that sits among the rows.
+
+
+def _collision_spread(entry_id, description, base, others, seeds):
+    """Largest |collision(other) - collision(base)|, at most 0.1 pp."""
+
+    def check(table: str, pool: Pool) -> EntryResult:
+        ref = pool(base, seeds).collision_probability()
+        spread = max(
+            abs(pool(name, seeds).collision_probability() - ref)
+            for name in others
         )
+        return EntryResult(
+            entry_id, table, True, spread <= 0.001, _pct(spread),
+            f"<= {_pct(0.001)}", description,
+        )
+
+    return check
+
+
+def _non_increasing(entry_id, description, names, seeds, metric, expected):
+    """`metric` over `names` never rises (to within 1e-12)."""
+
+    def check(table: str, pool: Pool) -> EntryResult:
+        values = [metric(pool(name, seeds)) for name in names]
+        ok = None not in values and all(
+            b <= a + 1e-12 for a, b in zip(values, values[1:])
+        )
+        return EntryResult(
+            entry_id, table, True, ok, " -> ".join(map(_pct, values)),
+            expected, description,
+        )
+
+    return check
+
+
+def _femto_reduction(table: str, pool: Pool) -> EntryResult:
+    """Relative collision drop from 0 to 10 femto cells, at least 40%."""
+    c0, c10 = (
+        pool(f"pp-femto-{n}", SEEDS_20).collision_probability()
+        for n in (0, 10)
     )
-    return out
+    reduction = (c0 - c10) / c0 if c0 else 0.0
+    return EntryResult(
+        "III/reduction-at-10", table, True, reduction >= 0.40,
+        _pct1(reduction), f">= {_pct1(0.40)}",
+        "relative collision reduction with 10 femto cells",
+    )
 
 
-def _table_iv(seeds, jobs, log) -> list[EntryResult]:
-    seeds = seeds or SEEDS_21
-    pp = pooled_report("edt-pp", seeds, jobs, log)
-    ppe = pooled_report("edt-pp-ebf", seeds, jobs, log)
-    return [
-        _approx(
-            "IV/edt-pp/mean-delay",
-            "IV",
-            "early-data + parallel mean delay",
-            pp.mean_access_delay_ms(),
-            5.8,
-            tol_rel=0.20,
-        ),
-        _approx(
-            "IV/edt-pp-ebf/mean-delay",
-            "IV",
-            "early-data + parallel + fast-retry mean delay",
-            ppe.mean_access_delay_ms(),
-            4.47,
-            tol_rel=0.20,
-        ),
-        _approx(
-            "IV/edt-pp/collision",
-            "IV",
-            "early-data + parallel collision probability",
-            pp.collision_probability(),
-            0.0004,
-            tol_abs=0.0005,
-            fmt=_pct,
-        ),
-        _approx(
-            "IV/edt-pp-ebf/collision",
-            "IV",
-            "early-data + parallel + fast-retry collision probability",
-            ppe.collision_probability(),
-            0.0001,
-            tol_abs=0.0005,
-            fmt=_pct,
-        ),
-        _bound(
-            "IV/edt-pp-ebf/p9999",
-            "IV",
-            "pooled 99.99th percentile delay, all enhancements",
-            _p9999(ppe),
-            10.0,
-            at_most=True,
-        ),
-        _bound(
-            "IV/edt-pp/p9999",
-            "IV",
-            "pooled 99.99th percentile delay without fast retry",
-            _p9999(pp),
-            25.0,
-            at_most=False,
-        ),
-    ]
-
-
-_GRID_CELLS = tuple(
-    (scs, sym) for scs in (15, 30, 60, 120) for sym in (7, 4, 2)
+_GRID_SCS = (15, 30, 60, 120)
+_GRID_SYMBOLS = (7, 4, 2)
+_GRID = tuple(
+    f"numerology-{scs}-{sym}" for scs in _GRID_SCS for sym in _GRID_SYMBOLS
 )
 
 
-def _table_v(seeds, jobs, log) -> list[EntryResult]:
-    named_seeds = seeds or SEEDS_10
-    grid_seeds = seeds or GRID_SEEDS
-    rep_60_7 = pooled_report("numerology-60-7", named_seeds, jobs, log)
-    rep_15_2 = pooled_report("numerology-15-2", named_seeds, jobs, log)
-    out = [
-        _approx(
-            "V/delay-60khz-7sym",
-            "V",
-            "mean delay at 60 kHz, 7-symbol slots",
-            rep_60_7.mean_access_delay_ms(),
-            6.0,
-            tol_rel=0.20,
-        ),
-        _approx(
-            "V/delay-15khz-2sym",
-            "V",
-            "mean delay at 15 kHz, 2-symbol slots",
-            rep_15_2.mean_access_delay_ms(),
-            6.9,
-            tol_rel=0.20,
-        ),
-    ]
-    base = pooled_report("numerology-15-7", grid_seeds, jobs, log)
-    base_coll = base.collision_probability()
-    grid_mean: dict[tuple[int, int], float] = {}
-    max_delta = 0.0
-    for scs, sym in _GRID_CELLS:
-        rep = pooled_report(f"numerology-{scs}-{sym}", grid_seeds, jobs, log)
-        grid_mean[(scs, sym)] = rep.mean_access_delay_ms()
-        max_delta = max(
-            max_delta, abs(rep.collision_probability() - base_coll)
-        )
-    out.append(
-        _bound(
-            "V/collision-invariance",
-            "V",
-            "collision probability identical across the numerology grid",
-            max_delta,
-            0.001,
-            at_most=True,
-            fmt=_pct,
-        )
-    )
-    strict = True
-    for sym in (7, 4, 2):
-        row = [grid_mean[(scs, sym)] for scs in (15, 30, 60, 120)]
-        strict &= all(b < a for a, b in zip(row, row[1:]))
-    for scs in (15, 30, 60, 120):
-        col = [grid_mean[(scs, sym)] for sym in (7, 4, 2)]
-        strict &= all(b < a for a, b in zip(col, col[1:]))
-    out.append(
-        EntryResult(
-            "V/delay-monotone",
-            "V",
-            True,
-            strict,
-            "strict" if strict else "violated",
-            "strict decrease along rows and columns",
-            "mean delay falls with wider spacing and shorter slots",
-        )
-    )
-    return out
-
-
-def _table_vi(seeds, jobs, log) -> list[EntryResult]:
-    seeds = seeds or SEEDS_10
-    reps = {
-        r: pooled_report(f"rp-r{r}", seeds, jobs, log) for r in (1, 2, 3, 4, 5)
+def _grid_delay_monotone(table: str, pool: Pool) -> EntryResult:
+    """Mean delay falls strictly along every row and column of the grid."""
+    mean = {
+        (scs, sym): pool(f"numerology-{scs}-{sym}", GRID_SEEDS)
+        .mean_access_delay_ms()
+        for scs in _GRID_SCS
+        for sym in _GRID_SYMBOLS
     }
-    colls = {r: reps[r].collision_probability("urllc") for r in reps}
-    utils = {r: _res_priority_util(reps[r]) for r in reps}
-    out = [
-        _approx(
-            "VI/r1/collision-urllc",
-            "VI",
-            "priority-class collision with 1 reserved preamble",
-            colls[1],
-            0.33,
-            tol_abs=0.05,
-            fmt=_pct,
+    lines = [[mean[(scs, sym)] for scs in _GRID_SCS] for sym in _GRID_SYMBOLS]
+    lines += [[mean[(scs, sym)] for sym in _GRID_SYMBOLS] for scs in _GRID_SCS]
+    strict = all(b < a for line in lines for a, b in zip(line, line[1:]))
+    return EntryResult(
+        "V/delay-monotone", table, True, strict,
+        "strict" if strict else "violated",
+        "strict decrease along rows and columns",
+        "mean delay falls with wider spacing and shorter slots",
+    )
+
+
+_FEMTO_TARGETS = (
+    (0, 0.0048), (5, 0.0042), (8, 0.0034), (10, 0.0026), (12, 0.0022)
+)
+_RESERVED = (1, 2, 3, 4, 5)
+
+ENTRIES: dict[str, tuple] = {
+    "II": (
+        Row("II/5k/collision", "baseline-5k", SEEDS_10, _collision(), "abs",
+            0.0048, 0.0015, _pct, "5k baseline collision probability"),
+        Row("II/5k/mean-msg1", "baseline-5k", SEEDS_10, _mean_msg1, "abs",
+            1.4, 0.15, _num, "5k baseline mean preamble transmissions"),
+        Row("II/5k/mean-delay", "baseline-5k", SEEDS_10, _mean_delay, "rel",
+            28.98, 0.15, _ms, "5k baseline mean access delay"),
+        Row("II/10k/collision", "baseline-10k", SEEDS_10, _collision(), "abs",
+            0.0195, 0.003, _pct, "10k baseline collision probability"),
+        Row("II/10k/mean-msg1", "baseline-10k", SEEDS_10, _mean_msg1, "abs",
+            1.42, 0.15, _num, "10k baseline mean preamble transmissions"),
+        Row("II/10k/mean-delay", "baseline-10k", SEEDS_10, _mean_delay,
+            "rel", 33.62, 0.15, _ms, "10k baseline mean access delay"),
+    ),
+    "FIG6": (
+        Row("FIG6/median-baseline", "baseline-5k", SEEDS_10, _median_delay,
+            "abs", 29.0, 1.5, _ms, "baseline median access delay"),
+        Row("FIG6/median-edt", "edt-5k", SEEDS_10, _median_delay, "abs",
+            6.0, 1.5, _ms, "early-data median access delay"),
+        _collision_spread(
+            "FIG6/collision-equal",
+            "early-data collision matches baseline (same seeds)",
+            "baseline-5k", ("edt-5k",), SEEDS_10,
         ),
-        _approx(
-            "VI/r1/utilization",
-            "VI",
-            "reserved-pool utilization with 1 reserved preamble",
-            utils[1],
-            0.83,
-            tol_abs=0.05,
-            fmt=_pct,
+    ),
+    "III": (
+        *(
+            Row(f"III/femto-{n}/collision", f"pp-femto-{n}", SEEDS_20,
+                _collision(), "abs", target, 0.0015, _pct,
+                f"collision at {n} femto cells (absolute)", gate=False)
+            for n, target in _FEMTO_TARGETS
         ),
-        _approx(
-            "VI/r3/collision-urllc",
-            "VI",
-            "priority-class collision with 3 reserved preambles",
-            colls[3],
-            0.0,
-            tol_abs=0.05,
-            fmt=_pct,
+        _non_increasing(
+            "III/monotone",
+            "collision probability falls as femto cells are added",
+            [f"pp-femto-{n}" for n, _ in _FEMTO_TARGETS], SEEDS_20,
+            _collision(), "non-increasing in femto count",
         ),
-        _approx(
-            "VI/r3/utilization",
-            "VI",
-            "reserved-pool utilization with 3 reserved preambles",
-            utils[3],
-            0.38,
-            tol_abs=0.05,
-            fmt=_pct,
+        _femto_reduction,
+    ),
+    "IV": (
+        Row("IV/edt-pp/mean-delay", "edt-pp", SEEDS_21, _mean_delay, "rel",
+            5.8, 0.20, _ms, "early-data + parallel mean delay"),
+        Row("IV/edt-pp-ebf/mean-delay", "edt-pp-ebf", SEEDS_21, _mean_delay,
+            "rel", 4.47, 0.20, _ms,
+            "early-data + parallel + fast-retry mean delay"),
+        Row("IV/edt-pp/collision", "edt-pp", SEEDS_21, _collision(), "abs",
+            0.0004, 0.0005, _pct,
+            "early-data + parallel collision probability"),
+        Row("IV/edt-pp-ebf/collision", "edt-pp-ebf", SEEDS_21, _collision(),
+            "abs", 0.0001, 0.0005, _pct,
+            "early-data + parallel + fast-retry collision probability"),
+        Row("IV/edt-pp-ebf/p9999", "edt-pp-ebf", SEEDS_21, _p9999(), "<=",
+            10.0, None, _ms,
+            "pooled 99.99th percentile delay, all enhancements"),
+        Row("IV/edt-pp/p9999", "edt-pp", SEEDS_21, _p9999(), ">=", 25.0,
+            None, _ms, "pooled 99.99th percentile delay without fast retry"),
+    ),
+    "V": (
+        Row("V/delay-60khz-7sym", "numerology-60-7", SEEDS_10, _mean_delay,
+            "rel", 6.0, 0.20, _ms, "mean delay at 60 kHz, 7-symbol slots"),
+        Row("V/delay-15khz-2sym", "numerology-15-2", SEEDS_10, _mean_delay,
+            "rel", 6.9, 0.20, _ms, "mean delay at 15 kHz, 2-symbol slots"),
+        _collision_spread(
+            "V/collision-invariance",
+            "collision probability identical across the numerology grid",
+            "numerology-15-7", _GRID, GRID_SEEDS,
         ),
-    ]
-    for r, expected in ((2, 0.57), (4, 0.29), (5, 0.23)):
-        out.append(
-            _approx(
-                f"VI/r{r}/utilization",
-                "VI",
+        _grid_delay_monotone,
+    ),
+    "VI": (
+        Row("VI/r1/collision-urllc", "rp-r1", SEEDS_10, _collision("urllc"),
+            "abs", 0.33, 0.05, _pct,
+            "priority-class collision with 1 reserved preamble"),
+        Row("VI/r1/utilization", "rp-r1", SEEDS_10, _reserved_util, "abs",
+            0.83, 0.05, _pct,
+            "reserved-pool utilization with 1 reserved preamble"),
+        Row("VI/r3/collision-urllc", "rp-r3", SEEDS_10, _collision("urllc"),
+            "abs", 0.0, 0.05, _pct,
+            "priority-class collision with 3 reserved preambles"),
+        Row("VI/r3/utilization", "rp-r3", SEEDS_10, _reserved_util, "abs",
+            0.38, 0.05, _pct,
+            "reserved-pool utilization with 3 reserved preambles"),
+        *(
+            Row(f"VI/r{r}/utilization", f"rp-r{r}", SEEDS_10, _reserved_util,
+                "abs", target, 0.05, _pct,
                 f"reserved-pool utilization with {r} reserved preambles",
-                utils[r],
-                expected,
-                tol_abs=0.05,
-                fmt=_pct,
-                gate=False,
-            )
-        )
-    coll_seq = [colls[r] for r in (1, 2, 3, 4, 5)]
-    util_seq = [utils[r] for r in (1, 2, 3, 4, 5)]
-    out.append(
-        EntryResult(
+                gate=False)
+            for r, target in ((2, 0.57), (4, 0.29), (5, 0.23))
+        ),
+        _non_increasing(
             "VI/monotone-collision",
-            "VI",
-            True,
-            _monotone(coll_seq),
-            " -> ".join(_pct(c) for c in coll_seq),
-            "non-increasing in reservation size",
             "priority collision falls as the reserved pool grows",
-        )
-    )
-    out.append(
-        EntryResult(
-            "VI/monotone-utilization",
-            "VI",
-            True,
-            all(v is not None for v in util_seq)
-            and _monotone([v for v in util_seq if v is not None]),
-            " -> ".join(_pct(u) for u in util_seq),
+            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, _collision("urllc"),
             "non-increasing in reservation size",
+        ),
+        _non_increasing(
+            "VI/monotone-utilization",
             "reserved-pool utilization falls as the pool grows",
-        )
-    )
-    return out
-
-
-def _table_vii(seeds, jobs, log) -> list[EntryResult]:
-    deep_seeds = seeds or SEEDS_DEEP
-    side_seeds = seeds or SEEDS_10
-    rep = pooled_report("drp-mixed", deep_seeds, jobs, log)
-    rp5 = pooled_report("rp5-mixed-dense", side_seeds, jobs, log)
-    base = pooled_report("baseline-mixed", side_seeds, jobs, log)
-    return [
-        _approx(
-            "VII/mean-delay",
-            "VII",
-            "mixed-traffic overall mean delay, all enhancements",
-            rep.mean_access_delay_ms(),
-            4.5,
-            tol_rel=0.20,
+            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, _reserved_util,
+            "non-increasing in reservation size",
         ),
-        _approx(
-            "VII/mean-delay-baseline",
-            "VII",
-            "mixed-traffic overall mean delay, no enhancements",
-            base.mean_access_delay_ms(),
-            26.0,
-            tol_rel=0.20,
-        ),
-        _bound(
-            "VII/collision-urllc",
-            "VII",
-            "priority-class collision, all enhancements",
-            rep.collision_probability("urllc"),
-            0.0002,
-            at_most=True,
-            fmt=_pct,
-        ),
-        _bound(
-            "VII/collision-non-urllc",
-            "VII",
-            "background-class collision, all enhancements",
-            rep.collision_probability("non_urllc"),
-            0.0002,
-            at_most=True,
-            fmt=_pct,
-        ),
-        _approx(
-            "VII/utilization-dynamic",
-            "VII",
-            "reserved-pool utilization under the dynamic pool",
-            _res_priority_util(rep),
-            0.57,
-            tol_abs=0.08,
-            fmt=_pct,
-        ),
-        _approx(
-            "VII/utilization-static-r5",
-            "VII",
-            "reserved-pool utilization under a static 5-preamble pool",
-            _res_priority_util(rp5),
-            0.23,
-            tol_abs=0.08,
-            fmt=_pct,
-        ),
-        _bound(
-            "VII/p9999-urllc",
-            "VII",
-            "pooled priority-class 99.99th percentile delay",
-            _p9999(rep, "urllc"),
-            10.0,
-            at_most=True,
-        ),
-        _bound(
-            "VII/p9999-overall",
-            "VII",
-            "pooled overall 99.99th percentile delay",
-            _p9999(rep),
-            16.0,
-            at_most=True,
-        ),
-    ]
-
-
-_EVALUATORS = {
-    "II": _table_ii,
-    "FIG6": _fig6,
-    "III": _table_iii,
-    "IV": _table_iv,
-    "V": _table_v,
-    "VI": _table_vi,
-    "VII": _table_vii,
+    ),
+    "VII": (
+        Row("VII/mean-delay", "drp-mixed", SEEDS_DEEP, _mean_delay, "rel",
+            4.5, 0.20, _ms,
+            "mixed-traffic overall mean delay, all enhancements"),
+        Row("VII/mean-delay-baseline", "baseline-mixed", SEEDS_10,
+            _mean_delay, "rel", 26.0, 0.20, _ms,
+            "mixed-traffic overall mean delay, no enhancements"),
+        Row("VII/collision-urllc", "drp-mixed", SEEDS_DEEP,
+            _collision("urllc"), "<=", 0.0002, None, _pct,
+            "priority-class collision, all enhancements"),
+        Row("VII/collision-non-urllc", "drp-mixed", SEEDS_DEEP,
+            _collision("non_urllc"), "<=", 0.0002, None, _pct,
+            "background-class collision, all enhancements"),
+        Row("VII/utilization-dynamic", "drp-mixed", SEEDS_DEEP,
+            _reserved_util, "abs", 0.57, 0.08, _pct,
+            "reserved-pool utilization under the dynamic pool"),
+        Row("VII/utilization-static-r5", "rp5-mixed-dense", SEEDS_10,
+            _reserved_util, "abs", 0.23, 0.08, _pct,
+            "reserved-pool utilization under a static 5-preamble pool"),
+        Row("VII/p9999-urllc", "drp-mixed", SEEDS_DEEP, _p9999("urllc"),
+            "<=", 10.0, None, _ms,
+            "pooled priority-class 99.99th percentile delay"),
+        Row("VII/p9999-overall", "drp-mixed", SEEDS_DEEP, _p9999(), "<=",
+            16.0, None, _ms, "pooled overall 99.99th percentile delay"),
+    ),
 }
+TABLES = tuple(ENTRIES)
 
 
 def run_validation(
@@ -691,17 +510,23 @@ def run_validation(
     With overridden (short) seed lists the deep-percentile entries report
     insufficient samples and fail; that is intended for smoke runs only.
     """
+
+    def pool(name: str, default: tuple[int, ...]) -> KpiReport:
+        return pooled_report(name, seeds or default, jobs, log)
+
     chosen = list(tables) if tables else list(TABLES)
-    results: list[EntryResult] = []
     for table in chosen:
-        key = table.upper()
-        if key not in _EVALUATORS:
+        if table.upper() not in ENTRIES:
             raise ValueError(
                 f"unknown reference table {table!r}; "
                 f"choose from {', '.join(TABLES)}"
             )
-        results.extend(_EVALUATORS[key](seeds, jobs, log))
-    return results
+    return [
+        _score(table, entry, pool) if isinstance(entry, Row)
+        else entry(table, pool)
+        for table in map(str.upper, chosen)
+        for entry in ENTRIES[table]
+    ]
 
 
 def gates_passed(results) -> bool:

@@ -24,7 +24,7 @@ from rachsim.config import serialize_scenario
 from rachsim.reference import REFERENCE_SCENARIOS, run_validation
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
-# The `measured` column of every reference entry at seeds 1 and 2.
+# Every column of every reference entry at seeds 1 and 2.
 VALIDATION_GOLDEN = GOLDEN_DIR / "validation-seeds-1-2.txt"
 
 SCENARIOS = (
@@ -118,20 +118,26 @@ def test_sinr_case_gates_some_devices(tmp_path, capsys):
 
 
 def validation_text() -> str:
-    """One line per reference entry: table, entry id, measured value.
+    """One line per reference entry: table, entry id, measured value, the
+    printed `validate` line (verdict, gate marker, expected column) and
+    the description.
 
-    Two seeds are too few for the deep-percentile entries, and their
-    "insufficient samples" value is pinned along with the rest.
+    So a changed target, tolerance, value format or gate flag fails the
+    comparison as surely as a changed measurement. Two seeds are too few
+    for the deep-percentile entries, and their "absent" value is pinned
+    along with the rest.
     """
     return "".join(
-        f"{r.table}\t{r.entry_id}\t{r.measured}\n"
+        f"{r.table}\t{r.entry_id}\t{r.measured}\t{r.line()}\t"
+        f"{r.description}\n"
         for r in run_validation(seeds=(1, 2), jobs=1)
     )
 
 
 def test_validation_measured_column_matches_golden():
     """Every table's drp, rp, ebf and numerology scenarios, which the
-    run cases above only sample, pinned through `run_validation`."""
+    run cases above only sample, pinned through `run_validation` with
+    every column of each entry."""
     assert validation_text() == VALIDATION_GOLDEN.read_text()
 
 
