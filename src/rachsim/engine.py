@@ -20,14 +20,16 @@ budget runs out.
 
 The loop sizes the reserved pool for each opportunity itself. An
 opportunity with two or more contenders then runs four phases: preamble
-draw, cell outcome, RAR grants and resolution. One with a single
-contender, the most common kind at sparse loads, cannot collide and runs
-one method that takes the same draws and makes the same counts without
-the cell bookkeeping. Both count each occupied cell under a five-bit
-code in a histogram that lives for the run, and the run folds it into
-the cell counters of `OpportunityLog` once, at its end. Per-device state
-lives in plain lists. `RunResult` is columnar, one numpy array per device
-field; `RunResult.records` builds `AccessRecord` objects on each access.
+draw (one packed int per occupied cell), cell outcome, RAR grants and
+resolution (HARQ legs inline). One with a single contender, the most
+common kind at sparse loads, cannot collide and runs one method that
+takes the same draws and makes the same counts without the cell
+bookkeeping. Both count each occupied cell under a five-bit code in a
+histogram that lives for the run, and the run folds it into the cell
+counters of `OpportunityLog` once, at its end. Per-device state lives in
+plain lists; a device first transmits at its arrival's opportunity, so
+first-attempt times are set before the loop. `RunResult` is columnar,
+one numpy array per device field; `records` builds `AccessRecord`s.
 """
 
 from __future__ import annotations
@@ -244,9 +246,10 @@ class _Contention:
     """Per-run state of the contention loop and its per-opportunity phases.
 
     Device state is held in lists indexed by device id, named after the
-    RunResult columns; -1 marks a time not (yet) reached. A phase sees the
-    opportunity's contenders as `devs`, and a contender's position in it
-    is its local index. The detection and HARQ draws are scalar
+    RunResult columns; -1 marks a time not (yet) reached, and `simulate`
+    fills `first_attempt_ticks` from the start opportunities. A phase sees
+    the opportunity's contenders as `devs`, and a contender's position in
+    it is its local index. The detection and HARQ draws are scalar
     `random()` calls. `draw` takes its preambles with one bulk draw per
     pool range and `resolve` its backoffs with one bulk draw
     (`rng.bulk_integers`); `one_contender` takes scalar `integers(lo, hi)`
@@ -255,11 +258,12 @@ class _Contention:
 
     `simulate` sizes the reserved pool, then sends a sole contender to
     `one_contender` and any larger batch through `draw`, `cell_outcome`,
-    `grants` and `resolve`. A cell's code is the sum of bits 1 (a URLLC
-    copy), 2 (a background copy), 4 (collided), 8 (reserved pool) and 16
-    (reserved pool at a priority macro). `one_contender` and
-    `cell_outcome` count each occupied cell under its code in `hist`,
-    which `simulate` folds into the log once per run.
+    `grants` and `resolve`; `draw` packs each occupied cell into one int.
+    A cell's code is the sum of bits 1 (a URLLC copy), 2 (a background
+    copy), 4 (collided), 8 (reserved pool) and 16 (reserved pool at a
+    priority macro). `one_contender` and `cell_outcome` count each
+    occupied cell under its code in `hist`, which `simulate` folds into
+    the log once per run.
     """
 
     def __init__(
@@ -325,6 +329,17 @@ class _Contention:
             setattr(self, name, [-1] * n)
         self.msg1_count, self.attempt_count = [0] * n, [0] * n
         self.arrival_ticks = arrivals.tolist()
+        # What `resolve` unpacks once per call.
+        retry_gap = self.t2 + self.rar_window
+        self.resolve_args = (
+            self.harq.random, scenario.harq_fail_prob, scenario.max_harq,
+            self.edt, self.max_tx, self.t1, self.t3, self.t4, self.cr_timer,
+            retry_gap, self.t1 + retry_gap + self.ra - 1, self.ra,
+            self.bi_max, all(self.draws_bi), self.draws_bi, self.msg1_count,
+            self.arrival_ticks, self.completion_ticks, self.wait_ticks,
+            self.msg2_ticks, self.msg3_ticks, self.msg4_ticks, self.buckets,
+            self.backoffs, self.trace,
+        )
 
     def simulate(self, arrivals: np.ndarray) -> None:
         """Run every opportunity from the first arrival to the last resolution.
@@ -342,6 +357,7 @@ class _Contention:
             return
         ra = self.ra
         start = -(-arrivals // ra)
+        self.first_attempt_ticks = (start * ra).tolist()
         buckets = self.buckets
         start_list = start.tolist()
         for d in np.argsort(start, kind="stable").tolist():
@@ -356,9 +372,9 @@ class _Contention:
         ):
             if drp:
                 r_use = 0
-                if window:
-                    mean = window_sum / len(window)
-                    r_use = min(math.floor(mean + 0.5), n_pre - 1)
+                if window_sum:  # the window mean, rounded half up
+                    k = len(window)
+                    r_use = min((2 * window_sum + k) // (2 * k), n_pre - 1)
             n_raos += 1
             sum_r += r_use
             r_max = max(r_max, r_use)
@@ -406,18 +422,17 @@ class _Contention:
     def draw(self, t: int, devs: list[int], r_use: int):
         """Preamble draw: the serving copies, then the femto copies (`pp`).
 
-        Returns the occupied cells as `(first, mask, base)`; the serving
-        macros of the priority contenders when a pool is reserved; and the
-        number of priority contenders. `first` and `mask` are keyed
-        gnb * n_preambles + preamble, so that key order is (gnb, preamble)
-        order. `first` holds a cell's first copy as its local index * 2,
-        plus 1 for a femto copy; `mask` holds the cell's code bits 1 (a URLLC copy),
-        2 (a background copy) and 4 (collided). `base` lists each
-        contender's transmission count before this opportunity.
+        Returns the occupied cells as `(cells, base)`; the serving macros
+        of the priority contenders when a pool is reserved; and the number
+        of priority contenders. `cells` is keyed gnb * n_preambles +
+        preamble, so that key order is (gnb, preamble) order. Its value
+        packs the cell's first copy as its local index * 16, plus 8 for a
+        femto copy, with the cell's code bits 1 (a URLLC copy), 2 (a
+        background copy) and 4 (collided). `base` lists each contender's
+        transmission count before this opportunity.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
-        attempts, tx_count = self.attempt_count, self.msg1_count
-        first_attempt, cls = self.first_attempt_ticks, self.cls
+        attempts, tx_count, cls = self.attempt_count, self.msg1_count, self.cls
         if self.drp:
             prio = [is_ur[d] or attempts[d] > 0 for d in devs]
         elif self.rp:
@@ -441,34 +456,31 @@ class _Contention:
             self.log.prio_macro_r_sum += r_use * len(prio_macros)
 
         n_pre = self.n_pre
-        first: dict[int, int] = {}
-        mask: dict[int, int] = {}
-        claim = first.setdefault
+        cells: dict[int, int] = {}
+        claim = cells.setdefault
         trace = self.trace
-        for jj, d, pre in zip(range(0, 2 * len(devs), 2), devs, pre1):
-            if first_attempt[d] < 0:
-                first_attempt[d] = t
+        for jj, d, pre in zip(range(0, 16 * len(devs), 16), devs, pre1):
             tx_count[d] += 1
             attempts[d] += 1
             key = serving[d] * n_pre + pre
-            if claim(key, jj) == jj:
-                mask[key] = cls[d]
-            else:
-                mask[key] |= cls[d] | 4
+            copy = jj | cls[d]
+            held = claim(key, copy)
+            if held != copy:
+                cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, serving[d], attempts[d]))
-        for jj, pre in zip([2 * j + 1 for j in dual], pre2):
-            d = devs[jj >> 1]
+        for j, pre in zip(dual, pre2):
+            d = devs[j]
             tx_count[d] += 1
             gnb = self.n_macro + femto[d]
             key = gnb * n_pre + pre
-            if claim(key, jj) == jj:
-                mask[key] = cls[d]
-            else:
-                mask[key] |= cls[d] | 4
+            copy = j * 16 | 8 | cls[d]
+            held = claim(key, copy)
+            if held != copy:
+                cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, attempts[d]))
-        return (first, mask, base), prio_macros, sum(prio)
+        return (cells, base), prio_macros, sum(prio)
 
     def one_contender(
         self, t: int, rao_index: int, devs: list[int], r_use: int
@@ -487,8 +499,6 @@ class _Contention:
         ur = self.is_ur[d]
         base = self.msg1_count[d]
         attempt = self.attempt_count[d] + 1
-        if self.first_attempt_ticks[d] < 0:
-            self.first_attempt_ticks[d] = t
         prio = (ur or attempt > 1) if self.drp else (ur and self.rp)
         n_pre = self.n_pre
         lo, hi = 0, n_pre
@@ -541,23 +551,23 @@ class _Contention:
         collision bits of `draw`, and counts once in the run's histogram.
         Returns the detected copies as (gnb, local index) in that order.
         """
-        first, mask, base = cells
+        cells, base = cells
         hist = self.hist
         n_pre = self.n_pre
         p_detect = self.p_detect
         draw = self.detection.random
         sinr_gate = self.sinr_gate
         detected = []
-        for key in sorted(mask):
-            code = mask[key]
+        for key in sorted(cells):
+            packed = cells[key]
+            code = packed & 7
             if r_use and key % n_pre < r_use:
                 code |= 24 if key // n_pre in prio_macros else 8
             hist[code] += 1
             if code & 4:
                 continue
-            jj, gnb = first[key], key // n_pre
-            j = jj >> 1
-            if draw() < p_detect[base[j] + 1 + (jj & 1)] and (
+            j, gnb = packed >> 4, key // n_pre
+            if draw() < p_detect[base[j] + 1 + (packed >> 3 & 1)] and (
                 not sinr_gate or self._sinr_ok(devs[j], gnb)
             ):
                 detected.append((gnb, j))
@@ -600,92 +610,96 @@ class _Contention:
     def resolve(self, t, rao_index, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff.
 
-        Two passes. The first settles every contender in device order:
-        its HARQ draws, success or failure, and its trace rows, with a
-        slot reserved for each backoff row. The second takes the backoff
-        draws of all retrying contenders in one bulk draw, in the same
-        order, queues them and fills the reserved rows. The HARQ and
-        backoff streams are separate, so every draw and every row comes
-        out as a one-pass loop would give it.
+        Two passes. The first settles every contender in device order: its
+        Msg3, then Msg4, HARQ draws (up to the first at or above
+        `harq_fail_prob`, at most `max_harq` each), the outcome and its
+        trace rows, with a slot kept for each backoff row. The second takes
+        the backoffs of all retries in one bulk draw, in the same order,
+        queues them and fills the rows, as a one-pass loop would. Without a
+        grant a retry goes to `rao_index + (t1 + t2 + rar_window + ra - 1 +
+        bi) // ra` (`t` is a multiple of `ra`, and `t1` is positive, so it
+        lands later); a grant holder's fail base, kept in `based`, is
+        rounded up to the grid.
         """
-        harq, trace = self.harq, self.trace
-        t3, t4, cr_timer = self.t3, self.t4, self.cr_timer
-        sc = self.scenario
-        max_harq, harq_fail = sc.max_harq, sc.harq_fail_prob
-        edt, max_tx = self.edt, self.max_tx
-        msg1_count, draws_bi = self.msg1_count, self.draws_bi
+        (harq, harq_fail, max_harq, edt, max_tx, t1, t3, t4, cr_timer,
+         retry_gap, no_grant_gap, ra, bi_max, all_bi, draws_bi, msg1_count,
+         arrival, completion, wait, msg2, msg3, msg4, buckets, backoffs,
+         trace) = self.resolve_args
         last = self.last_resolution
-        msg1_end = t + self.t1
-        retry = []  # (dev, fail_base, trace slot) of each retrying contender
-        n_bi = 0
+        msg1_end = t + t1
+        retry = []  # retrying contenders, in device order
+        slots = []  # their trace rows, when tracing
+        based = None  # grant holder -> fail base, for those that retry
         for j, dev in enumerate(devs):
             grant = rar_at.get(j)
-            if grant is not None:
+            if grant is None:
+                fail_base = msg1_end
+            else:
                 rar_time, gnb = grant
                 if trace is not None:
                     trace.append((rar_time, dev, "rar", -1, gnb, 0))
                 if edt:
                     done = rar_time
                 else:
-                    k3 = _harq_transmissions(harq, harq_fail, max_harq)
-                    k4 = k3 and _harq_transmissions(harq, harq_fail, max_harq)
-                    done = -1
-                    if k3 and k4 and k3 * t3 + k4 * t4 <= cr_timer:
-                        done = rar_time + k3 * t3 + k4 * t4
-                        self.msg3_ticks[dev] = k3 * t3
-                        self.msg4_ticks[dev] = k4 * t4
+                    done, k3 = -1, 1
+                    while harq() < harq_fail:  # Msg3 transmission k3 lost
+                        if k3 == max_harq:
+                            fail_base = rar_time + max_harq * t3
+                            break
+                        k3 += 1
+                    else:
+                        k4 = 1
+                        while harq() < harq_fail:  # Msg4 transmission k4 lost
+                            if k4 == max_harq:
+                                fail_base = rar_time + k3 * t3 + max_harq * t4
+                                break
+                            k4 += 1
+                        else:
+                            if k3 * t3 + k4 * t4 <= cr_timer:
+                                done = rar_time + k3 * t3 + k4 * t4
+                                msg3[dev], msg4[dev] = k3 * t3, k4 * t4
+                            else:
+                                fail_base = rar_time + cr_timer
                 if done >= 0:
-                    self.completion_ticks[dev] = done
-                    self.wait_ticks[dev] = t - self.arrival_ticks[dev]
-                    self.msg2_ticks[dev] = rar_time - msg1_end
+                    completion[dev] = done
+                    wait[dev] = t - arrival[dev]
+                    msg2[dev] = rar_time - msg1_end
                     if done > last:
                         last = done
                     if trace is not None:
                         trace.append((done, dev, "connected", -1, gnb, 0))
                     continue
-                if not k3:
-                    fail_base = rar_time + max_harq * t3
-                elif not k4:
-                    fail_base = rar_time + k3 * t3 + max_harq * t4
-                else:
-                    fail_base = rar_time + cr_timer
-            else:
-                fail_base = msg1_end
-
             if msg1_count[dev] >= max_tx:
                 if fail_base > last:
                     last = fail_base
                 if trace is not None:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
-            n_bi += draws_bi[dev]
-            if trace is None:
-                retry.append((dev, fail_base, 0))
-            else:
-                retry.append((dev, fail_base, len(trace)))
+            retry.append(dev)
+            if grant is not None:
+                based = based or {}
+                based[dev] = fail_base
+            if trace is not None:
+                slots.append(len(trace))
                 trace.append(None)
         self.last_resolution = last
         if not retry:
             return
 
-        bis = iter(self.backoffs(0, self.bi_max + 1, n_bi))
-        ra, buckets = self.ra, self.buckets
-        retry_gap = self.t2 + self.rar_window
-        for dev, fail_base, slot in retry:
-            next_eligible = fail_base + retry_gap
-            if draws_bi[dev]:
-                next_eligible += next(bis)
-            next_rao = -(-next_eligible // ra)
-            if next_rao <= rao_index:
-                next_rao = rao_index + 1
-            buckets[next_rao].append(dev)
+        if all_bi:
+            bis = backoffs(0, bi_max + 1, len(retry))
+        else:
+            drawn = iter(backoffs(0, bi_max + 1, sum(
+                draws_bi[dev] for dev in retry
+            )))
+            bis = [next(drawn) if draws_bi[dev] else 0 for dev in retry]
+        if based is None and trace is None:
+            for dev, bi in zip(retry, bis):
+                buckets[rao_index + (no_grant_gap + bi) // ra].append(dev)
+            return
+        based = based or {}
+        for i, (dev, bi) in enumerate(zip(retry, bis)):
+            next_eligible = based.get(dev, msg1_end) + retry_gap + bi
+            buckets[-(-next_eligible // ra)].append(dev)
             if trace is not None:
-                trace[slot] = (next_eligible, dev, "backoff", -1, -1, 0)
-
-
-def _harq_transmissions(rng, fail_prob: float, max_harq: int) -> int:
-    """Transmissions until first delivery, or 0 when the budget exhausts."""
-    for k in range(1, max_harq + 1):
-        if rng.random() >= fail_prob:
-            return k
-    return 0
+                trace[slots[i]] = (next_eligible, dev, "backoff", -1, -1, 0)

@@ -20,7 +20,7 @@ from rachsim.config import (
     build_scenario,
     scenario_with,
 )
-from rachsim.engine import _harq_transmissions, run
+from rachsim.engine import run
 from rachsim.kpi import build_report
 from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
@@ -94,16 +94,45 @@ def single_placement(n, femto=None, dist=10.0):
     )
 
 
-# -- HARQ helper -------------------------------------------------------------
+# -- scripted HARQ timelines ------------------------------------------------
 
 
-def test_harq_transmissions_scripted():
-    # success on a draw >= fail_prob; 0 means the budget ran out.
-    assert _harq_transmissions(Scripted(0.5), 0.1, 5) == 1
-    assert _harq_transmissions(Scripted(0.05, 0.5), 0.1, 5) == 2
-    assert _harq_transmissions(Scripted(0, 0, 0, 0, 0.99), 0.1, 5) == 5
-    assert _harq_transmissions(Scripted(0, 0, 0, 0, 0), 0.1, 5) == 0
-    assert _harq_transmissions(Scripted(0.2), 0.0, 1) == 1
+@pytest.mark.parametrize(
+    "text, script, outcome, end, msg3, msg4, left",
+    [
+        # A draw at or above harq_fail_prob (0.1) delivers the message.
+        ("", (0.5, 0.5), "connected", 224 + 560, 280, 280, 0),
+        ("", (0.05, 0.5, 0.5), "connected", 224 + 840, 560, 280, 0),
+        ("", (0, 0, 0, 0, 0.99, 0.5), "connected", 224 + 1680, 1400, 280, 0),
+        # Msg3 exhausted: fails at RAR + max_harq * t3, no Msg4 draw taken.
+        ("", (0, 0, 0, 0, 0, 0.5), "failed", 224 + 5 * 280, None, None, 1),
+        # Msg4 exhausted: fails at RAR + t3 + max_harq * t4.
+        ("", (0.5, 0, 0, 0, 0, 0, 0.5), "failed", 224 + 6 * 280, None, None,
+         1),
+        # No losses and one transmission each: even a 0.0 draw delivers.
+        ("harq_fail_prob = 0\nmax_harq = 1\n", (0.0, 0.0, 0.5), "connected",
+         224 + 560, 280, 280, 1),
+        # One transmission each, and Msg3 is lost: fails at RAR + t3.
+        ("max_harq = 1\n", (0.05, 0.5), "failed", 224 + 280, None, None, 1),
+    ],
+    ids=["msg3-tx1", "msg3-tx2", "msg3-tx5", "msg3-exhausted",
+         "msg4-exhausted", "no-loss-max-harq-1", "max-harq-1-lost"],
+)
+def test_scripted_harq_timeline(text, script, outcome, end, msg3, msg4, left):
+    # One device, detected at once, with no retry budget: the HARQ draws
+    # alone decide when it connects or fails.
+    sc = mk("n_devices = 1\nmax_preamble_tx = 1\n" + text, topology=SINGLE)
+    harq = Scripted(*script)
+    src = scripted_source(
+        detection=Fixed(0.0), preamble=RoundRobin(), harq=harq
+    )
+    res = run(sc, source=src, arrivals=np.array([0]), collect_trace=True)
+    rows = [(kind, t) for t, _, kind, *_ in res.trace if kind != "msg1"]
+    assert rows == [("rar", 224), (outcome, end)]
+    rec = res.records[0]
+    assert (rec.msg3_ticks, rec.msg4_ticks) == (msg3, msg4)
+    assert rec.success == (outcome == "connected")
+    assert len(harq.q) == left
 
 
 # -- single-device timeline oracles ------------------------------------------
@@ -503,6 +532,43 @@ def test_dynamic_pool_clamps_below_preamble_count():
     assert res.log.r_max == 2
 
 
+def test_dynamic_pool_integer_rounding_equals_float_mean():
+    # `simulate` sizes the pool as (2 * sum + k) // (2 * k) for a window of
+    # k samples, and skips the division when the sum is 0.
+    n_pre = 54
+    for k in range(1, 17):
+        for total in range(0, 54 * k + 1):
+            expect = min(math.floor(total / k + 0.5), n_pre - 1)
+            got = min((2 * total + k) // (2 * k), n_pre - 1) if total else 0
+            assert got == expect, (k, total)
+
+
+def test_dynamic_pool_replays_from_trace():
+    # Replay the broadcast window from the Msg1 rows of a moving pool: an
+    # opportunity's priority count is its URLLC or retrying transmitters,
+    # and each pool is the float-rounded mean of the window before it.
+    sc = mk(
+        OVERLOAD_TEXT + "enhancements = edt,drp\nreserved_r = dynamic\n",
+        topology=SINGLE, seed=2,
+    )
+    res = run(sc, collect_trace=True)
+    ra = ms_to_ticks(sc.timing.ra_period_ms)
+    prio = defaultdict(set)
+    for t, dev, kind, _, _, attempt in res.trace:
+        if kind == "msg1" and (res.urllc[dev] or attempt > 1):
+            prio[t // ra].add(dev)
+    first = int(res.first_attempt_ticks.min()) // ra
+    sib2 = round(sc.timing.sib2_period_ms / sc.timing.ra_period_ms)
+    window = deque(maxlen=sib2)
+    sum_r = r_max = 0
+    for rao in range(first, first + res.log.n_raos):
+        r = min(math.floor(sum(window) / len(window) + 0.5), 53) if window else 0
+        sum_r, r_max = sum_r + r, max(r_max, r)
+        window.append(len(prio[rao]))
+    assert (res.log.sum_r, res.log.r_max) == (sum_r, r_max)
+    assert r_max > 5
+
+
 def test_static_reserved_pool_splits_draws():
     # Priority devices draw inside [0, r), background inside [r, n_pre).
     sc = mk(
@@ -631,6 +697,73 @@ def test_zero_devices_runs_empty():
     res = run(mk("n_devices = 0\n"))
     assert res.records == []
     assert res.log.n_raos == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["baseline-5k", "edt-pp-ebf", "drp-mixed", "numerology-120-2"]
+)
+def test_first_attempt_is_the_start_opportunity(name):
+    # Every device sends its first Msg1 at the first opportunity at or
+    # after its arrival, so `simulate` fills the column before the loop.
+    sc = REFERENCE_SCENARIOS[name]
+    res = run(scenario_with(sc, seed=2), collect_trace=True)
+    ra = ms_to_ticks(sc.timing.ra_period_ms)
+    expect = -(-res.arrival_ticks // ra) * ra
+    assert np.array_equal(res.first_attempt_ticks, expect)
+    first_msg1 = {}
+    for t, dev, kind, *_ in res.trace:
+        if kind == "msg1":
+            first_msg1.setdefault(dev, t)
+    assert [first_msg1[d] for d in range(sc.n_devices)] == expect.tolist()
+
+
+def test_first_attempt_column_at_zero_devices():
+    res = run(mk("n_devices = 0\n"))
+    assert res.first_attempt_ticks.dtype == np.int64
+    assert res.first_attempt_ticks.size == 0
+
+
+TICK_MS = repr(1 / 56)
+
+
+@pytest.mark.parametrize("ra_ms", [TICK_MS, repr(2 / 56), "1.0", "5.0"])
+def test_retries_land_after_their_opportunity_at_extreme_timings(ra_ms):
+    # Msg1 and the RAR take one tick each, `ebf` closes the RAR window and
+    # gives URLLC devices no backoff: a no-grant URLLC retry is eligible
+    # two ticks after its opportunity starts.
+    sc = mk(
+        f"enhancements = ebf\nt_msg1_ms = {TICK_MS}\nt_msg2_ms = {TICK_MS}\n"
+        f"bi_max_ms = 0\nra_period_ms = {ra_ms}\nn_devices = 300\n"
+        "urllc_fraction = 0.5\n",
+        topology=SINGLE, seed=4,
+    )
+    arrivals = np.repeat(np.arange(30, dtype=np.int64), 10) * 3
+    traced = run(sc, arrivals=arrivals, collect_trace=True)
+    plain = run(sc, arrivals=arrivals)  # the closed form, without rows
+    for f in fields(plain):
+        if isinstance(getattr(plain, f.name), np.ndarray):
+            assert np.array_equal(getattr(plain, f.name),
+                                  getattr(traced, f.name)), f.name
+    assert plain.log == traced.log
+
+    ra = ms_to_ticks(float(ra_ms))
+    gap = 1 + 1 + 0 + ra - 1  # t1 + t2 + rar_window + ra - 1
+    msg1_at, granted, no_grant = {}, set(), 0
+    for t, dev, kind, *_ in traced.trace:
+        if kind == "msg1":
+            msg1_at[dev] = t
+            granted.discard(dev)
+        elif kind == "rar":
+            granted.add(dev)
+        elif kind == "backoff":
+            next_rao = -(-t // ra)
+            assert next_rao > msg1_at[dev] // ra
+            if dev not in granted:
+                bi = t - (msg1_at[dev] + 2)
+                assert bi == 0 if traced.urllc[dev] else 0 <= bi <= 560
+                assert msg1_at[dev] // ra + (gap + bi) // ra == next_rao
+                no_grant += 1
+    assert no_grant > 100
 
 
 # -- detection statistics ----------------------------------------------------

@@ -1,0 +1,169 @@
+"""In-process A/B of `engine.run` between two revisions of the repository.
+
+    python3 tools/ab_engine.py --rev HEAD~1 --rev HEAD
+
+Each revision is extracted with `git archive` into a temporary directory,
+and its `src/rachsim` is imported under a package name of its own, `rachsim_a`
+and `rachsim_b`, so both revisions run in one process on one warm
+interpreter. For the 30 reference scenarios plus overload-20k
+(baseline-10k at 20 000 devices) and each of the seeds 1-30, every
+revision builds the layout, placement and arrivals untimed and then times
+one `engine.run`, the first revision going first on odd seeds and second
+on even ones. The
+two `RunResult`s must hold identical device columns and `OpportunityLog`s;
+the script stops at the first difference.
+
+It prints a markdown table: per scenario, the median speed-up (time of
+the first revision / time of the second) with its quartiles and the
+pairs the second revision won, then the total time of each revision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import importlib
+import importlib.util
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+OVERLOAD = "overload-20k"
+# Thirty pairs per scenario, so that the quartiles of the speed-up stand
+# clear of run-to-run noise.
+SEEDS = range(1, 31)
+
+
+def checkout(rev: str, dest: Path) -> Path:
+    dest.mkdir(parents=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev],
+        capture_output=True, check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def load(tree: Path, name: str):
+    """Import `tree/src/rachsim` as the package `name`."""
+    pkg_dir = tree / "src" / "rachsim"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py",
+        submodule_search_locations=[str(pkg_dir)],
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    for sub in ("config", "engine", "reference", "rng", "topology", "traffic"):
+        importlib.import_module(f"{name}.{sub}")
+    return pkg
+
+
+def scenarios(pkg) -> dict:
+    ref = dict(pkg.reference.REFERENCE_SCENARIOS)
+    ref[OVERLOAD] = pkg.config.scenario_with(
+        ref["baseline-10k"], n_devices=20000
+    )
+    return ref
+
+
+def timed_run(pkg, base, seed: int):
+    """One seed: inputs untimed, then (seconds, RunResult) of engine.run."""
+    scenario = pkg.config.scenario_with(base, seed=seed)
+    source = pkg.rng.RandomSource.from_seed(seed)
+    layout = pkg.topology.build_layout(scenario.topology, source.placement)
+    placement = pkg.topology.place_devices(
+        scenario.n_devices, layout, source.placement
+    )
+    is_ur = pkg.traffic.assign_classes(
+        scenario.n_devices, scenario.urllc_fraction
+    )
+    arrivals = pkg.traffic.generate_arrivals(
+        is_ur, scenario.traffic, source.arrivals
+    )
+    fresh = pkg.rng.RandomSource.from_seed(seed)
+    gc.collect()
+    t0 = time.perf_counter()
+    result = pkg.engine.run(
+        scenario, source=fresh, placement=placement, arrivals=arrivals
+    )
+    return time.perf_counter() - t0, result
+
+
+def same_result(a, b) -> str | None:
+    """None when both runs hold the same columns and log, else the field."""
+    for f in dataclasses.fields(a):
+        value = getattr(a, f.name)
+        if isinstance(value, np.ndarray) and not np.array_equal(
+            value, getattr(b, f.name)
+        ):
+            return f.name
+    if dataclasses.asdict(a.log) != dataclasses.asdict(b.log):
+        return "log"
+    return None
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rev", action="append", required=True,
+                    help="git revision to measure (give two)")
+    args = ap.parse_args(argv)
+    if len(args.rev) != 2:
+        ap.error("give --rev twice")
+
+    with tempfile.TemporaryDirectory(prefix="ab-engine-") as tmp:
+        pkgs = [
+            load(checkout(rev, Path(tmp) / f"tree_{tag}"), f"rachsim_{tag}")
+            for rev, tag in zip(args.rev, "ab")
+        ]
+        specs = [scenarios(pkg) for pkg in pkgs]
+        rows, totals = [], [0.0, 0.0]
+        for name in specs[0]:
+            ratios = []
+            for seed in SEEDS:
+                order = (0, 1) if seed % 2 else (1, 0)
+                out = {}
+                for k in order:
+                    out[k] = timed_run(pkgs[k], specs[k][name], seed)
+                differs = same_result(out[0][1], out[1][1])
+                if differs:
+                    print(f"{name} seed {seed}: {differs} differs",
+                          file=sys.stderr)
+                    return 1
+                totals[0] += out[0][0]
+                totals[1] += out[1][0]
+                ratios.append(out[0][0] / out[1][0])
+            q1, med, q3 = quartiles(ratios)
+            won = sum(r > 1.0 for r in ratios)
+            rows.append(f"| {name} | {med:.3f} [{q1:.3f}, {q3:.3f}] "
+                        f"| {won}/{len(ratios)} |")
+            print(rows[-1], file=sys.stderr, flush=True)
+
+    print(f"A = {args.rev[0]}, B = {args.rev[1]}; seeds 1-{SEEDS[-1]}, "
+          "alternating order; speed-up = time A / time B, median [q1, q3]")
+    print()
+    print("| scenario | speed-up | pairs B won |")
+    print("| --- | --- | --- |")
+    print("\n".join(rows))
+    print()
+    print(f"Total engine.run time: A {totals[0]:.2f} s, B {totals[1]:.2f} s "
+          f"({totals[0] / totals[1]:.3f}x)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
