@@ -18,24 +18,28 @@ contention-resolution deadline. Every failure path goes through the same
 backoff formula and returns at a later opportunity until the transmission
 budget runs out.
 
-The loop sizes the reserved pool for each opportunity itself. An
-opportunity with two or more contenders then runs four phases: preamble
-draw (one packed int per occupied cell), cell outcome, RAR grants and
-resolution (HARQ legs inline). One with a single contender, the most
-common kind at sparse loads, cannot collide and runs one method that
-takes the same draws and makes the same counts without the cell
-bookkeeping. Both count each occupied cell under a five-bit code in a
-histogram that lives for the run, and the run folds it into the cell
+The loop sizes the reserved pool for each opportunity itself. Under `drp`
+the window of priority counts is a fixed ring with an integer running
+sum, and the pool tallies move only at an opportunity with a non-zero
+pool; a static pool's tallies, and the opportunity count, follow after
+the loop in closed form. An opportunity with two or more contenders then
+runs four phases: preamble draw (one packed int per occupied cell), cell
+outcome, RAR grants and resolution (HARQ legs inline). One with a single
+contender, the most common kind at sparse loads, cannot collide and runs
+one method that takes the same draws and makes the same counts without
+the cell bookkeeping. Both count each occupied cell under a five-bit code
+in a histogram that lives for the run, and the run folds it into the cell
 counters of `OpportunityLog` once, at its end. Per-device state lives in
 plain lists; a device first transmits at its arrival's opportunity, so
-first-attempt times are set before the loop. `RunResult` is columnar,
-one numpy array per device field; `records` builds `AccessRecord`s.
+`run` takes the arrival and first-attempt columns straight from the
+arrival array. `RunResult` is columnar, one numpy array per device field;
+`records` builds `AccessRecord`s.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,6 +143,9 @@ _TICK_COLUMNS = (
     "msg1_count", "attempt_count", "arrival_ticks", "first_attempt_ticks",
     "completion_ticks", "wait_ticks", "msg2_ticks", "msg3_ticks", "msg4_ticks",
 )
+# The columns the loop writes, held as lists; `run` takes the other two
+# from the arrival array.
+_LOOP_COLUMNS = _TICK_COLUMNS[:2] + _TICK_COLUMNS[4:]
 
 
 @dataclass
@@ -229,7 +236,7 @@ def run(
     sim.simulate(arrivals)
     cols = {
         name: np.array(getattr(sim, name), dtype=np.int64)
-        for name in _TICK_COLUMNS
+        for name in _LOOP_COLUMNS
     }
     return RunResult(
         log=sim.log,
@@ -237,6 +244,8 @@ def run(
         layout=layout,
         placement=placement,
         urllc=np.asarray(is_ur, dtype=bool),
+        arrival_ticks=arrivals.copy(),
+        first_attempt_ticks=-(-arrivals // sim.ra) * sim.ra,
         trace=sim.trace,
         **cols,
     )
@@ -246,17 +255,17 @@ class _Contention:
     """Per-run state of the contention loop and its per-opportunity phases.
 
     Device state is held in lists indexed by device id, named after the
-    RunResult columns; -1 marks a time not (yet) reached, and `simulate`
-    fills `first_attempt_ticks` from the start opportunities. A phase sees
-    the opportunity's contenders as `devs`, and a contender's position in
-    it is its local index. The detection and HARQ draws are scalar
-    `random()` calls. `draw` takes its preambles with one bulk draw per
-    pool range and `resolve` its backoffs with one bulk draw
-    (`rng.bulk_integers`); `one_contender` takes scalar `integers(lo, hi)`
-    draws. A bulk draw gives the values of the same number of scalar
-    draws.
+    RunResult columns of `_LOOP_COLUMNS`, plus `arrival_ticks`; -1 marks a
+    time not (yet) reached. A phase sees the opportunity's contenders as
+    `devs`, and a contender's position in it is its local index. The
+    detection and HARQ draws are scalar `random()` calls. `draw` takes its
+    preambles with one bulk draw per pool range and `resolve` its backoffs
+    with one bulk draw (`rng.bulk_integers`); `one_contender` takes scalar
+    `integers(lo, hi)` draws. A bulk draw gives the values of the same
+    number of scalar draws.
 
-    `simulate` sizes the reserved pool, then sends a sole contender to
+    `simulate` sizes the reserved pool from a ring of the last `sib2`
+    priority counts under `drp`, then sends a sole contender to
     `one_contender` and any larger batch through `draw`, `cell_outcome`,
     `grants` and `resolve`; `draw` packs each occupied cell into one int.
     A cell's code is the sum of bits 1 (a URLLC copy), 2 (a background
@@ -303,8 +312,7 @@ class _Contention:
         self.grants_per_sf = (scenario.cce_total // scenario.cce_per_pdcch) * (
             scenario.rar_grants_per_msg
         )
-        sib2 = max(1, round(timing.sib2_period_ms / timing.ra_period_ms))
-        self.drp_window: deque[int] = deque(maxlen=sib2)
+        self.sib2 = max(1, round(timing.sib2_period_ms / timing.ra_period_ms))
         self.r_static = scenario.reserved_r if self.rp else 0
         self.p_detect = [
             1.0 - math.exp(-float(i)) for i in range(self.max_tx + 1)
@@ -325,7 +333,7 @@ class _Contention:
         self.serving = placement.serving_cell.tolist()
         self.femto = placement.femto_cell.tolist()
         n = len(arrivals)
-        for name in _TICK_COLUMNS:
+        for name in _LOOP_COLUMNS:
             setattr(self, name, [-1] * n)
         self.msg1_count, self.attempt_count = [0] * n, [0] * n
         self.arrival_ticks = arrivals.tolist()
@@ -347,57 +355,75 @@ class _Contention:
         Trailing opportunity subframes (after the final Msg 1) still count
         toward KPI denominators and still advance the dynamic-pool window.
         Pool sizing happens here: under `drp` the broadcast size is the
-        rounded mean of the prior window, never of the current sample,
-        and the window keeps an exact integer running sum. The pool
-        tallies stay in locals and reach the log once per run, as do the
-        cell counters, folded from `hist` by `_CELL_COUNTERS`, and
-        `total_msg1_tx`, the sum of the final Msg1 counts.
+        rounded mean of the prior window, never of the current sample.
+        The window is a ring of `sib2` priority counts, slot `rao_index %
+        sib2`, with an exact integer running sum; its fill count is the
+        number of opportunities run so far, capped at `sib2`, and is read
+        only when the sum is non-zero. Under `drp` the tallies `sum_r`,
+        `r_max` and the count of pooled opportunities move only when the
+        pool is non-zero; a static pool (`rp`, or none) is the same at
+        every opportunity, so its tallies are written after the loop.
+        `n_raos` is the span from the first opportunity to the last, and
+        the opportunities without a pool are `n_raos` less the pooled ones.
+        The tallies reach the log once per run, as do the cell counters,
+        folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
+        sum of the final Msg1 counts.
+
+        Once the buckets are empty every arrival has had its opportunity,
+        so the loop runs on only to the opportunity of the last resolution.
         """
         if not arrivals.size:
             return
         ra = self.ra
         start = -(-arrivals // ra)
-        self.first_attempt_ticks = (start * ra).tolist()
         buckets = self.buckets
         start_list = start.tolist()
         for d in np.argsort(start, kind="stable").tolist():
             buckets[start_list[d]].append(d)
-        rao_index = int(start.min())
-        last_arrival_rao = int(start.max())
-        n_pre, drp, window = self.n_pre, self.drp, self.drp_window
+        first_rao = rao_index = int(start.min())
+        n_pre, drp, sib2 = self.n_pre, self.drp, self.sib2
+        ring = [0] * sib2
         r_use, window_sum = self.r_static, 0
-        n_raos = sum_r = r_max = zero_r = 0
-        while buckets or rao_index <= max(
-            last_arrival_rao, -(-self.last_resolution // ra)
-        ):
+        sum_r = r_max = pooled = 0
+        pop = buckets.pop
+        one_contender, draw, cell_outcome, grants, resolve = (
+            self.one_contender, self.draw, self.cell_outcome, self.grants,
+            self.resolve,
+        )
+        while buckets or rao_index <= -(-self.last_resolution // ra):
             if drp:
                 r_use = 0
                 if window_sum:  # the window mean, rounded half up
-                    k = len(window)
-                    r_use = min((2 * window_sum + k) // (2 * k), n_pre - 1)
-            n_raos += 1
-            sum_r += r_use
-            r_max = max(r_max, r_use)
-            zero_r += r_use == 0
-            devs = buckets.pop(rao_index, None)
+                    k = rao_index - first_rao
+                    if k > sib2:
+                        k = sib2
+                    r_use = (2 * window_sum + k) // (2 * k)
+                    if r_use >= n_pre:
+                        r_use = n_pre - 1
+                    if r_use:
+                        sum_r += r_use
+                        pooled += 1
+                        if r_use > r_max:
+                            r_max = r_use
+            devs = pop(rao_index, None)
+            n_prio = 0
             if devs:
                 t = rao_index * ra
                 if len(devs) == 1:
-                    n_prio = self.one_contender(t, rao_index, devs, r_use)
+                    n_prio = one_contender(t, rao_index, devs, r_use)
                 else:
-                    cells, prio_macros, n_prio = self.draw(t, devs, r_use)
-                    detected = self.cell_outcome(
-                        devs, r_use, cells, prio_macros
-                    )
-                    self.resolve(t, rao_index, devs, self.grants(t, detected))
-            else:
-                n_prio = 0
+                    cells, prio_macros, n_prio = draw(t, devs, r_use)
+                    detected = cell_outcome(devs, r_use, cells, prio_macros)
+                    resolve(t, rao_index, devs, grants(t, detected))
             if drp:
-                if len(window) == window.maxlen:
-                    window_sum -= window[0]
-                window.append(n_prio)
-                window_sum += n_prio
+                slot = rao_index % sib2
+                window_sum += n_prio - ring[slot]
+                ring[slot] = n_prio
             rao_index += 1
+        n_raos = rao_index - first_rao
+        if not drp and r_use:
+            sum_r, r_max, pooled = r_use * n_raos, r_use, n_raos
+        zero_r = n_raos - pooled
         log = self.log
         log.n_raos, log.sum_r, log.r_max = n_raos, sum_r, r_max
         log.sum_pool_urllc = sum_r + n_pre * zero_r
@@ -409,11 +435,9 @@ class _Contention:
             ))
 
     def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
-        """Preambles in copy order, one bulk draw per range; with a pool,
-        the priority copies are drawn first, inside the reserved pool."""
+        """Preambles in copy order under a pool of `r_use` > 0, one bulk
+        draw per range: the priority copies first, inside the pool."""
         draw, n_pre = self.preambles, self.n_pre
-        if r_use <= 0:
-            return draw(0, n_pre, len(prio))
         n_in = sum(prio)
         inside = iter(draw(0, r_use, n_in))
         outside = iter(draw(r_use, n_pre, len(prio) - n_in))
@@ -424,21 +448,24 @@ class _Contention:
 
         Returns the occupied cells as `(cells, base)`; the serving macros
         of the priority contenders when a pool is reserved; and the number
-        of priority contenders. `cells` is keyed gnb * n_preambles +
-        preamble, so that key order is (gnb, preamble) order. Its value
-        packs the cell's first copy as its local index * 16, plus 8 for a
-        femto copy, with the cell's code bits 1 (a URLLC copy), 2 (a
-        background copy) and 4 (collided). `base` lists each contender's
-        transmission count before this opportunity.
+        of priority contenders under `drp`, else 0. Without a pool every
+        copy draws from the whole preamble range, so the priority lists
+        are built only when one is broadcast. `cells` is keyed gnb *
+        n_preambles + preamble, so that key order is (gnb, preamble) order.
+        Its value packs the cell's first copy as its local index * 16, plus
+        8 for a femto copy, with the cell's code bits 1 (a URLLC copy), 2
+        (a background copy) and 4 (collided). `base` lists each
+        contender's transmission count before this opportunity.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         attempts, tx_count, cls = self.attempt_count, self.msg1_count, self.cls
+        n_pre = self.n_pre
+        n_prio = 0
         if self.drp:
             prio = [is_ur[d] or attempts[d] > 0 for d in devs]
-        elif self.rp:
+            n_prio = sum(prio)
+        elif r_use:
             prio = [is_ur[d] for d in devs]
-        else:
-            prio = [False] * len(devs)
         base = [tx_count[d] for d in devs]
         dual = []
         if self.pp:  # a femto copy needs two transmissions of budget left
@@ -447,15 +474,18 @@ class _Contention:
                 j for j, d in enumerate(devs)
                 if femto[d] >= 0 and base[j] <= last
             ]
-        pre1 = self._preambles(prio, r_use)
-        pre2 = self._preambles([prio[j] for j in dual], r_use) if dual else []
-
-        prio_macros = set()
-        if r_use > 0:
+        if r_use:
+            pre1 = self._preambles(prio, r_use)
+            pre2 = (
+                self._preambles([prio[j] for j in dual], r_use) if dual else []
+            )
             prio_macros = {serving[d] for d, p in zip(devs, prio) if p}
             self.log.prio_macro_r_sum += r_use * len(prio_macros)
+        else:
+            pre1 = self.preambles(0, n_pre, len(devs))
+            pre2 = self.preambles(0, n_pre, len(dual)) if dual else []
+            prio_macros = ()
 
-        n_pre = self.n_pre
         cells: dict[int, int] = {}
         claim = cells.setdefault
         trace = self.trace
@@ -480,7 +510,7 @@ class _Contention:
                 cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, attempts[d]))
-        return (cells, base), prio_macros, sum(prio)
+        return (cells, base), prio_macros, n_prio
 
     def one_contender(
         self, t: int, rao_index: int, devs: list[int], r_use: int

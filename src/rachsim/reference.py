@@ -28,6 +28,7 @@ pass.
 from __future__ import annotations
 
 import os
+import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -181,14 +182,22 @@ def pooled_report(
     jobs: int | None = None,
     log=None,
 ) -> KpiReport:
-    """Run `name` once per seed and merge; memoized per (name, seeds)."""
+    """Run `name` once per seed and merge; memoized per (name, seeds).
+
+    `log` gets one line when a pool starts and one with its wall time
+    when it is merged; a memoized pool logs nothing.
+    """
     key = (name, tuple(seeds))
     if key not in _POOL_CACHE:
+        what = f"{name} over {len(seeds)} seed(s)"
         if log:
-            log(f"running {name} over {len(seeds)} seed(s)")
+            log(f"running {what}")
+        t0 = time.perf_counter()
         scenario = REFERENCE_SCENARIOS[name]
         work = [(scenario, s) for s in seeds]
         _POOL_CACHE[key] = merge(replicate(work, jobs))
+        if log:
+            log(f"ran {what} in {time.perf_counter() - t0:.2f} s")
     return _POOL_CACHE[key]
 
 

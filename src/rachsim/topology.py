@@ -17,6 +17,10 @@ import numpy as np
 
 from .config import TopologyConfig
 
+# Devices per block of the femto distance matrix in `place_devices`: a
+# block of (FEMTO_BLOCK, n_femto) float64 stays cache-sized.
+FEMTO_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class CellLayout:
@@ -102,7 +106,11 @@ def place_devices(
 
     Serving cell is the nearest macro center (which near disc overlap can
     differ from the disc a device was dropped into); femto coverage is the
-    nearest femto within its radius, -1 otherwise.
+    nearest femto within its radius, -1 otherwise. The nearest femto is
+    found per block of `FEMTO_BLOCK` devices rather than over the whole
+    (n, n_femto) matrix. A device's row depends on its own position alone,
+    so each block gives the same roots, `argmin` and radius test as the
+    whole matrix would, bit for bit.
     """
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
@@ -126,10 +134,15 @@ def place_devices(
 
     femto = np.full(n, -1, dtype=np.int64)
     if layout.n_femto > 0:
-        d_femto = _distances(positions, layout.femto_centers)
-        nearest = d_femto.argmin(axis=1)
-        within = d_femto[np.arange(n), nearest] <= layout.femto_radius_m
-        femto[within] = nearest[within]
+        rows = np.arange(min(n, FEMTO_BLOCK))
+        for lo in range(0, n, FEMTO_BLOCK):
+            d_femto = _distances(
+                positions[lo:lo + FEMTO_BLOCK], layout.femto_centers
+            )
+            nearest = d_femto.argmin(axis=1)
+            k = len(nearest)
+            within = d_femto[rows[:k], nearest] <= layout.femto_radius_m
+            femto[lo:lo + k][within] = nearest[within]
     return DevicePlacement(
         positions=positions,
         serving_cell=serving.astype(np.int64),
@@ -144,7 +157,9 @@ def _distances(positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
     sqrt(dx*dx + dy*dy) from the separate coordinates, the value that
     `np.linalg.norm` of the difference vector gives, bit for bit, without
     an (n, k, 2) intermediate. Callers take `argmin` on these roots, not
-    on the squares: two distinct squares can round to the same root.
+    on the squares: two distinct squares can round to the same root. Every
+    entry is computed elementwise from one position and one center, so a
+    block of positions gives exactly the rows of the whole matrix.
     """
     dx = np.subtract.outer(positions[:, 0], centers[:, 0])
     dy = np.subtract.outer(positions[:, 1], centers[:, 1])

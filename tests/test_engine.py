@@ -543,30 +543,78 @@ def test_dynamic_pool_integer_rounding_equals_float_mean():
             assert got == expect, (k, total)
 
 
-def test_dynamic_pool_replays_from_trace():
-    # Replay the broadcast window from the Msg1 rows of a moving pool: an
-    # opportunity's priority count is its URLLC or retrying transmitters,
-    # and each pool is the float-rounded mean of the window before it.
-    sc = mk(
-        OVERLOAD_TEXT + "enhancements = edt,drp\nreserved_r = dynamic\n",
-        topology=SINGLE, seed=2,
-    )
-    res = run(sc, collect_trace=True)
+def replay_pool(sc, res):
+    """The pool tallies of a traced `drp` run, replayed from its rows.
+
+    An opportunity's priority count is its URLLC or retrying transmitters,
+    and each pool is the float-rounded mean of the window before it. The
+    opportunities run from the first Msg1 to the last Msg1 or resolution,
+    rounded up to the grid. Priority copies draw from the whole preamble
+    range at an opportunity without a pool. Returns (n_raos, sum_r, r_max,
+    sum_pool_urllc, sum_pool_non_urllc).
+    """
     ra = ms_to_ticks(sc.timing.ra_period_ms)
+    n_pre = sc.n_preambles
     prio = defaultdict(set)
     for t, dev, kind, _, _, attempt in res.trace:
         if kind == "msg1" and (res.urllc[dev] or attempt > 1):
             prio[t // ra].add(dev)
     first = int(res.first_attempt_ticks.min()) // ra
+    last = max(
+        -(-t // ra) for t, _, kind, *_ in res.trace
+        if kind in ("msg1", "connected", "failed")
+    )
     sib2 = round(sc.timing.sib2_period_ms / sc.timing.ra_period_ms)
     window = deque(maxlen=sib2)
-    sum_r = r_max = 0
-    for rao in range(first, first + res.log.n_raos):
-        r = min(math.floor(sum(window) / len(window) + 0.5), 53) if window else 0
+    sum_r = r_max = pool_urllc = pool_non_urllc = 0
+    for rao in range(first, last + 1):
+        r = 0
+        if window:
+            r = min(math.floor(sum(window) / len(window) + 0.5), n_pre - 1)
         sum_r, r_max = sum_r + r, max(r_max, r)
+        pool_urllc += r or n_pre
+        pool_non_urllc += n_pre - r
         window.append(len(prio[rao]))
-    assert (res.log.sum_r, res.log.r_max) == (sum_r, r_max)
-    assert r_max > 5
+    return last + 1 - first, sum_r, r_max, pool_urllc, pool_non_urllc
+
+
+def pool_tallies(log):
+    return (
+        log.n_raos, log.sum_r, log.r_max, log.sum_pool_urllc,
+        log.sum_pool_non_urllc,
+    )
+
+
+def test_dynamic_pool_replays_from_trace():
+    # A moving pool: the tallies of the log equal the replayed window's.
+    sc = mk(
+        OVERLOAD_TEXT + "enhancements = edt,drp\nreserved_r = dynamic\n",
+        topology=SINGLE, seed=2,
+    )
+    res = run(sc, collect_trace=True)
+    assert pool_tallies(res.log) == replay_pool(sc, res)
+    assert res.log.r_max > 5
+
+
+def test_dynamic_pool_replays_when_the_window_never_fills():
+    # A run shorter than the sib2 window (64 opportunities): the pool
+    # divides by the opportunities seen so far, never by the full window.
+    # Eight URLLC devices on four preambles collide at opportunity 0, so
+    # the pool opens at opportunity 1 and their retries keep it open.
+    sc = mk(
+        "enhancements = edt,drp\nreserved_r = dynamic\nn_preambles = 4\n"
+        "sib2_period_ms = 320\nn_devices = 8\nurllc_fraction = 1\n",
+        topology=SINGLE, seed=3,
+    )
+    src = scripted_source(detection=Fixed(0.0))
+    res = run(
+        sc, source=src, arrivals=np.zeros(8, dtype=np.int64),
+        collect_trace=True,
+    )
+    sib2 = round(sc.timing.sib2_period_ms / sc.timing.ra_period_ms)
+    assert 1 < res.log.n_raos < sib2
+    assert res.log.r_max > 0
+    assert pool_tallies(res.log) == replay_pool(sc, res)
 
 
 def test_static_reserved_pool_splits_draws():
@@ -579,7 +627,12 @@ def test_static_reserved_pool_splits_draws():
     res = run(
         sc, arrivals=np.repeat(np.arange(10) * 280, 4), collect_trace=True
     )
-    assert res.log.sum_r == 3 * res.log.n_raos
+    n_raos = res.log.n_raos
+    assert n_raos >= 10
+    assert res.log.sum_r == 3 * n_raos
+    assert res.log.r_max == 3
+    assert res.log.sum_pool_urllc == 3 * n_raos
+    assert res.log.sum_pool_non_urllc == (54 - 3) * n_raos
     for t, dev, kind, pre, gnb, att in res.trace:
         if kind != "msg1":
             continue

@@ -4,6 +4,8 @@ Full-scale scoring runs in the acceptance suite; here we cover the
 harness mechanics on reduced seed lists.
 """
 
+import re
+
 import pytest
 
 from rachsim.config import Scenario, scenario_fingerprint
@@ -49,9 +51,16 @@ def test_seed_lists_are_frozen():
 
 def test_pooled_report_memoizes():
     clear_cache()
-    a = pooled_report("baseline-5k", (1,), jobs=1)
-    b = pooled_report("baseline-5k", (1,), jobs=1)
+    lines = []
+    a = pooled_report("baseline-5k", (1,), jobs=1, log=lines.append)
+    b = pooled_report("baseline-5k", (1,), jobs=1, log=lines.append)
     assert a is b
+    # The pool logs its start and its wall time once; the memoized call
+    # logs nothing.
+    assert len(lines) == 2
+    assert lines[0] == "running baseline-5k over 1 seed(s)"
+    assert re.fullmatch(r"ran baseline-5k over 1 seed\(s\) in \d+\.\d\d s",
+                        lines[1]), lines[1]
     c = pooled_report("baseline-5k", (1, 2), jobs=1)
     assert c is not a and c.n_seeds == 2
 

@@ -9,6 +9,7 @@ import pytest
 from rachsim.config import TopologyConfig
 from rachsim.rng import RandomSource
 from rachsim.topology import (
+    FEMTO_BLOCK,
     build_layout,
     path_loss_db,
     place_devices,
@@ -160,8 +161,14 @@ def assert_matches_norm_oracle(placement, layout):
         assert got.tobytes() == want.tobytes(), name
 
 
+# Device counts on both sides of the femto block boundaries, where a
+# block slice one short or one long would drop or misplace a device.
 @pytest.mark.parametrize("n_femto", [0, 1, 75])
-@pytest.mark.parametrize("n", [0, 1, 2000])
+@pytest.mark.parametrize(
+    "n",
+    [0, 1, FEMTO_BLOCK - 1, FEMTO_BLOCK, FEMTO_BLOCK + 1,
+     2 * FEMTO_BLOCK + 1, 2000],
+)
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_placement_matches_norm_oracle(seed, n, n_femto):
     cfg = TopologyConfig(

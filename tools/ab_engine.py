@@ -1,4 +1,5 @@
-"""In-process A/B of `engine.run` between two revisions of the repository.
+"""In-process A/B of `engine.run` and `topology.place_devices` between two
+revisions of the repository.
 
     python3 tools/ab_engine.py --rev HEAD~1 --rev HEAD
 
@@ -7,15 +8,17 @@ and its `src/rachsim` is imported under a package name of its own, `rachsim_a`
 and `rachsim_b`, so both revisions run in one process on one warm
 interpreter. For the 30 reference scenarios plus overload-20k
 (baseline-10k at 20 000 devices) and each of the seeds 1-30, every
-revision builds the layout, placement and arrivals untimed and then times
-one `engine.run`, the first revision going first on odd seeds and second
-on even ones. The
-two `RunResult`s must hold identical device columns and `OpportunityLog`s;
-the script stops at the first difference.
+revision builds the layout and arrivals untimed and times one
+`place_devices` and one `engine.run`, the first revision going first on
+odd seeds and second on even ones. The two placements must hold the same
+`serving_cell`, `femto_cell` and `serving_dist` bytes, and the two
+`RunResult`s identical device columns and `OpportunityLog`s; the script
+stops at the first difference.
 
-It prints a markdown table: per scenario, the median speed-up (time of
-the first revision / time of the second) with its quartiles and the
-pairs the second revision won, then the total time of each revision.
+It prints two markdown tables, one for `engine.run` and one for
+`place_devices`: per scenario, the median speed-up (time of the first
+revision / time of the second) with its quartiles and the pairs the
+second revision won, then the total time of each revision.
 """
 
 from __future__ import annotations
@@ -74,14 +77,23 @@ def scenarios(pkg) -> dict:
     return ref
 
 
+# Device fields of a placement that both revisions must give bit for bit.
+PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
+TIMED = ("engine.run", "place_devices")
+
+
 def timed_run(pkg, base, seed: int):
-    """One seed: inputs untimed, then (seconds, RunResult) of engine.run."""
+    """One seed: layout untimed, then (seconds, placement) of place_devices,
+    arrivals untimed, then (seconds, RunResult) of engine.run."""
     scenario = pkg.config.scenario_with(base, seed=seed)
     source = pkg.rng.RandomSource.from_seed(seed)
     layout = pkg.topology.build_layout(scenario.topology, source.placement)
+    gc.collect()
+    t0 = time.perf_counter()
     placement = pkg.topology.place_devices(
         scenario.n_devices, layout, source.placement
     )
+    t_place = time.perf_counter() - t0
     is_ur = pkg.traffic.assign_classes(
         scenario.n_devices, scenario.urllc_fraction
     )
@@ -94,7 +106,16 @@ def timed_run(pkg, base, seed: int):
     result = pkg.engine.run(
         scenario, source=fresh, placement=placement, arrivals=arrivals
     )
-    return time.perf_counter() - t0, result
+    return (time.perf_counter() - t0, result), (t_place, placement)
+
+
+def same_placement(a, b) -> str | None:
+    """None when both placements hold the same bytes, else the field."""
+    for name in PLACEMENT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or x.tobytes() != y.tobytes():
+            return name
+    return None
 
 
 def same_result(a, b) -> str | None:
@@ -131,37 +152,47 @@ def main(argv=None) -> int:
             for rev, tag in zip(args.rev, "ab")
         ]
         specs = [scenarios(pkg) for pkg in pkgs]
-        rows, totals = [], [0.0, 0.0]
+        rows = {what: [] for what in TIMED}
+        totals = {what: [0.0, 0.0] for what in TIMED}
         for name in specs[0]:
-            ratios = []
+            ratios = {what: [] for what in TIMED}
             for seed in SEEDS:
                 order = (0, 1) if seed % 2 else (1, 0)
                 out = {}
                 for k in order:
                     out[k] = timed_run(pkgs[k], specs[k][name], seed)
-                differs = same_result(out[0][1], out[1][1])
+                (run_a, place_a), (run_b, place_b) = out[0], out[1]
+                differs = same_placement(place_a[1], place_b[1]) or (
+                    same_result(run_a[1], run_b[1])
+                )
                 if differs:
                     print(f"{name} seed {seed}: {differs} differs",
                           file=sys.stderr)
                     return 1
-                totals[0] += out[0][0]
-                totals[1] += out[1][0]
-                ratios.append(out[0][0] / out[1][0])
-            q1, med, q3 = quartiles(ratios)
-            won = sum(r > 1.0 for r in ratios)
-            rows.append(f"| {name} | {med:.3f} [{q1:.3f}, {q3:.3f}] "
-                        f"| {won}/{len(ratios)} |")
-            print(rows[-1], file=sys.stderr, flush=True)
+                for what, a, b in zip(TIMED, (run_a, place_a),
+                                      (run_b, place_b)):
+                    totals[what][0] += a[0]
+                    totals[what][1] += b[0]
+                    ratios[what].append(a[0] / b[0])
+            for what in TIMED:
+                q1, med, q3 = quartiles(ratios[what])
+                won = sum(r > 1.0 for r in ratios[what])
+                rows[what].append(f"| {name} | {med:.3f} [{q1:.3f}, {q3:.3f}] "
+                                  f"| {won}/{len(ratios[what])} |")
+                print(what, rows[what][-1], file=sys.stderr, flush=True)
 
     print(f"A = {args.rev[0]}, B = {args.rev[1]}; seeds 1-{SEEDS[-1]}, "
           "alternating order; speed-up = time A / time B, median [q1, q3]")
-    print()
-    print("| scenario | speed-up | pairs B won |")
-    print("| --- | --- | --- |")
-    print("\n".join(rows))
-    print()
-    print(f"Total engine.run time: A {totals[0]:.2f} s, B {totals[1]:.2f} s "
-          f"({totals[0] / totals[1]:.3f}x)")
+    for what in TIMED:
+        a, b = totals[what]
+        print()
+        print(f"`{what}`:")
+        print()
+        print("| scenario | speed-up | pairs B won |")
+        print("| --- | --- | --- |")
+        print("\n".join(rows[what]))
+        print()
+        print(f"Total {what} time: A {a:.2f} s, B {b:.2f} s ({a / b:.3f}x)")
     return 0
 
 
