@@ -29,11 +29,19 @@ contender, the most common kind at sparse loads, cannot collide and runs
 one method that takes the same draws and makes the same counts without
 the cell bookkeeping. Both count each occupied cell under a five-bit code
 in a histogram that lives for the run, and the run folds it into the cell
-counters of `OpportunityLog` once, at its end. Per-device state lives in
-plain lists; a device first transmits at its arrival's opportunity, so
-`run` takes the arrival and first-attempt columns straight from the
-arrival array. `RunResult` is columnar, one numpy array per device field;
-`records` builds `AccessRecord`s.
+counters of `OpportunityLog` once, at its end.
+
+Per-device state lives in plain lists under an internal numbering: the
+devices sorted by their start opportunity, stably, so that internal id i
+is device `order[i]`. The loop then reads nearby list entries at each
+opportunity rather than ones scattered over the run. Ties keep device
+order, so every opportunity sees its contenders in the same sequence as
+under device ids, and every draw is the same. `run` maps back once, at
+its end: each loop column is scattered into device-id order and each
+trace row gets its device id. A device first transmits at its arrival's
+opportunity, so `run` takes the arrival and first-attempt columns
+straight from the arrival array. `RunResult` is columnar, one numpy array
+per device field; `records` builds `AccessRecord`s.
 """
 
 from __future__ import annotations
@@ -215,6 +223,10 @@ def run(
     scenario seed. The source's four contention streams (preamble,
     detection, harq, backoff) are read in blocks (`rng.BlockStream`), so
     those generators end up to one block past the draws the run used.
+
+    The loop numbers the devices by start opportunity (see `_Contention`);
+    the result's columns and trace rows are in device ids, and `arrivals`
+    and `placement` are left as given.
     """
     src = source or RandomSource.from_seed(scenario.seed)
     layout = build_layout(scenario.topology, src.placement)
@@ -233,11 +245,16 @@ def run(
     sim = _Contention(
         scenario, src, layout, placement, is_ur, arrivals, collect_trace
     )
-    sim.simulate(arrivals)
-    cols = {
-        name: np.array(getattr(sim, name), dtype=np.int64)
-        for name in _LOOP_COLUMNS
-    }
+    sim.simulate()
+    order = sim.order
+    cols = {}
+    for name in _LOOP_COLUMNS:
+        cols[name] = col = np.empty(n, dtype=np.int64)
+        col[order] = getattr(sim, name)
+    trace = sim.trace
+    if trace is not None:
+        ids = order.tolist()
+        trace = [(t, ids[d], k, p, g, a) for t, d, k, p, g, a in trace]
     return RunResult(
         log=sim.log,
         scenario=scenario,
@@ -246,7 +263,7 @@ def run(
         urllc=np.asarray(is_ur, dtype=bool),
         arrival_ticks=arrivals.copy(),
         first_attempt_ticks=-(-arrivals // sim.ra) * sim.ra,
-        trace=sim.trace,
+        trace=trace,
         **cols,
     )
 
@@ -254,15 +271,18 @@ def run(
 class _Contention:
     """Per-run state of the contention loop and its per-opportunity phases.
 
-    Device state is held in lists indexed by device id, named after the
+    Device state is held in lists indexed by internal id, named after the
     RunResult columns of `_LOOP_COLUMNS`, plus `arrival_ticks`; -1 marks a
-    time not (yet) reached. A phase sees the opportunity's contenders as
-    `devs`, and a contender's position in it is its local index. The
-    detection and HARQ draws are scalar `random()` calls. `draw` takes its
-    preambles with one bulk draw per pool range and `resolve` its backoffs
-    with one bulk draw (`rng.bulk_integers`); `one_contender` takes scalar
-    `integers(lo, hi)` draws. A bulk draw gives the values of the same
-    number of scalar draws.
+    time not (yet) reached. Internal id i is device `order[i]`, where
+    `order` is the stable argsort of the start opportunities; every
+    per-device list is built in that order, and `run` scatters the loop
+    columns and trace rows back to device ids. A phase sees the
+    opportunity's contenders as `devs`, and a contender's position in it
+    is its local index. The detection and HARQ draws are scalar `random()`
+    calls. `draw` takes its preambles with one bulk draw per pool range
+    and `resolve` its backoffs with one bulk draw (`rng.bulk_integers`);
+    `one_contender` takes scalar `integers(lo, hi)` draws. A bulk draw
+    gives the values of the same number of scalar draws.
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
@@ -324,19 +344,23 @@ class _Contention:
         self.trace: list[tuple] | None = [] if collect_trace else None
         self.buckets: dict[int, list[int]] = defaultdict(list)
         self.last_resolution = 0
-        self.placement = placement
+        start = -(-arrivals // self.ra)
+        self.order = order = np.argsort(start, kind="stable")
+        self.start = start[order]  # ascending
+        is_ur = is_ur[order]
         self.is_ur = is_ur.tolist()
         self.cls = [2 - u for u in self.is_ur]  # cell code class bit
         # True for a device that draws a backoff when it retries.
         self.draws_bi = ((self.bi_max > 0) & ~(ebf & is_ur)).tolist()
         self.hist = [0] * 32  # occupied cells per cell code
-        self.serving = placement.serving_cell.tolist()
-        self.femto = placement.femto_cell.tolist()
+        self.serving = placement.serving_cell[order].tolist()
+        self.femto = placement.femto_cell[order].tolist()
+        self.serving_dist = placement.serving_dist[order].tolist()
         n = len(arrivals)
         for name in _LOOP_COLUMNS:
             setattr(self, name, [-1] * n)
         self.msg1_count, self.attempt_count = [0] * n, [0] * n
-        self.arrival_ticks = arrivals.tolist()
+        self.arrival_ticks = arrivals[order].tolist()
         # What `resolve` unpacks once per call.
         retry_gap = self.t2 + self.rar_window
         self.resolve_args = (
@@ -349,7 +373,7 @@ class _Contention:
             self.backoffs, self.trace,
         )
 
-    def simulate(self, arrivals: np.ndarray) -> None:
+    def simulate(self) -> None:
         """Run every opportunity from the first arrival to the last resolution.
 
         Trailing opportunity subframes (after the final Msg 1) still count
@@ -369,18 +393,21 @@ class _Contention:
         folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
         sum of the final Msg1 counts.
 
-        Once the buckets are empty every arrival has had its opportunity,
-        so the loop runs on only to the opportunity of the last resolution.
+        Internal ids follow the start opportunity, so each opportunity's
+        arrivals are one `range` of them, in ascending order. Once the
+        buckets are empty every arrival has had its opportunity, so the
+        loop runs on only to the opportunity of the last resolution.
         """
-        if not arrivals.size:
+        start = self.start
+        if not start.size:
             return
         ra = self.ra
-        start = -(-arrivals // ra)
         buckets = self.buckets
-        start_list = start.tolist()
-        for d in np.argsort(start, kind="stable").tolist():
-            buckets[start_list[d]].append(d)
-        first_rao = rao_index = int(start.min())
+        raos, firsts = np.unique(start, return_index=True)
+        bounds = firsts.tolist() + [start.size]
+        for rao, lo, hi in zip(raos.tolist(), bounds, bounds[1:]):
+            buckets[rao] = list(range(lo, hi))
+        first_rao = rao_index = raos[0].item()
         n_pre, drp, sib2 = self.n_pre, self.drp, self.sib2
         ring = [0] * sib2
         r_use, window_sum = self.r_static, 0
@@ -609,7 +636,7 @@ class _Contention:
         cfg = self.scenario.topology
         if gnb >= self.n_macro:
             return True
-        dist = max(float(self.placement.serving_dist[dev]), 1e-9)
+        dist = max(self.serving_dist[dev], 1e-9)
         pl = path_loss_db(dist, cfg)
         power = ramped_tx_power_dbm(pl, self.attempt_count[dev], cfg)
         return sinr_db(power - pl, [], cfg) >= cfg.sinr_threshold_db
@@ -640,7 +667,7 @@ class _Contention:
     def resolve(self, t, rao_index, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff.
 
-        Two passes. The first settles every contender in device order: its
+        Two passes. The first settles every contender in `devs` order: its
         Msg3, then Msg4, HARQ draws (up to the first at or above
         `harq_fail_prob`, at most `max_harq` each), the outcome and its
         trace rows, with a slot kept for each backoff row. The second takes
@@ -657,7 +684,7 @@ class _Contention:
          trace) = self.resolve_args
         last = self.last_resolution
         msg1_end = t + t1
-        retry = []  # retrying contenders, in device order
+        retry = []  # retrying contenders, in `devs` order
         slots = []  # their trace rows, when tracing
         based = None  # grant holder -> fail base, for those that retry
         for j, dev in enumerate(devs):

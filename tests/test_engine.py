@@ -25,7 +25,7 @@ from rachsim.kpi import build_report
 from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
 from rachsim.timebase import ms_to_ticks
-from rachsim.topology import DevicePlacement
+from rachsim.topology import DevicePlacement, build_layout, place_devices
 
 SINGLE = TopologyConfig(n_macro_cells=1)
 
@@ -774,6 +774,47 @@ def test_first_attempt_column_at_zero_devices():
     res = run(mk("n_devices = 0\n"))
     assert res.first_attempt_ticks.dtype == np.int64
     assert res.first_attempt_ticks.size == 0
+
+
+def test_columns_and_trace_follow_device_ids_under_reversed_arrivals():
+    # Arrivals run against device order, and 60 devices share one
+    # opportunity, so the loop's numbering by start opportunity differs
+    # from device ids almost everywhere. Every column and trace row must
+    # still speak of device ids.
+    sc = scenario_with(REFERENCE_SCENARIOS["edt-pp"], n_devices=400)
+    n, ra = sc.n_devices, ms_to_ticks(sc.timing.ra_period_ms)
+    arrivals = (n - 1 - np.arange(n, dtype=np.int64)) * 37
+    arrivals[100:160] = 5 * ra  # one opportunity for 60 devices
+    src = RandomSource.from_seed(sc.seed)
+    layout = build_layout(sc.topology, src.placement)
+    placement = place_devices(n, layout, src.placement)
+    given = [arrivals.copy()] + [
+        getattr(placement, f.name).copy() for f in fields(placement)
+    ]
+    res = run(sc, placement=placement, arrivals=arrivals, collect_trace=True)
+
+    assert np.array_equal(arrivals, given[0])
+    for f, before in zip(fields(placement), given[1:]):
+        assert np.array_equal(getattr(placement, f.name), before), f.name
+    serving = placement.serving_cell.tolist()
+    femto = placement.femto_cell.tolist()
+    msg1 = defaultdict(list)  # device -> its Msg1 rows as (t, gnb, attempt)
+    for t, dev, kind, _, gnb, att in res.trace:
+        if kind == "msg1":
+            assert gnb == serving[dev] or (
+                femto[dev] >= 0 and gnb == layout.n_macro + femto[dev]
+            )
+            msg1[dev].append((t, gnb, att))
+    assert sorted(msg1) == list(range(n))
+    assert len({d for d, rows in msg1.items() if rows[0][0] == 5 * ra}) >= 50
+    assert any(gnb >= layout.n_macro for rows in msg1.values()
+               for _, gnb, _ in rows)
+    assert res.attempt_count.max() > 1
+    for dev, rows in msg1.items():
+        assert rows[0][0] == res.first_attempt_ticks[dev]
+        attempts = list(dict.fromkeys(att for *_, att in rows))
+        assert attempts == list(range(1, res.attempt_count[dev] + 1))
+        assert len(rows) == res.msg1_count[dev]
 
 
 TICK_MS = repr(1 / 56)

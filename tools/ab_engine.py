@@ -8,9 +8,11 @@ and its `src/rachsim` is imported under a package name of its own, `rachsim_a`
 and `rachsim_b`, so both revisions run in one process on one warm
 interpreter. For the 30 reference scenarios plus overload-20k
 (baseline-10k at 20 000 devices) and each of the seeds 1-30, every
-revision builds the layout and arrivals untimed and times one
-`place_devices` and one `engine.run`, the first revision going first on
-odd seeds and second on even ones. The two placements must hold the same
+revision times `place_devices` as the median of PLACE_CALLS calls, each
+after an untimed layout on a fresh source of the seed, the calls of the
+two revisions taking turns; then each builds the arrivals untimed and
+times one `engine.run`. The first revision goes first on odd seeds and
+second on even ones. The two placements must hold the same
 `serving_cell`, `femto_cell` and `serving_dist` bytes, and the two
 `RunResult`s identical device columns and `OpportunityLog`s; the script
 stops at the first difference.
@@ -42,6 +44,10 @@ OVERLOAD = "overload-20k"
 # Thirty pairs per scenario, so that the quartiles of the speed-up stand
 # clear of run-to-run noise.
 SEEDS = range(1, 31)
+# `place_devices` takes well under a millisecond without femtos, so one
+# call per pair times mostly noise; the median of five calls, taken in
+# turns by the two revisions, does not.
+PLACE_CALLS = 5
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -82,31 +88,34 @@ PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
 TIMED = ("engine.run", "place_devices")
 
 
-def timed_run(pkg, base, seed: int):
-    """One seed: layout untimed, then (seconds, placement) of place_devices,
-    arrivals untimed, then (seconds, RunResult) of engine.run."""
-    scenario = pkg.config.scenario_with(base, seed=seed)
-    source = pkg.rng.RandomSource.from_seed(seed)
+def timed_place(pkg, scenario):
+    """(seconds, placement, source) of one place_devices call, after an
+    untimed layout on a fresh source of the scenario's seed."""
+    source = pkg.rng.RandomSource.from_seed(scenario.seed)
     layout = pkg.topology.build_layout(scenario.topology, source.placement)
-    gc.collect()
     t0 = time.perf_counter()
     placement = pkg.topology.place_devices(
         scenario.n_devices, layout, source.placement
     )
-    t_place = time.perf_counter() - t0
+    return time.perf_counter() - t0, placement, source
+
+
+def timed_run(pkg, scenario, placement, source):
+    """Arrivals untimed from `source`, then (seconds, RunResult) of
+    engine.run on `placement` and a fresh source."""
     is_ur = pkg.traffic.assign_classes(
         scenario.n_devices, scenario.urllc_fraction
     )
     arrivals = pkg.traffic.generate_arrivals(
         is_ur, scenario.traffic, source.arrivals
     )
-    fresh = pkg.rng.RandomSource.from_seed(seed)
+    fresh = pkg.rng.RandomSource.from_seed(scenario.seed)
     gc.collect()
     t0 = time.perf_counter()
     result = pkg.engine.run(
         scenario, source=fresh, placement=placement, arrivals=arrivals
     )
-    return (time.perf_counter() - t0, result), (t_place, placement)
+    return time.perf_counter() - t0, result
 
 
 def same_placement(a, b) -> str | None:
@@ -158,9 +167,19 @@ def main(argv=None) -> int:
             ratios = {what: [] for what in TIMED}
             for seed in SEEDS:
                 order = (0, 1) if seed % 2 else (1, 0)
+                cases = [pkg.config.scenario_with(spec[name], seed=seed)
+                         for pkg, spec in zip(pkgs, specs)]
+                calls = ([], [])
+                gc.collect()
+                for _ in range(PLACE_CALLS):
+                    for k in order:
+                        calls[k].append(timed_place(pkgs[k], cases[k]))
                 out = {}
                 for k in order:
-                    out[k] = timed_run(pkgs[k], specs[k][name], seed)
+                    _, placement, source = calls[k][-1]
+                    t_place = statistics.median(c[0] for c in calls[k])
+                    out[k] = (timed_run(pkgs[k], cases[k], placement, source),
+                              (t_place, placement))
                 (run_a, place_a), (run_b, place_b) = out[0], out[1]
                 differs = same_placement(place_a[1], place_b[1]) or (
                     same_result(run_a[1], run_b[1])

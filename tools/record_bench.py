@@ -11,15 +11,18 @@ workload of its BENCHMARK.json and every seed of SEEDS, the script runs
 with T the `run_seconds` of that BENCHMARK.json, and reads the result
 from the last stdout line. With several revisions the runs alternate
 between them, seed by seed, so a slow minute of a shared machine falls
-on both. Then it runs `rachsim validate --jobs 1` once per
-revision.
+on both. Then it runs `rachsim validate --jobs 1` VALIDATE_REPEATS
+times per revision, alternating between the revisions in the same way,
+and stops if one revision's stdout differs between its repeats.
 
 One file per revision is written at the repository root, numbered after
 the highest BENCH_<nnn> already there, in the order of the --rev options.
 Each holds, per workload, the median and quartiles over the seeds of every
 end-to-end metric, with the per-seed values and failed operations; the
-sha256, exit status and wall time of the validate stdout; the line count
-of src/rachsim; and provenance. The benchmark itself stays out of tier-1.
+sha256 and exit status of the validate stdout, its median wall time with
+the samples, and the median time of each replication pool, read from the
+`ran <pool> in <t> s` lines of its stderr; the line count of
+src/rachsim; and provenance. The benchmark itself stays out of tier-1.
 """
 
 from __future__ import annotations
@@ -44,6 +47,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # Ten seeds, so that two revisions give the ten pairs of runs a gain is
 # judged on.
 SEEDS = list(range(1, 11))
+# Three paired validate runs per revision: the median is robust to one
+# slow minute of a shared machine.
+VALIDATE_REPEATS = 3
+# The stderr line `rachsim validate` logs when a replication pool is done.
+POOL_LINE = re.compile(r"^ran (.+) in ([0-9.]+) s$", re.MULTILINE)
 
 
 def git(*args: str) -> str:
@@ -81,6 +89,8 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def validate_run(tree: Path) -> dict:
+    """One `rachsim validate --jobs 1`: its stdout digest, exit status,
+    wall time and the time of each pool."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -93,8 +103,31 @@ def validate_run(tree: Path) -> dict:
     return {
         "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
         "exit_status": proc.returncode,
-        "wall_s": round(wall, 2),
+        "wall_s": wall,
         "gates_line": proc.stdout.decode().strip().splitlines()[-1],
+        "pools": {what: float(t) for what, t in
+                  POOL_LINE.findall(proc.stderr.decode())},
+    }
+
+
+def validate_summary(tree: Path, runs: list[dict]) -> dict:
+    """The repeats of one revision, which must agree on every output."""
+    outputs = {(r["stdout_sha256"], r["exit_status"], r["gates_line"])
+               for r in runs}
+    if len(outputs) != 1:
+        raise RuntimeError(f"{tree.name}: validate output differs between "
+                           f"repeats: {sorted(outputs)}")
+    walls = [round(r["wall_s"], 2) for r in runs]
+    return {
+        "stdout_sha256": runs[0]["stdout_sha256"],
+        "exit_status": runs[0]["exit_status"],
+        "wall_s": statistics.median(walls),
+        "wall_s_runs": walls,
+        "gates_line": runs[0]["gates_line"],
+        "pool_s": {
+            what: round(statistics.median(r["pools"][what] for r in runs), 2)
+            for what in runs[0]["pools"]
+        },
     }
 
 
@@ -138,7 +171,15 @@ def main(argv=None) -> int:
                 for k in order:
                     results[k][workload].append(
                         bench_run(trees[k], workload, seed, seconds))
-        validation = [validate_run(tree) for tree in trees]
+        runs = [[] for _ in trees]
+        for i in range(VALIDATE_REPEATS):
+            order = list(range(len(trees)))
+            if i % 2:
+                order.reverse()
+            for k in order:
+                runs[k].append(validate_run(trees[k]))
+        validation = [validate_summary(tree, r)
+                      for tree, r in zip(trees, runs)]
         lines = [line_count(tree) for tree in trees]
 
     number = next_number()
