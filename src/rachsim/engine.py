@@ -342,11 +342,17 @@ class _Contention:
             n_preambles=self.n_pre, n_gnbs=layout.n_gnbs, n_macro=self.n_macro
         )
         self.trace: list[tuple] | None = [] if collect_trace else None
-        self.buckets: dict[int, list[int]] = defaultdict(list)
         self.last_resolution = 0
         start = -(-arrivals // self.ra)
         self.order = order = np.argsort(start, kind="stable")
-        self.start = start[order]  # ascending
+        # Opportunity -> contenders. Internal ids follow the start
+        # opportunity, so each opportunity's arrivals are one `range` of
+        # them, in ascending order.
+        self.buckets = buckets = defaultdict(list)
+        raos, firsts = np.unique(start[order], return_index=True)
+        bounds = firsts.tolist() + [len(start)]
+        for rao, lo, hi in zip(raos.tolist(), bounds, bounds[1:]):
+            buckets[rao] = list(range(lo, hi))
         is_ur = is_ur[order]
         self.is_ur = is_ur.tolist()
         self.cls = [2 - u for u in self.is_ur]  # cell code class bit
@@ -355,7 +361,7 @@ class _Contention:
         self.hist = [0] * 32  # occupied cells per cell code
         self.serving = placement.serving_cell[order].tolist()
         self.femto = placement.femto_cell[order].tolist()
-        self.serving_dist = placement.serving_dist[order].tolist()
+        self.serving_dist = placement.serving_dist[order]
         n = len(arrivals)
         for name in _LOOP_COLUMNS:
             setattr(self, name, [-1] * n)
@@ -393,21 +399,14 @@ class _Contention:
         folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
         sum of the final Msg1 counts.
 
-        Internal ids follow the start opportunity, so each opportunity's
-        arrivals are one `range` of them, in ascending order. Once the
-        buckets are empty every arrival has had its opportunity, so the
-        loop runs on only to the opportunity of the last resolution.
+        Once the buckets are empty every arrival has had its opportunity,
+        so the loop runs on only to the opportunity of the last resolution.
         """
-        start = self.start
-        if not start.size:
+        buckets = self.buckets
+        if not buckets:
             return
         ra = self.ra
-        buckets = self.buckets
-        raos, firsts = np.unique(start, return_index=True)
-        bounds = firsts.tolist() + [start.size]
-        for rao, lo, hi in zip(raos.tolist(), bounds, bounds[1:]):
-            buckets[rao] = list(range(lo, hi))
-        first_rao = rao_index = raos[0].item()
+        first_rao = rao_index = min(buckets)
         n_pre, drp, sib2 = self.n_pre, self.drp, self.sib2
         ring = [0] * sib2
         r_use, window_sum = self.r_static, 0
@@ -636,7 +635,7 @@ class _Contention:
         cfg = self.scenario.topology
         if gnb >= self.n_macro:
             return True
-        dist = max(self.serving_dist[dev], 1e-9)
+        dist = max(float(self.serving_dist[dev]), 1e-9)
         pl = path_loss_db(dist, cfg)
         power = ramped_tx_power_dbm(pl, self.attempt_count[dev], cfg)
         return sinr_db(power - pl, [], cfg) >= cfg.sinr_threshold_db
