@@ -164,78 +164,65 @@ class Scenario:
                 )
 
 
-# One row per config key: (section, attribute, parse kind, description).
-# A section is "" for a Scenario field, else the Scenario field holding it.
+# One row per config key: (section, parse kind, description). The key is
+# also the attribute name; a section is "" for a Scenario field, else the
+# Scenario field holding it.
 _SECTIONS = ("", "numerology", "timing", "topology", "traffic")
-_KEYS: dict[str, tuple[str, str, str, str]] = {
-    "n_devices": ("", "n_devices", "int", "number of devices"),
-    "urllc_fraction": ("", "urllc_fraction", "float",
+_KEYS: dict[str, tuple[str, str, str]] = {
+    "n_devices": ("", "int", "number of devices"),
+    "urllc_fraction": ("", "float",
                        "fraction of devices in the low-latency class"),
-    "n_preambles": ("", "n_preambles", "int", "preamble signatures per cell"),
-    "max_preamble_tx": ("", "max_preamble_tx", "int",
+    "n_preambles": ("", "int", "preamble signatures per cell"),
+    "max_preamble_tx": ("", "int",
                         "per-device budget of preamble transmissions"),
-    "reserved_r": ("", "reserved_r", "reserved",
-                   "reserved-pool size: integer or 'dynamic'"),
-    "enhancements": ("", "enhancements", "flags",
+    "reserved_r": ("", "reserved", "reserved-pool size: integer or 'dynamic'"),
+    "enhancements": ("", "flags",
                      "comma-separated subset of " + ",".join(ENHANCEMENT_FLAGS)),
-    "harq_fail_prob": ("", "harq_fail_prob", "float",
+    "harq_fail_prob": ("", "float",
                        "per-transmission loss probability for Msg3/Msg4"),
-    "max_harq": ("", "max_harq", "int", "max transmissions per HARQ message"),
-    "rar_grants_per_msg": ("", "rar_grants_per_msg", "int",
+    "max_harq": ("", "int", "max transmissions per HARQ message"),
+    "rar_grants_per_msg": ("", "int",
                            "uplink grants carried by one RAR message"),
-    "cce_total": ("", "cce_total", "int", "control elements per subframe"),
-    "cce_per_pdcch": ("", "cce_per_pdcch", "int",
-                      "control elements consumed per RAR PDCCH"),
-    "seed": ("", "seed", "int", "master RNG seed"),
-    "subcarrier_spacing_khz": ("numerology", "subcarrier_spacing_khz", "int",
+    "cce_total": ("", "int", "control elements per subframe"),
+    "cce_per_pdcch": ("", "int", "control elements consumed per RAR PDCCH"),
+    "seed": ("", "int", "master RNG seed"),
+    "subcarrier_spacing_khz": ("numerology", "int",
                                "subcarrier spacing (15/30/60/120)"),
-    "symbols_per_slot": ("numerology", "symbols_per_slot", "int",
-                         "symbols per slot (7/4/2)"),
-    "t_msg1_ms": ("timing", "t_msg1_ms", "float", "Msg1 duration"),
-    "t_msg2_ms": ("timing", "t_msg2_ms", "float", "Msg2 processing delay"),
-    "t_msg3_ms": ("timing", "t_msg3_ms", "float", "Msg3 transmission time"),
-    "t_msg4_ms": ("timing", "t_msg4_ms", "float", "Msg4 transmission time"),
-    "ra_period_ms": ("timing", "ra_period_ms", "float",
-                     "spacing of RA opportunities"),
-    "rar_window_ms": ("timing", "rar_window_ms", "float",
-                      "RAR response window"),
-    "bi_max_ms": ("timing", "bi_max_ms", "float",
+    "symbols_per_slot": ("numerology", "int", "symbols per slot (7/4/2)"),
+    "t_msg1_ms": ("timing", "float", "Msg1 duration"),
+    "t_msg2_ms": ("timing", "float", "Msg2 processing delay"),
+    "t_msg3_ms": ("timing", "float", "Msg3 transmission time"),
+    "t_msg4_ms": ("timing", "float", "Msg4 transmission time"),
+    "ra_period_ms": ("timing", "float", "spacing of RA opportunities"),
+    "rar_window_ms": ("timing", "float", "RAR response window"),
+    "bi_max_ms": ("timing", "float",
                   "default backoff bound; no effect under ebf, where "
                   "priority backoff is 0 and background backoff is "
                   "bounded by 10 ms"),
-    "contention_resolution_timer_ms": ("timing",
-                                       "contention_resolution_timer_ms",
-                                       "float",
+    "contention_resolution_timer_ms": ("timing", "float",
                                        "Msg3-to-Msg4 completion deadline"),
-    "sib2_period_ms": ("timing", "sib2_period_ms", "float",
+    "sib2_period_ms": ("timing", "float",
                        "broadcast period driving the dynamic pool average"),
-    "n_macro_cells": ("topology", "n_macro_cells", "int", "macro cell count"),
-    "cell_radius_m": ("topology", "cell_radius_m", "float", "macro radius"),
-    "n_femto_cells": ("topology", "n_femto_cells", "int", "femto cell count"),
-    "femto_radius_m": ("topology", "femto_radius_m", "float", "femto radius"),
-    "pl_ref_db": ("topology", "pl_ref_db", "float",
-                  "path loss at the reference distance"),
-    "pl_ref_dist_m": ("topology", "pl_ref_dist_m", "float",
-                      "path-loss reference distance"),
-    "pl_exponent": ("topology", "pl_exponent", "float", "path-loss exponent"),
-    "p_max_dbm": ("topology", "p_max_dbm", "float", "transmit power cap"),
-    "p_init_target_dbm": ("topology", "p_init_target_dbm", "float",
+    "n_macro_cells": ("topology", "int", "macro cell count"),
+    "cell_radius_m": ("topology", "float", "macro radius"),
+    "n_femto_cells": ("topology", "int", "femto cell count"),
+    "femto_radius_m": ("topology", "float", "femto radius"),
+    "pl_ref_db": ("topology", "float", "path loss at the reference distance"),
+    "pl_ref_dist_m": ("topology", "float", "path-loss reference distance"),
+    "pl_exponent": ("topology", "float", "path-loss exponent"),
+    "p_max_dbm": ("topology", "float", "transmit power cap"),
+    "p_init_target_dbm": ("topology", "float",
                           "initial received-power target"),
-    "ramp_step_db": ("topology", "ramp_step_db", "float",
-                     "per-attempt power ramp step"),
-    "noise_power_dbm": ("topology", "noise_power_dbm", "float",
-                        "receiver noise floor"),
-    "freq_ghz": ("topology", "freq_ghz", "float", "carrier frequency"),
-    "bw_mhz": ("topology", "bw_mhz", "float", "system bandwidth"),
-    "sinr_threshold_db": ("topology", "sinr_threshold_db", "optfloat",
+    "ramp_step_db": ("topology", "float", "per-attempt power ramp step"),
+    "noise_power_dbm": ("topology", "float", "receiver noise floor"),
+    "freq_ghz": ("topology", "float", "carrier frequency"),
+    "bw_mhz": ("topology", "float", "system bandwidth"),
+    "sinr_threshold_db": ("topology", "optfloat",
                           "optional detection gate; omit to disable"),
-    "urllc_alpha": ("traffic", "urllc_alpha", "float",
-                    "burst arrival shape alpha"),
-    "urllc_beta": ("traffic", "urllc_beta", "float",
-                   "burst arrival shape beta"),
-    "urllc_horizon_s": ("traffic", "urllc_horizon_s", "float",
-                        "burst arrival horizon (s)"),
-    "non_urllc_horizon_s": ("traffic", "non_urllc_horizon_s", "float",
+    "urllc_alpha": ("traffic", "float", "burst arrival shape alpha"),
+    "urllc_beta": ("traffic", "float", "burst arrival shape beta"),
+    "urllc_horizon_s": ("traffic", "float", "burst arrival horizon (s)"),
+    "non_urllc_horizon_s": ("traffic", "float",
                             "background arrival horizon (s)"),
 }
 
@@ -276,13 +263,12 @@ def parse_scenario_text(text: str) -> dict[str, object]:
             raise ScenarioParseError(f"unknown key {key!r}", lineno)
         if key in values:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        section, attr, kind, _ = _KEYS[key]
+        kind = _KEYS[key][1]
         values[key] = (_parse_value(kind, raw, key, lineno), lineno)
 
     sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     for key, (value, _) in values.items():
-        section, attr, _, _ = _KEYS[key]
-        sections[section][attr] = value
+        sections[_KEYS[key][0]][key] = value
     return sections
 
 
@@ -310,8 +296,8 @@ def apply_overrides(scenario: Scenario, pairs) -> Scenario:
     for key, raw in pairs:
         if key not in _KEYS:
             raise ScenarioParseError(f"unknown key {key!r}")
-        section, attr, kind, _ = _KEYS[key]
-        sections[section][attr] = _parse_value(kind, str(raw).strip(), key, None)
+        section, kind, _ = _KEYS[key]
+        sections[section][key] = _parse_value(kind, str(raw).strip(), key, None)
     return _updated(scenario, sections)
 
 
@@ -335,10 +321,9 @@ def _updated(scenario: Scenario, sections) -> Scenario:
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text form: every key, one per line, fixed order."""
     lines = []
-    for key in _KEYS:
-        section, attr, kind, _ = _KEYS[key]
+    for key, (section, kind, _) in _KEYS.items():
         obj = getattr(scenario, section) if section else scenario
-        value = getattr(obj, attr)
+        value = getattr(obj, key)
         if kind == "flags":
             value = ",".join(sorted(value))
         elif kind == "optfloat" and value is None:
@@ -357,4 +342,4 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 
 def key_documentation() -> list[tuple[str, str]]:
     """(key, description) pairs for the shipped key list."""
-    return [(key, doc) for key, (_, _, _, doc) in _KEYS.items()]
+    return [(key, doc) for key, (_, _, doc) in _KEYS.items()]

@@ -106,11 +106,17 @@ class AccessRecord:
 
 @dataclass
 class OpportunityLog:
-    """Aggregated contention statistics for KPI computation."""
+    """Aggregated contention statistics for KPI computation.
 
-    n_preambles: int
-    n_gnbs: int
-    n_macro: int
+    The one declaration of the contention counters: `kpi.KpiReport`
+    inherits them, so a new counter is one line here. Pooled over seeds,
+    the sizes `n_preambles`, `n_gnbs` and `n_macro` and the peak `r_max`
+    take the maximum; every other counter is summed.
+    """
+
+    n_preambles: int = 0
+    n_gnbs: int = 0
+    n_macro: int = 0
     n_raos: int = 0
     used_cells: int = 0
     collided_cells: int = 0
@@ -630,15 +636,15 @@ class _Contention:
         return detected
 
     def _sinr_ok(self, dev: int, gnb: int) -> bool:
-        """Optional macro-side gate (`sinr_gate`, off by default); a failed
-        gate behaves exactly like a detection miss."""
+        """Optional macro-side SNR gate (`sinr_threshold_db`, off by
+        default); a failed gate behaves exactly like a detection miss."""
         cfg = self.scenario.topology
         if gnb >= self.n_macro:
             return True
         dist = max(float(self.serving_dist[dev]), 1e-9)
         pl = path_loss_db(dist, cfg)
         power = ramped_tx_power_dbm(pl, self.attempt_count[dev], cfg)
-        return sinr_db(power - pl, [], cfg) >= cfg.sinr_threshold_db
+        return sinr_db(power - pl, cfg) >= cfg.sinr_threshold_db
 
     def grants(self, t: int, detected) -> dict[int, tuple[int, int]]:
         """RAR grants: per gNB, capacity-limited response subframes.

@@ -73,9 +73,14 @@ class MergeMismatchError(KpiError):
     """Reports from differing scenarios cannot be pooled."""
 
 
-@dataclass
-class KpiReport:
-    """Pooled KPI counters for one scenario across one or more seeds."""
+@dataclass(kw_only=True)
+class KpiReport(OpportunityLog):
+    """Pooled KPI counters for one scenario across one or more seeds.
+
+    The contention counters are the `OpportunityLog` fields, under the
+    log's names; a report adds the per-device counts and the delay
+    histograms.
+    """
 
     fingerprint: str
     time_scale: Fraction
@@ -85,29 +90,6 @@ class KpiReport:
     n_success: int = 0
     n_success_urllc: int = 0
     n_failed: int = 0
-    n_opportunities: int = 0
-    n_gnbs: int = 0
-    n_preambles: int = 0
-    total_msg1: int = 0
-    used_cells: int = 0
-    collided_cells: int = 0
-    used_urllc: int = 0
-    used_non_urllc: int = 0
-    collided_urllc: int = 0
-    collided_non_urllc: int = 0
-    used_reserved: int = 0
-    used_contention: int = 0
-    collided_reserved: int = 0
-    used_reserved_urllc: int = 0
-    used_reserved_non_urllc: int = 0
-    used_contention_urllc: int = 0
-    used_contention_non_urllc: int = 0
-    sum_r: int = 0
-    sum_pool_urllc: int = 0
-    sum_pool_non_urllc: int = 0
-    prio_macro_r_sum: int = 0
-    used_reserved_at_prio_macro: int = 0
-    r_max: int = 0
     delay_hist: Counter = field(default_factory=Counter)
     delay_hist_urllc: Counter = field(default_factory=Counter)
     delay_hist_non_urllc: Counter = field(default_factory=Counter)
@@ -120,10 +102,10 @@ class KpiReport:
 
     @property
     def mean_msg1_count(self) -> float:
-        return self.total_msg1 / self.n_devices if self.n_devices else 0.0
+        return self.total_msg1_tx / self.n_devices if self.n_devices else 0.0
 
     def _cells_total(self) -> int:
-        return self.n_preambles * self.n_opportunities * self.n_gnbs
+        return self.n_preambles * self.n_raos * self.n_gnbs
 
     def collision_probability(self, klass: str = "overall") -> float:
         """Collided-cell ratio; klass is overall, urllc, or non_urllc.
@@ -132,7 +114,7 @@ class KpiReport:
         that class on each subframe (the reserved pool for the priority
         class when a reservation is active, its complement otherwise).
         """
-        if self.n_opportunities == 0:
+        if self.n_raos == 0:
             raise EmptyObservationError(
                 "collision probability is undefined over an empty "
                 "observation period"
@@ -156,7 +138,7 @@ class KpiReport:
         actually transmitted to that gNB, which is the serving-side view
         of how full the reserved slice runs under load.
         """
-        if self.n_opportunities == 0:
+        if self.n_raos == 0:
             raise EmptyObservationError(
                 "utilization is undefined over an empty observation period"
             )
@@ -189,32 +171,33 @@ class KpiReport:
 
     # -- delay statistics -----------------------------------------------
 
-    def _hist(self, klass: str) -> Counter:
+    def _hist(self, klass: str) -> tuple[Counter, int]:
+        """The class's delay histogram and its sample count; raises
+        NoSuccessError when the histogram is empty."""
         if klass == "all":
-            return self.delay_hist
-        if klass == "urllc":
-            return self.delay_hist_urllc
-        if klass == "non_urllc":
-            return self.delay_hist_non_urllc
-        raise ValueError(f"unknown class {klass!r}")
+            hist = self.delay_hist
+        elif klass == "urllc":
+            hist = self.delay_hist_urllc
+        elif klass == "non_urllc":
+            hist = self.delay_hist_non_urllc
+        else:
+            raise ValueError(f"unknown class {klass!r}")
+        total = sum(hist.values())
+        if total == 0:
+            raise NoSuccessError(f"no successful {klass} records")
+        return hist, total
 
     def _ticks_to_ms(self, ticks: int) -> float:
         return float(Fraction(ticks) * self.time_scale / 56)
 
     def mean_access_delay_ms(self, klass: str = "all") -> float:
-        hist = self._hist(klass)
-        total = sum(hist.values())
-        if total == 0:
-            raise NoSuccessError(f"no successful {klass} records")
+        hist, total = self._hist(klass)
         ticks = sum(t * c for t, c in hist.items())
         return self._ticks_to_ms(ticks) / total
 
     def delay_percentile_ms(self, p: float, klass: str = "all") -> float:
         """Smallest delay whose empirical CDF reaches p percent."""
-        hist = self._hist(klass)
-        total = sum(hist.values())
-        if total == 0:
-            raise NoSuccessError(f"no successful {klass} records")
+        hist, total = self._hist(klass)
         if not 0 < p <= 100:
             raise ValueError("percentile must be in (0, 100]")
         k = max(1, math.ceil(p / 100.0 * total))
@@ -227,10 +210,7 @@ class KpiReport:
 
     def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
         """The standard percentile map; the 99.99th gates on sample depth."""
-        hist = self._hist(klass)
-        total = sum(hist.values())
-        if total == 0:
-            raise NoSuccessError(f"no successful {klass} records")
+        _, total = self._hist(klass)
         out: dict[float, float | None] = {}
         for p in PERCENTILE_LEVELS:
             if p == 99.99 and total < DEEP_PERCENTILE_MIN_SAMPLES:
@@ -241,10 +221,7 @@ class KpiReport:
 
     def cdf_points(self, klass: str = "all") -> list[tuple[float, float]]:
         """Empirical CDF support points as (delay_ms, cumulative_prob)."""
-        hist = self._hist(klass)
-        total = sum(hist.values())
-        if total == 0:
-            raise NoSuccessError(f"no successful {klass} records")
+        hist, total = self._hist(klass)
         points = []
         cum = 0
         for tick in sorted(hist):
@@ -257,7 +234,7 @@ class KpiReport:
     def csv_row(self) -> str:
         util = (
             self.preamble_utilization()
-            if self.n_opportunities
+            if self.n_raos
             else {
                 "overall": None,
                 "reserved": None,
@@ -295,7 +272,7 @@ class KpiReport:
             self.n_success,
             self.n_failed,
             self.success_rate,
-            self.n_opportunities,
+            self.n_raos,
             self.n_gnbs,
             self.n_preambles,
             self.mean_msg1_count,
@@ -325,7 +302,7 @@ class KpiReport:
             f"successes         : {self.n_success}"
             f" (rate {self.success_rate:.6f})",
             f"failures          : {self.n_failed}",
-            f"opportunities     : {self.n_opportunities}"
+            f"opportunities     : {self.n_raos}"
             f" x {self.n_gnbs} gNB x {self.n_preambles} preambles",
             f"mean Msg1 per dev : {self.mean_msg1_count:.4f}",
         ]
@@ -392,9 +369,7 @@ def build_report(result: RunResult) -> KpiReport:
         n_success=n_success,
         n_success_urllc=int((success & urllc).sum()),
         n_failed=len(urllc) - n_success,
-        total_msg1=int(result.msg1_count.sum()),
-        n_opportunities=log.n_raos,
-        **{name: getattr(log, name) for name in _LOG_COUNTERS},
+        **{f.name: getattr(log, f.name) for f in fields(OpportunityLog)},
         delay_hist=_histogram(delay[success]),
         delay_hist_urllc=_histogram(delay[success & urllc]),
         delay_hist_non_urllc=_histogram(delay[success & ~urllc]),
@@ -416,40 +391,24 @@ def merge(reports) -> KpiReport:
     reports = list(reports)
     if not reports:
         raise ValueError("nothing to merge")
-    out = None
+    out = KpiReport(
+        fingerprint=reports[0].fingerprint, time_scale=reports[0].time_scale
+    )
     for rep in reports:
-        out = _merge2(out, rep) if out is not None else _copy(rep)
-    return out
-
-
-def _copy(rep: KpiReport) -> KpiReport:
-    dup = KpiReport(fingerprint=rep.fingerprint, time_scale=rep.time_scale)
-    _add_into(dup, rep)
-    return dup
-
-
-def _merge2(a: KpiReport, b: KpiReport) -> KpiReport:
-    if a.fingerprint != b.fingerprint:
-        raise MergeMismatchError(
-            "cannot pool reports from different scenarios"
-        )
-    out = _copy(a)
-    _add_into(out, b)
+        if rep.fingerprint != out.fingerprint:
+            raise MergeMismatchError(
+                "cannot pool reports from different scenarios"
+            )
+        _add_into(out, rep)
     return out
 
 
 # Every int counter pools by sum, except these, which pool by max.
-_MAX_FIELDS = ("n_gnbs", "n_preambles", "r_max")
+_MAX_FIELDS = ("n_gnbs", "n_preambles", "n_macro", "r_max")
 _SUM_FIELDS = tuple(
     f.name
     for f in fields(KpiReport)
     if f.type in ("int", int) and f.name not in _MAX_FIELDS
-)
-# OpportunityLog counters that a report carries under the same name.
-_LOG_COUNTERS = tuple(
-    f.name
-    for f in fields(OpportunityLog)
-    if f.name in {g.name for g in fields(KpiReport)}
 )
 
 

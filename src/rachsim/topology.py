@@ -189,17 +189,13 @@ def ramped_tx_power_dbm(pl_db: float, attempt: int, cfg: TopologyConfig) -> floa
     )
 
 
-def sinr_db(
-    rx_power_dbm: float,
-    interferer_rx_dbm: list[float],
-    cfg: TopologyConfig,
-) -> float:
-    """SINR at a receiver given received signal and interferer powers.
+def sinr_db(rx_power_dbm: float, cfg: TopologyConfig) -> float:
+    """Signal-to-noise ratio at a receiver, in dB.
 
-    Interference adds linearly in mW; same-cell transmitters are excluded
-    by the caller (orthogonal signatures within a cell).
+    The optional detection gate (`sinr_threshold_db`) is an SNR gate:
+    no interference term is modelled, so the ratio is signal over the
+    noise floor, both in mW.
     """
     noise_mw = 10.0 ** (cfg.noise_power_dbm / 10.0)
-    interference_mw = sum(10.0 ** (p / 10.0) for p in interferer_rx_dbm)
     signal_mw = 10.0 ** (rx_power_dbm / 10.0)
-    return 10.0 * math.log10(signal_mw / (noise_mw + interference_mw))
+    return 10.0 * math.log10(signal_mw / noise_mw)

@@ -114,7 +114,7 @@ def test_criterion_1_baseline_collision_msg1_delay():
     for name in ("baseline-5k", "baseline-10k"):
         rep = reference.pooled_report(name, SEEDS_10)
         # Cells with one copy are the transmissions that did not collide.
-        collide = 1 - (rep.used_cells - rep.collided_cells) / rep.total_msg1
+        collide = 1 - (rep.used_cells - rep.collided_cells) / rep.total_msg1_tx
         expected = _expected_msg1_mean(max_tx, collide)
         print(f"{name}: mean Msg1 {rep.mean_msg1_count:.4f}, isolated floor "
               f"{floor:.4f}, expected at collision share {collide:.2%} "
@@ -219,8 +219,8 @@ def test_criterion_6_static_reservation_mixed_traffic():
         assert rep.used_reserved_non_urllc == 0
         assert rep.collided_urllc == rep.collided_reserved
         # The class figure's denominator: every opportunity, each macro.
-        assert rep.sum_pool_urllc == r * rep.n_opportunities
-        macros = rep.n_opportunities * rep.n_gnbs
+        assert rep.sum_pool_urllc == r * rep.n_raos
+        macros = rep.n_raos * rep.n_gnbs
         active = rep.prio_macro_r_sum // r
         print(f"rp-r{r}: priority-active {active} of {macros} "
               f"(opportunity, macro) pairs; collided reserved cells over "

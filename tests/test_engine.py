@@ -935,13 +935,13 @@ def test_invariants_on_mixed_runs(seed):
 
 def fold_records(result):
     """build_report's device counts, folded one AccessRecord at a time."""
-    out = dict(n_devices=0, n_urllc=0, total_msg1=0, n_success=0,
+    out = dict(n_devices=0, n_urllc=0, total_msg1_tx=0, n_success=0,
                n_success_urllc=0, n_failed=0)
     hists = {"all": Counter(), "urllc": Counter(), "non_urllc": Counter()}
     for rec in result.records:
         out["n_devices"] += 1
         out["n_urllc"] += rec.urllc
-        out["total_msg1"] += rec.msg1_count
+        out["total_msg1_tx"] += rec.msg1_count
         if rec.success:
             out["n_success"] += 1
             out["n_success_urllc"] += rec.urllc

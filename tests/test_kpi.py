@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
 from rachsim.engine import AccessRecord, OpportunityLog, RunResult, run
 from rachsim.kpi import (
+    _MAX_FIELDS,
+    _SUM_FIELDS,
     EmptyObservationError,
     KpiReport,
     MergeMismatchError,
@@ -213,17 +217,51 @@ def test_class_split_histograms():
     assert rep.n_urllc == 1 and rep.n_success_urllc == 1
 
 
-def test_merge_is_commutative_and_associative():
-    sc = build_scenario("n_devices = 40\n")
-    reports = [
-        build_report(run(scenario_with(sc, seed=s))) for s in (1, 2, 3, 4)
-    ]
-    a, b, c, d = reports
-    left = merge([merge([a, b]), merge([c, d])])
-    right = merge([d, c, b, a])
-    flat = merge(reports)
-    for x, y in ((left, right), (left, flat)):
-        assert x == y
+def test_report_carries_the_log_counters():
+    # Every log field reaches the report under its own name and value, and
+    # every int field of a report pools by exactly one rule.
+    log_fields = [f.name for f in fields(OpportunityLog)]
+    values = {name: 7 + i for i, name in enumerate(log_fields)}
+    rep = build_report(result_with([record(0, 280)], **values))
+    assert {name: getattr(rep, name) for name in log_fields} == values
+    int_fields = [f.name for f in fields(KpiReport) if f.type in ("int", int)]
+    for name in int_fields:
+        assert (name in _SUM_FIELDS) != (name in _MAX_FIELDS), name
+    assert set(_SUM_FIELDS) | set(_MAX_FIELDS) == set(int_fields)
+
+
+# Small runs of one drp scenario with a dense priority burst: the peak
+# pool r_max differs by seed (9 to 11), so the property below also
+# exercises the max-pooled fields.
+MERGE_SCENARIO = build_scenario(
+    "n_devices = 60\nurllc_fraction = 0.5\nurllc_horizon_s = 0.02\n"
+    "enhancements = drp\nreserved_r = dynamic\n"
+)
+MERGE_REPORTS = [
+    build_report(run(scenario_with(MERGE_SCENARIO, seed=s)))
+    for s in range(1, 7)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.permutations(range(len(MERGE_REPORTS))),
+    cuts=st.sets(st.integers(1, len(MERGE_REPORTS) - 1)),
+)
+def test_merge_is_commutative_and_associative(order, cuts):
+    # Any order and any grouping into merged parts pools to the same
+    # report as one flat merge: same CSV bytes and counters, and each
+    # histogram the sum of the inputs' histograms.
+    flat = merge(MERGE_REPORTS)
+    shuffled = [MERGE_REPORTS[i] for i in order]
+    bounds = [0, *sorted(cuts), len(shuffled)]
+    parts = [merge(shuffled[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    pooled = merge(parts[::-1])
+    assert pooled.csv_row() == flat.csv_row()
+    assert pooled == flat
+    for name in ("delay_hist", "delay_hist_urllc", "delay_hist_non_urllc"):
+        summed = sum((getattr(r, name) for r in MERGE_REPORTS), Counter())
+        assert getattr(pooled, name) == summed
 
 
 def test_merge_self_doubles_counts_keeps_ratios():
@@ -231,7 +269,9 @@ def test_merge_self_doubles_counts_keeps_ratios():
     rep = build_report(run(sc))
     doubled = merge([rep, rep])
     assert doubled.n_devices == 2 * rep.n_devices
-    assert doubled.n_opportunities == 2 * rep.n_opportunities
+    assert doubled.n_raos == 2 * rep.n_raos
+    for size in ("n_preambles", "n_gnbs", "n_macro", "r_max"):
+        assert getattr(doubled, size) == getattr(rep, size)
     assert doubled.collision_probability() == rep.collision_probability()
     assert doubled.mean_access_delay_ms() == pytest.approx(
         rep.mean_access_delay_ms()

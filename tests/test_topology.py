@@ -241,29 +241,10 @@ def test_ramp_step_emulates_both_documented_values():
         assert got == pytest.approx(-34.0 + 3 * step)
 
 
-# -- SINR --------------------------------------------------------------------
+# -- SNR ---------------------------------------------------------------------
 
 
 def test_sinr_interference_free_case():
     # Received -90 dBm over noise -110 dBm is exactly 20 dB.
     cfg = TopologyConfig(noise_power_dbm=-110.0)
-    assert sinr_db(-90.0, [], cfg) == pytest.approx(20.0, abs=0.05)
-
-
-def test_sinr_against_interference_oracles():
-    # Negligible noise: an equal-power interferer gives exactly 0 dB; one
-    # at half power gives +3.01 dB; two equal-power ones give -3.01 dB.
-    cfg = TopologyConfig(noise_power_dbm=-300.0)
-    half = 10 * math.log10(2)
-    assert sinr_db(-80.0, [-80.0], cfg) == pytest.approx(0.0, abs=1e-9)
-    assert sinr_db(-80.0, [-80.0 - half], cfg) == pytest.approx(half, abs=1e-9)
-    assert sinr_db(-80.0, [-80.0, -80.0], cfg) == pytest.approx(
-        -half, abs=1e-9
-    )
-
-
-def test_sinr_permutation_invariant():
-    cfg = TopologyConfig()
-    a = sinr_db(-75.0, [-88.0, -95.0, -101.0], cfg)
-    b = sinr_db(-75.0, [-101.0, -88.0, -95.0], cfg)
-    assert a == pytest.approx(b, abs=1e-12)
+    assert sinr_db(-90.0, cfg) == pytest.approx(20.0, abs=0.05)
