@@ -26,13 +26,7 @@ from .config import (
     serialize_scenario,
 )
 from .engine import run
-from .kpi import (
-    EmptyObservationError,
-    KpiReport,
-    build_report,
-    csv_header,
-    merge,
-)
+from .kpi import KpiReport, build_report, csv_header, merge
 from .reference import TABLES, gates_passed, replicate, run_validation
 from .rng import RandomSource
 from .topology import build_layout, path_loss_db, place_devices
@@ -139,11 +133,14 @@ def _parse_seed_range(token: str) -> tuple[int, ...]:
             )
         return tuple(range(lo, hi + 1))
     try:
-        return tuple(int(p) for p in body.split(",") if p)
+        seeds = tuple(int(p) for p in body.split(",") if p)
     except ValueError:
         raise SweepGrammarError(
             f"seeds must be a range a..b or a comma list, got {token!r}"
         ) from None
+    if not seeds:
+        raise SweepGrammarError(f"no seeds in {token!r}")
+    return seeds
 
 
 def _parse_sweep_spec(tokens: list[str]) -> tuple[str, list[str], tuple[int, ...]]:
@@ -194,10 +191,10 @@ def _cmd_sweep(args) -> int:
             lines.append(f"{value},{seed},{rep.csv_row()}")
         pooled = merge(per_seed)
         lines.append(f"{value},pooled,{pooled.csv_row()}")
-        try:
-            summary = f"collision {pooled.collision_probability() * 100:.4g}%"
-        except EmptyObservationError:
-            summary = "empty"
+        collision = pooled.kpis()["collision_overall"]
+        summary = "empty"
+        if collision is not None:
+            summary = f"collision {collision * 100:.4g}%"
         print(f"{key}={value}: {summary} over {len(seeds)} seed(s)")
     out_path = args.out / "sweep.csv"
     _write(out_path, "\n".join(lines) + "\n")
@@ -207,7 +204,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_validate(args) -> int:
     tables = [t.upper() for t in args.table] if args.table else None
-    seeds = _parse_seed_range(f"seeds={args.seeds}") if args.seeds else None
+    seeds = (
+        None if args.seeds is None
+        else _parse_seed_range(f"seeds={args.seeds}")
+    )
     results = run_validation(
         tables=tables,
         seeds=seeds,

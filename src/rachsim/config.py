@@ -215,8 +215,10 @@ _KEYS: dict[str, tuple[str, str, str]] = {
                           "initial received-power target"),
     "ramp_step_db": ("topology", "float", "per-attempt power ramp step"),
     "noise_power_dbm": ("topology", "float", "receiver noise floor"),
-    "freq_ghz": ("topology", "float", "carrier frequency"),
-    "bw_mhz": ("topology", "float", "system bandwidth"),
+    "freq_ghz": ("topology", "float",
+                 "carrier frequency; recorded only, no model reads it"),
+    "bw_mhz": ("topology", "float",
+               "system bandwidth; recorded only, no model reads it"),
     "sinr_threshold_db": ("topology", "optfloat",
                           "optional detection gate; omit to disable"),
     "urllc_alpha": ("traffic", "float", "burst arrival shape alpha"),

@@ -55,7 +55,7 @@ import numpy as np
 
 from .config import Scenario
 from .rng import RandomSource, buffered, bulk_integers
-from .timebase import ms_to_ticks, time_scale_fraction
+from .timebase import ms_to_ticks, ticks_to_ms, time_scale_fraction
 from .topology import (
     CellLayout,
     DevicePlacement,
@@ -209,9 +209,7 @@ class RunResult:
         return time_scale_fraction(self.scenario.numerology)
 
     def ticks_to_ms(self, ticks: int | None) -> float | None:
-        if ticks is None:
-            return None
-        return float(Fraction(ticks) * self.time_scale / 56)
+        return None if ticks is None else ticks_to_ms(ticks, self.time_scale)
 
 
 def run(

@@ -24,37 +24,10 @@ import numpy as np
 
 from .config import scenario_fingerprint
 from .engine import OpportunityLog, RunResult
+from .timebase import ticks_to_ms
 
 PERCENTILE_LEVELS = (50.0, 95.0, 99.0, 99.99)
 DEEP_PERCENTILE_MIN_SAMPLES = 100_000
-
-REPORT_COLUMNS = (
-    "n_seeds",
-    "n_devices",
-    "n_urllc",
-    "n_success",
-    "n_failed",
-    "success_rate",
-    "n_opportunities",
-    "n_gnbs",
-    "n_preambles",
-    "mean_msg1",
-    "collision_overall",
-    "collision_urllc",
-    "collision_non_urllc",
-    "util_overall",
-    "util_reserved",
-    "util_contention",
-    "util_reserved_priority",
-    "mean_delay_ms",
-    "delay_p50_ms",
-    "delay_p95_ms",
-    "delay_p99_ms",
-    "delay_p9999_ms",
-    "mean_delay_urllc_ms",
-    "mean_delay_non_urllc_ms",
-    "urllc_delay_p9999_ms",
-)
 
 
 class KpiError(Exception):
@@ -187,13 +160,10 @@ class KpiReport(OpportunityLog):
             raise NoSuccessError(f"no successful {klass} records")
         return hist, total
 
-    def _ticks_to_ms(self, ticks: int) -> float:
-        return float(Fraction(ticks) * self.time_scale / 56)
-
     def mean_access_delay_ms(self, klass: str = "all") -> float:
         hist, total = self._hist(klass)
         ticks = sum(t * c for t, c in hist.items())
-        return self._ticks_to_ms(ticks) / total
+        return ticks_to_ms(ticks, self.time_scale) / total
 
     def delay_percentile_ms(self, p: float, klass: str = "all") -> float:
         """Smallest delay whose empirical CDF reaches p percent."""
@@ -205,8 +175,8 @@ class KpiReport(OpportunityLog):
         for tick in sorted(hist):
             cum += hist[tick]
             if cum >= k:
-                return self._ticks_to_ms(tick)
-        return self._ticks_to_ms(max(hist))
+                return ticks_to_ms(tick, self.time_scale)
+        return ticks_to_ms(max(hist), self.time_scale)
 
     def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
         """The standard percentile map; the 99.99th gates on sample depth."""
@@ -226,116 +196,101 @@ class KpiReport(OpportunityLog):
         cum = 0
         for tick in sorted(hist):
             cum += hist[tick]
-            points.append((self._ticks_to_ms(tick), cum / total))
+            points.append((ticks_to_ms(tick, self.time_scale), cum / total))
         return points
 
-    # -- serialization ---------------------------------------------------
+    # -- the report table ------------------------------------------------
+
+    def kpis(self) -> dict[str, int | float | None]:
+        """Every reported figure, keyed by its report.csv column, in
+        column order.
+
+        A figure is None where the CSV leaves it blank: a ratio over an
+        empty observation period, a delay of a class with no successes,
+        or a 99.99th percentile below DEEP_PERCENTILE_MIN_SAMPLES pooled
+        successes of its class.
+        """
+        seen = self.n_raos > 0
+        util = self.preamble_utilization() if seen else {}
+        none = dict.fromkeys(PERCENTILE_LEVELS)
+        pc = self.delay_percentiles() if self.delay_hist else none
+        pc_ur = (
+            self.delay_percentiles("urllc") if self.delay_hist_urllc else none
+        )
+
+        def collision(klass: str) -> float | None:
+            return self.collision_probability(klass) if seen else None
+
+        def mean(klass: str, hist: Counter) -> float | None:
+            return self.mean_access_delay_ms(klass) if hist else None
+
+        return {
+            "n_seeds": self.n_seeds,
+            "n_devices": self.n_devices,
+            "n_urllc": self.n_urllc,
+            "n_success": self.n_success,
+            "n_failed": self.n_failed,
+            "success_rate": self.success_rate,
+            "n_opportunities": self.n_raos,
+            "n_gnbs": self.n_gnbs,
+            "n_preambles": self.n_preambles,
+            "mean_msg1": self.mean_msg1_count,
+            "collision_overall": collision("overall"),
+            "collision_urllc": collision("urllc"),
+            "collision_non_urllc": collision("non_urllc"),
+            "util_overall": util.get("overall"),
+            "util_reserved": util.get("reserved"),
+            "util_contention": util.get("contention"),
+            "util_reserved_priority": util.get("reserved_priority"),
+            "mean_delay_ms": mean("all", self.delay_hist),
+            "delay_p50_ms": pc[50.0],
+            "delay_p95_ms": pc[95.0],
+            "delay_p99_ms": pc[99.0],
+            "delay_p9999_ms": pc[99.99],
+            "mean_delay_urllc_ms": mean("urllc", self.delay_hist_urllc),
+            "mean_delay_non_urllc_ms": mean(
+                "non_urllc", self.delay_hist_non_urllc
+            ),
+            "urllc_delay_p9999_ms": pc_ur[99.99],
+        }
 
     def csv_row(self) -> str:
-        util = (
-            self.preamble_utilization()
-            if self.n_raos
-            else {
-                "overall": None,
-                "reserved": None,
-                "contention": None,
-                "reserved_priority": None,
-            }
-        )
-        try:
-            coll = {
-                "overall": self.collision_probability(),
-                "urllc": self.collision_probability("urllc"),
-                "non_urllc": self.collision_probability("non_urllc"),
-            }
-        except EmptyObservationError:
-            coll = {"overall": None, "urllc": None, "non_urllc": None}
-
-        def delays(klass: str) -> dict[float, float | None]:
-            try:
-                return self.delay_percentiles(klass)
-            except NoSuccessError:
-                return {p: None for p in PERCENTILE_LEVELS}
-
-        def mean(klass: str) -> float | None:
-            try:
-                return self.mean_access_delay_ms(klass)
-            except NoSuccessError:
-                return None
-
-        pc = delays("all")
-        pc_ur = delays("urllc")
-        values = [
-            self.n_seeds,
-            self.n_devices,
-            self.n_urllc,
-            self.n_success,
-            self.n_failed,
-            self.success_rate,
-            self.n_raos,
-            self.n_gnbs,
-            self.n_preambles,
-            self.mean_msg1_count,
-            coll["overall"],
-            coll["urllc"],
-            coll["non_urllc"],
-            util["overall"],
-            util["reserved"],
-            util["contention"],
-            util["reserved_priority"],
-            mean("all"),
-            pc[50.0],
-            pc[95.0],
-            pc[99.0],
-            pc[99.99],
-            mean("urllc"),
-            mean("non_urllc"),
-            pc_ur[99.99],
-        ]
-        return ",".join(_fmt(v) for v in values)
+        return ",".join(_fmt(v) for v in self.kpis().values())
 
     def format_table(self) -> str:
+        k = self.kpis()
         lines = [
             f"seeds pooled      : {self.n_seeds}",
             f"devices           : {self.n_devices}"
             f" ({self.n_urllc} priority)",
             f"successes         : {self.n_success}"
-            f" (rate {self.success_rate:.6f})",
+            f" (rate {k['success_rate']:.6f})",
             f"failures          : {self.n_failed}",
             f"opportunities     : {self.n_raos}"
             f" x {self.n_gnbs} gNB x {self.n_preambles} preambles",
-            f"mean Msg1 per dev : {self.mean_msg1_count:.4f}",
+            f"mean Msg1 per dev : {k['mean_msg1']:.4f}",
         ]
-        try:
-            lines.append(
-                "collision         : "
-                f"{self.collision_probability() * 100:.4f}%"
-            )
-        except EmptyObservationError:
+        if not self.n_raos:
             lines.append("collision         : undefined (empty period)")
-        try:
-            util = self.preamble_utilization()
+        else:
+            lines.append(
+                f"collision         : {k['collision_overall'] * 100:.4f}%"
+            )
             for key in ("overall", "reserved", "reserved_priority"):
-                v = util[key]
+                v = k[f"util_{key}"]
                 shown = "absent" if v is None else f"{v * 100:.2f}%"
                 lines.append(f"utilization {key:<17}: {shown}")
-        except EmptyObservationError:
-            pass
-        try:
-            pc = self.delay_percentiles()
-            lines.append(
-                f"mean delay        : {self.mean_access_delay_ms():.3f} ms"
-            )
-            for p in PERCENTILE_LEVELS:
-                v = pc[p]
-                shown = (
-                    "needs 1e5 pooled successes"
-                    if v is None
-                    else f"{v:.3f} ms"
-                )
-                lines.append(f"delay p{p:<10}: {shown}")
-        except NoSuccessError:
+        if not self.n_success:
             lines.append("delay             : no successful records")
+            return "\n".join(lines)
+        lines.append(f"mean delay        : {k['mean_delay_ms']:.3f} ms")
+        for p in PERCENTILE_LEVELS:
+            # delay_p50_ms ... delay_p9999_ms
+            v = k[f"delay_p{p:g}_ms".replace(".", "")]
+            shown = (
+                "needs 1e5 pooled successes" if v is None else f"{v:.3f} ms"
+            )
+            lines.append(f"delay p{p:<10}: {shown}")
         return "\n".join(lines)
 
 
@@ -345,6 +300,12 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
+
+
+# The column names, in order, as `KpiReport.kpis` keys them.
+REPORT_COLUMNS = tuple(
+    KpiReport(fingerprint="", time_scale=Fraction(1)).kpis()
+)
 
 
 def csv_header() -> str:

@@ -3,8 +3,8 @@
 The shipped reference set encodes the target values this simulator is
 validated against, grouped by opaque table ids (II through VII plus FIG6).
 `ENTRIES` maps each table id to its entries in output order. Most entries
-are `Row`s: a frozen scenario and seed list, a KPI read off the pooled
-report, a check (an absolute or relative band around the target, or a
+are `Row`s: a frozen scenario and seed list, the report.csv column read
+off the pooled report, a check (an absolute or relative band around the target, or a
 `<=` / `>=` bound), the value format, a description and whether the entry
 is a gate. One scorer turns any row into an `EntryResult`; adding an
 entry means adding a row. Deep tail entries (99.99th percentiles) carry
@@ -201,7 +201,7 @@ def pooled_report(
     return _POOL_CACHE[key]
 
 
-# -- value formats and metrics ----------------------------------------------
+# -- value formats --------------------------------------------------------
 
 
 def _pct(x: float | None) -> str:
@@ -220,32 +220,8 @@ def _num(x: float | None) -> str:
     return "absent" if x is None else f"{x:.4g}"
 
 
-Metric = Callable[[KpiReport], float | None]
 # pool(scenario name, the entry's seed list) -> pooled report
 Pool = Callable[[str, tuple[int, ...]], KpiReport]
-
-
-def _collision(klass: str = "overall") -> Metric:
-    return lambda rep: rep.collision_probability(klass)
-
-
-_mean_delay = KpiReport.mean_access_delay_ms
-
-
-def _median_delay(rep: KpiReport) -> float:
-    return rep.delay_percentile_ms(50)
-
-
-def _p9999(klass: str = "all") -> Metric:
-    return lambda rep: rep.delay_percentiles(klass)[99.99]
-
-
-def _mean_msg1(rep: KpiReport) -> float:
-    return rep.mean_msg1_count
-
-
-def _reserved_util(rep: KpiReport) -> float | None:
-    return rep.preamble_utilization()["reserved_priority"]
 
 
 # -- the entries --------------------------------------------------------------
@@ -255,14 +231,16 @@ def _reserved_util(rep: KpiReport) -> float | None:
 class Row:
     """One reference entry read off one pooled scenario.
 
-    `check` is "abs" (|measured - target| <= tol), "rel" (the same with
-    tol a fraction of the target), "<=" or ">=" (tol unused).
+    `kpi` names the report.csv column (a `KpiReport.kpis` key) that the
+    entry reads. `check` is "abs" (|measured - target| <= tol), "rel"
+    (the same with tol a fraction of the target), "<=" or ">=" (tol
+    unused).
     """
 
     entry_id: str
     scenario: str
     seeds: tuple[int, ...]
-    metric: Metric
+    kpi: str
     check: str
     target: float
     tol: float | None
@@ -273,7 +251,7 @@ class Row:
 
 def _score(table: str, row: Row, pool: Pool) -> EntryResult:
     """Measure `row` on its pooled scenario and judge it."""
-    measured = row.metric(pool(row.scenario, row.seeds))
+    measured = pool(row.scenario, row.seeds).kpis()[row.kpi]
     target, tol, fmt = row.target, row.tol, row.fmt
     if row.check in ("<=", ">="):
         ok = measured is not None and (
@@ -302,9 +280,9 @@ def _collision_spread(entry_id, description, base, others, seeds):
     """Largest |collision(other) - collision(base)|, at most 0.1 pp."""
 
     def check(table: str, pool: Pool) -> EntryResult:
-        ref = pool(base, seeds).collision_probability()
+        ref = pool(base, seeds).kpis()["collision_overall"]
         spread = max(
-            abs(pool(name, seeds).collision_probability() - ref)
+            abs(pool(name, seeds).kpis()["collision_overall"] - ref)
             for name in others
         )
         return EntryResult(
@@ -315,11 +293,11 @@ def _collision_spread(entry_id, description, base, others, seeds):
     return check
 
 
-def _non_increasing(entry_id, description, names, seeds, metric, expected):
-    """`metric` over `names` never rises (to within 1e-12)."""
+def _non_increasing(entry_id, description, names, seeds, kpi, expected):
+    """Column `kpi` over `names` never rises (to within 1e-12)."""
 
     def check(table: str, pool: Pool) -> EntryResult:
-        values = [metric(pool(name, seeds)) for name in names]
+        values = [pool(name, seeds).kpis()[kpi] for name in names]
         ok = None not in values and all(
             b <= a + 1e-12 for a, b in zip(values, values[1:])
         )
@@ -334,7 +312,7 @@ def _non_increasing(entry_id, description, names, seeds, metric, expected):
 def _femto_reduction(table: str, pool: Pool) -> EntryResult:
     """Relative collision drop from 0 to 10 femto cells, at least 40%."""
     c0, c10 = (
-        pool(f"pp-femto-{n}", SEEDS_20).collision_probability()
+        pool(f"pp-femto-{n}", SEEDS_20).kpis()["collision_overall"]
         for n in (0, 10)
     )
     reduction = (c0 - c10) / c0 if c0 else 0.0
@@ -356,7 +334,7 @@ def _grid_delay_monotone(table: str, pool: Pool) -> EntryResult:
     """Mean delay falls strictly along every row and column of the grid."""
     mean = {
         (scs, sym): pool(f"numerology-{scs}-{sym}", GRID_SEEDS)
-        .mean_access_delay_ms()
+        .kpis()["mean_delay_ms"]
         for scs in _GRID_SCS
         for sym in _GRID_SYMBOLS
     }
@@ -378,23 +356,23 @@ _RESERVED = (1, 2, 3, 4, 5)
 
 ENTRIES: dict[str, tuple] = {
     "II": (
-        Row("II/5k/collision", "baseline-5k", SEEDS_10, _collision(), "abs",
-            0.0048, 0.0015, _pct, "5k baseline collision probability"),
-        Row("II/5k/mean-msg1", "baseline-5k", SEEDS_10, _mean_msg1, "abs",
+        Row("II/5k/collision", "baseline-5k", SEEDS_10, "collision_overall",
+            "abs", 0.0048, 0.0015, _pct, "5k baseline collision probability"),
+        Row("II/5k/mean-msg1", "baseline-5k", SEEDS_10, "mean_msg1", "abs",
             1.4, 0.15, _num, "5k baseline mean preamble transmissions"),
-        Row("II/5k/mean-delay", "baseline-5k", SEEDS_10, _mean_delay, "rel",
-            28.98, 0.15, _ms, "5k baseline mean access delay"),
-        Row("II/10k/collision", "baseline-10k", SEEDS_10, _collision(), "abs",
-            0.0195, 0.003, _pct, "10k baseline collision probability"),
-        Row("II/10k/mean-msg1", "baseline-10k", SEEDS_10, _mean_msg1, "abs",
+        Row("II/5k/mean-delay", "baseline-5k", SEEDS_10, "mean_delay_ms",
+            "rel", 28.98, 0.15, _ms, "5k baseline mean access delay"),
+        Row("II/10k/collision", "baseline-10k", SEEDS_10, "collision_overall",
+            "abs", 0.0195, 0.003, _pct, "10k baseline collision probability"),
+        Row("II/10k/mean-msg1", "baseline-10k", SEEDS_10, "mean_msg1", "abs",
             1.42, 0.15, _num, "10k baseline mean preamble transmissions"),
-        Row("II/10k/mean-delay", "baseline-10k", SEEDS_10, _mean_delay,
+        Row("II/10k/mean-delay", "baseline-10k", SEEDS_10, "mean_delay_ms",
             "rel", 33.62, 0.15, _ms, "10k baseline mean access delay"),
     ),
     "FIG6": (
-        Row("FIG6/median-baseline", "baseline-5k", SEEDS_10, _median_delay,
+        Row("FIG6/median-baseline", "baseline-5k", SEEDS_10, "delay_p50_ms",
             "abs", 29.0, 1.5, _ms, "baseline median access delay"),
-        Row("FIG6/median-edt", "edt-5k", SEEDS_10, _median_delay, "abs",
+        Row("FIG6/median-edt", "edt-5k", SEEDS_10, "delay_p50_ms", "abs",
             6.0, 1.5, _ms, "early-data median access delay"),
         _collision_spread(
             "FIG6/collision-equal",
@@ -405,7 +383,7 @@ ENTRIES: dict[str, tuple] = {
     "III": (
         *(
             Row(f"III/femto-{n}/collision", f"pp-femto-{n}", SEEDS_20,
-                _collision(), "abs", target, 0.0015, _pct,
+                "collision_overall", "abs", target, 0.0015, _pct,
                 f"collision at {n} femto cells (absolute)", gate=False)
             for n, target in _FEMTO_TARGETS
         ),
@@ -413,32 +391,33 @@ ENTRIES: dict[str, tuple] = {
             "III/monotone",
             "collision probability falls as femto cells are added",
             [f"pp-femto-{n}" for n, _ in _FEMTO_TARGETS], SEEDS_20,
-            _collision(), "non-increasing in femto count",
+            "collision_overall", "non-increasing in femto count",
         ),
         _femto_reduction,
     ),
     "IV": (
-        Row("IV/edt-pp/mean-delay", "edt-pp", SEEDS_21, _mean_delay, "rel",
+        Row("IV/edt-pp/mean-delay", "edt-pp", SEEDS_21, "mean_delay_ms", "rel",
             5.8, 0.20, _ms, "early-data + parallel mean delay"),
-        Row("IV/edt-pp-ebf/mean-delay", "edt-pp-ebf", SEEDS_21, _mean_delay,
-            "rel", 4.47, 0.20, _ms,
+        Row("IV/edt-pp-ebf/mean-delay", "edt-pp-ebf", SEEDS_21,
+            "mean_delay_ms", "rel", 4.47, 0.20, _ms,
             "early-data + parallel + fast-retry mean delay"),
-        Row("IV/edt-pp/collision", "edt-pp", SEEDS_21, _collision(), "abs",
-            0.0004, 0.0005, _pct,
+        Row("IV/edt-pp/collision", "edt-pp", SEEDS_21, "collision_overall",
+            "abs", 0.0004, 0.0005, _pct,
             "early-data + parallel collision probability"),
-        Row("IV/edt-pp-ebf/collision", "edt-pp-ebf", SEEDS_21, _collision(),
-            "abs", 0.0001, 0.0005, _pct,
+        Row("IV/edt-pp-ebf/collision", "edt-pp-ebf", SEEDS_21,
+            "collision_overall", "abs", 0.0001, 0.0005, _pct,
             "early-data + parallel + fast-retry collision probability"),
-        Row("IV/edt-pp-ebf/p9999", "edt-pp-ebf", SEEDS_21, _p9999(), "<=",
-            10.0, None, _ms,
+        Row("IV/edt-pp-ebf/p9999", "edt-pp-ebf", SEEDS_21, "delay_p9999_ms",
+            "<=", 10.0, None, _ms,
             "pooled 99.99th percentile delay, all enhancements"),
-        Row("IV/edt-pp/p9999", "edt-pp", SEEDS_21, _p9999(), ">=", 25.0,
-            None, _ms, "pooled 99.99th percentile delay without fast retry"),
+        Row("IV/edt-pp/p9999", "edt-pp", SEEDS_21, "delay_p9999_ms", ">=",
+            25.0, None, _ms,
+            "pooled 99.99th percentile delay without fast retry"),
     ),
     "V": (
-        Row("V/delay-60khz-7sym", "numerology-60-7", SEEDS_10, _mean_delay,
+        Row("V/delay-60khz-7sym", "numerology-60-7", SEEDS_10, "mean_delay_ms",
             "rel", 6.0, 0.20, _ms, "mean delay at 60 kHz, 7-symbol slots"),
-        Row("V/delay-15khz-2sym", "numerology-15-2", SEEDS_10, _mean_delay,
+        Row("V/delay-15khz-2sym", "numerology-15-2", SEEDS_10, "mean_delay_ms",
             "rel", 6.9, 0.20, _ms, "mean delay at 15 kHz, 2-symbol slots"),
         _collision_spread(
             "V/collision-invariance",
@@ -448,21 +427,21 @@ ENTRIES: dict[str, tuple] = {
         _grid_delay_monotone,
     ),
     "VI": (
-        Row("VI/r1/collision-urllc", "rp-r1", SEEDS_10, _collision("urllc"),
+        Row("VI/r1/collision-urllc", "rp-r1", SEEDS_10, "collision_urllc",
             "abs", 0.33, 0.05, _pct,
             "priority-class collision with 1 reserved preamble"),
-        Row("VI/r1/utilization", "rp-r1", SEEDS_10, _reserved_util, "abs",
-            0.83, 0.05, _pct,
+        Row("VI/r1/utilization", "rp-r1", SEEDS_10, "util_reserved_priority",
+            "abs", 0.83, 0.05, _pct,
             "reserved-pool utilization with 1 reserved preamble"),
-        Row("VI/r3/collision-urllc", "rp-r3", SEEDS_10, _collision("urllc"),
+        Row("VI/r3/collision-urllc", "rp-r3", SEEDS_10, "collision_urllc",
             "abs", 0.0, 0.05, _pct,
             "priority-class collision with 3 reserved preambles"),
-        Row("VI/r3/utilization", "rp-r3", SEEDS_10, _reserved_util, "abs",
-            0.38, 0.05, _pct,
+        Row("VI/r3/utilization", "rp-r3", SEEDS_10, "util_reserved_priority",
+            "abs", 0.38, 0.05, _pct,
             "reserved-pool utilization with 3 reserved preambles"),
         *(
-            Row(f"VI/r{r}/utilization", f"rp-r{r}", SEEDS_10, _reserved_util,
-                "abs", target, 0.05, _pct,
+            Row(f"VI/r{r}/utilization", f"rp-r{r}", SEEDS_10,
+                "util_reserved_priority", "abs", target, 0.05, _pct,
                 f"reserved-pool utilization with {r} reserved preambles",
                 gate=False)
             for r, target in ((2, 0.57), (4, 0.29), (5, 0.23))
@@ -470,40 +449,40 @@ ENTRIES: dict[str, tuple] = {
         _non_increasing(
             "VI/monotone-collision",
             "priority collision falls as the reserved pool grows",
-            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, _collision("urllc"),
+            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, "collision_urllc",
             "non-increasing in reservation size",
         ),
         _non_increasing(
             "VI/monotone-utilization",
             "reserved-pool utilization falls as the pool grows",
-            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, _reserved_util,
-            "non-increasing in reservation size",
+            [f"rp-r{r}" for r in _RESERVED], SEEDS_10,
+            "util_reserved_priority", "non-increasing in reservation size",
         ),
     ),
     "VII": (
-        Row("VII/mean-delay", "drp-mixed", SEEDS_DEEP, _mean_delay, "rel",
+        Row("VII/mean-delay", "drp-mixed", SEEDS_DEEP, "mean_delay_ms", "rel",
             4.5, 0.20, _ms,
             "mixed-traffic overall mean delay, all enhancements"),
         Row("VII/mean-delay-baseline", "baseline-mixed", SEEDS_10,
-            _mean_delay, "rel", 26.0, 0.20, _ms,
+            "mean_delay_ms", "rel", 26.0, 0.20, _ms,
             "mixed-traffic overall mean delay, no enhancements"),
         Row("VII/collision-urllc", "drp-mixed", SEEDS_DEEP,
-            _collision("urllc"), "<=", 0.0002, None, _pct,
+            "collision_urllc", "<=", 0.0002, None, _pct,
             "priority-class collision, all enhancements"),
         Row("VII/collision-non-urllc", "drp-mixed", SEEDS_DEEP,
-            _collision("non_urllc"), "<=", 0.0002, None, _pct,
+            "collision_non_urllc", "<=", 0.0002, None, _pct,
             "background-class collision, all enhancements"),
         Row("VII/utilization-dynamic", "drp-mixed", SEEDS_DEEP,
-            _reserved_util, "abs", 0.57, 0.08, _pct,
+            "util_reserved_priority", "abs", 0.57, 0.08, _pct,
             "reserved-pool utilization under the dynamic pool"),
         Row("VII/utilization-static-r5", "rp5-mixed-dense", SEEDS_10,
-            _reserved_util, "abs", 0.23, 0.08, _pct,
+            "util_reserved_priority", "abs", 0.23, 0.08, _pct,
             "reserved-pool utilization under a static 5-preamble pool"),
-        Row("VII/p9999-urllc", "drp-mixed", SEEDS_DEEP, _p9999("urllc"),
+        Row("VII/p9999-urllc", "drp-mixed", SEEDS_DEEP, "urllc_delay_p9999_ms",
             "<=", 10.0, None, _ms,
             "pooled priority-class 99.99th percentile delay"),
-        Row("VII/p9999-overall", "drp-mixed", SEEDS_DEEP, _p9999(), "<=",
-            16.0, None, _ms, "pooled overall 99.99th percentile delay"),
+        Row("VII/p9999-overall", "drp-mixed", SEEDS_DEEP, "delay_p9999_ms",
+            "<=", 16.0, None, _ms, "pooled overall 99.99th percentile delay"),
     ),
 }
 TABLES = tuple(ENTRIES)

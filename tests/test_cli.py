@@ -158,6 +158,27 @@ def test_bad_sweep_spec_exits_sweep(tmp_path, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--set", "n_devices=10", "n_devices=10", "seeds="),
+        ("sweep", "--set", "n_devices=10", "n_devices=10", "seeds=,"),
+        ("validate", "--seeds", ","),
+    ],
+    ids=["sweep-seeds-blank", "sweep-seeds-comma", "validate-seeds-comma"],
+)
+def test_empty_seed_list_exits_sweep_without_traceback(tmp_path, argv):
+    proc = python_m_rachsim(
+        argv[0], "--jobs", "1", *argv[1:],
+        *(("--out", str(tmp_path)) if argv[0] == "sweep" else ()),
+        cwd=tmp_path,
+    )
+    assert proc.returncode == EXIT_SWEEP, proc.stderr
+    assert proc.stderr.startswith("invalid sweep specification:")
+    assert "no seeds" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_sweep_rows_and_pooling(tmp_path):
     code = run_cli(
         "sweep",
