@@ -4,12 +4,12 @@ The shipped reference set encodes the target values this simulator is
 validated against, grouped by opaque table ids (II through VII plus FIG6).
 `ENTRIES` maps each table id to its entries in output order. Most entries
 are `Row`s: a frozen scenario and seed list, the report.csv column read
-off the pooled report, a check (an absolute or relative band around the target, or a
-`<=` / `>=` bound), the value format, a description and whether the entry
-is a gate. One scorer turns any row into an `EntryResult`; adding an
-entry means adding a row. Deep tail entries (99.99th percentiles) carry
-seed lists long enough to pool at least 100 000 successes of the class
-being measured.
+off the pooled report, a check (an absolute or relative band around the
+target, or a `<=` / `>=` bound), the value format, a description and
+whether the entry is a gate. One scorer turns any row into an
+`EntryResult`; adding an entry means adding a row. Deep tail entries
+(99.99th percentiles) carry seed lists long enough to pool at least
+100 000 successes of the class being measured.
 
 Seven entries read several pooled scenarios at once: the collision
 spreads of FIG6 and V, the monotone rows of III and VI, the reduction of
@@ -201,7 +201,7 @@ def pooled_report(
     return _POOL_CACHE[key]
 
 
-# -- value formats --------------------------------------------------------
+# -- value formats ------------------------------------------------------------
 
 
 def _pct(x: float | None) -> str:
