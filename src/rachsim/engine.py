@@ -24,12 +24,13 @@ sum, and the pool tallies move only at an opportunity with a non-zero
 pool; a static pool's tallies, and the opportunity count, follow after
 the loop in closed form. An opportunity with two or more contenders then
 runs four phases: preamble draw (one packed int per occupied cell), cell
-outcome, RAR grants and resolution (HARQ legs inline). One with a single
-contender, the most common kind at sparse loads, cannot collide and runs
-one method that takes the same draws and makes the same counts without
-the cell bookkeeping. Both count each occupied cell under a five-bit code
-in a histogram that lives for the run, and the run folds it into the cell
-counters of `OpportunityLog` once, at its end.
+outcome, RAR grants and resolution (one pass, HARQ legs and backoffs
+inline). One with a single contender, the most common kind at sparse
+loads, cannot collide and runs one method that takes the same draws and
+makes the same counts without the cell bookkeeping. Both count each
+occupied cell under a five-bit code in a histogram that lives for the
+run, and the run folds it into the cell counters of `OpportunityLog`
+once, at its end.
 
 Per-device state lives in plain lists under an internal numbering: the
 devices sorted by their start opportunity, stably, so that internal id i
@@ -54,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import Scenario
-from .rng import RandomSource, buffered, bulk_integers
+from .rng import RandomSource, buffered, bulk_integers, doubles, integers_in
 from .timebase import ms_to_ticks, ticks_to_ms, time_scale_fraction
 from .topology import (
     CellLayout,
@@ -224,9 +225,9 @@ def run(
 
     `source`, `placement` and `arrivals` are injection points for
     deterministic experiments; by default everything derives from the
-    scenario seed. The source's four contention streams (preamble,
-    detection, harq, backoff) are read in blocks (`rng.BlockStream`), so
-    those generators end up to one block past the draws the run used.
+    scenario seed. The source's four contention streams are read in
+    blocks, so those generators end up to one block past the draws the
+    run used (see `RandomSource`).
 
     The loop numbers the devices by start opportunity (see `_Contention`);
     the result's columns and trace rows are in device ids, and `arrivals`
@@ -282,11 +283,13 @@ class _Contention:
     per-device list is built in that order, and `run` scatters the loop
     columns and trace rows back to device ids. A phase sees the
     opportunity's contenders as `devs`, and a contender's position in it
-    is its local index. The detection and HARQ draws are scalar `random()`
-    calls. `draw` takes its preambles with one bulk draw per pool range
-    and `resolve` its backoffs with one bulk draw (`rng.bulk_integers`);
-    `one_contender` takes scalar `integers(lo, hi)` draws. A bulk draw
-    gives the values of the same number of scalar draws.
+    is its local index. `detect()`, `harq()` and `backoff()`, in the one
+    range `(0, bi_max + 1)`, are C-level `__next__` calls over per-block
+    lists (`rng.doubles`, `rng.integers_in`). `draw` takes its preambles
+    with one bulk draw per pool range (`rng.bulk_integers`), which gives
+    the values of as many scalar draws, and `one_contender` with scalar
+    `integers(lo, hi)` draws. The loop counts only `msg1_count`, one write
+    per Msg1 copy; `_attempt` derives a device's attempts from it.
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
@@ -306,12 +309,9 @@ class _Contention:
         timing = scenario.timing
         ebf = "ebf" in enh
         self.scenario = scenario
-        self.preamble, self.detection, self.harq, self.backoff = (
-            buffered(gen)
-            for gen in (src.preamble, src.detection, src.harq, src.backoff)
-        )
+        self.preamble = buffered(src.preamble)
         self.preambles = bulk_integers(self.preamble)
-        self.backoffs = bulk_integers(self.backoff)
+        self.detect, self.harq = doubles(src.detection), doubles(src.harq)
         self.sinr_gate = scenario.topology.sinr_threshold_db is not None
         self.edt, self.pp, self.drp, self.rp = (
             flag in enh for flag in ("edt", "pp", "drp", "rp")
@@ -338,6 +338,7 @@ class _Contention:
         )
         self.sib2 = max(1, round(timing.sib2_period_ms / timing.ra_period_ms))
         self.r_static = scenario.reserved_r if self.rp else 0
+        self.backoff = integers_in(src.backoff, 0, self.bi_max + 1)
         self.p_detect = [
             1.0 - math.exp(-float(i)) for i in range(self.max_tx + 1)
         ]
@@ -359,7 +360,7 @@ class _Contention:
             buckets[rao] = list(range(lo, hi))
         is_ur = is_ur[order]
         self.is_ur = is_ur.tolist()
-        self.cls = [2 - u for u in self.is_ur]  # cell code class bit
+        self.cls = (2 - is_ur).tolist()  # cell code class bit
         # True for a device that draws a backoff when it retries.
         self.draws_bi = ((self.bi_max > 0) & ~(ebf & is_ur)).tolist()
         self.hist = [0] * 32  # occupied cells per cell code
@@ -369,18 +370,18 @@ class _Contention:
         n = len(arrivals)
         for name in _LOOP_COLUMNS:
             setattr(self, name, [-1] * n)
-        self.msg1_count, self.attempt_count = [0] * n, [0] * n
+        # `simulate` derives attempt_count from msg1_count at its end.
+        self.msg1_count = [0] * n
         self.arrival_ticks = arrivals[order].tolist()
         # What `resolve` unpacks once per call.
         retry_gap = self.t2 + self.rar_window
         self.resolve_args = (
-            self.harq.random, scenario.harq_fail_prob, scenario.max_harq,
-            self.edt, self.max_tx, self.t1, self.t3, self.t4, self.cr_timer,
-            retry_gap, self.t1 + retry_gap + self.ra - 1, self.ra,
-            self.bi_max, all(self.draws_bi), self.draws_bi, self.msg1_count,
-            self.arrival_ticks, self.completion_ticks, self.wait_ticks,
-            self.msg2_ticks, self.msg3_ticks, self.msg4_ticks, self.buckets,
-            self.backoffs, self.trace,
+            self.harq, scenario.harq_fail_prob, scenario.max_harq, self.edt,
+            self.max_tx, self.t1, self.t3, self.t4, self.cr_timer, retry_gap,
+            self.t1 + retry_gap + self.ra - 1, self.ra, self.draws_bi,
+            self.msg1_count, self.arrival_ticks, self.completion_ticks,
+            self.wait_ticks, self.msg2_ticks, self.msg3_ticks, self.msg4_ticks,
+            self.buckets, self.backoff, self.trace,
         )
 
     def simulate(self) -> None:
@@ -444,7 +445,8 @@ class _Contention:
                 else:
                     cells, prio_macros, n_prio = draw(t, devs, r_use)
                     detected = cell_outcome(devs, r_use, cells, prio_macros)
-                    resolve(t, rao_index, devs, grants(t, detected))
+                    rar_at = grants(t, detected, len(devs))
+                    resolve(t, rao_index, devs, rar_at)
             if drp:
                 slot = rao_index % sib2
                 window_sum += n_prio - ring[slot]
@@ -458,7 +460,10 @@ class _Contention:
         log.n_raos, log.sum_r, log.r_max = n_raos, sum_r, r_max
         log.sum_pool_urllc = sum_r + n_pre * zero_r
         log.sum_pool_non_urllc = n_pre * n_raos - sum_r
-        log.total_msg1_tx = sum(self.msg1_count)
+        tx = np.array(self.msg1_count, dtype=np.int64)
+        log.total_msg1_tx = int(tx.sum())
+        halves = self.pp & (np.array(self.femto) >= 0)
+        self.attempt_count = tx - tx // 2 * halves
         for name, (bits, value) in _CELL_COUNTERS.items():
             setattr(log, name, sum(
                 n for code, n in enumerate(self.hist) if code & bits == value
@@ -485,20 +490,21 @@ class _Contention:
         Its value packs the cell's first copy as its local index * 16, plus
         8 for a femto copy, with the cell's code bits 1 (a URLLC copy), 2
         (a background copy) and 4 (collided). `base` lists each
-        contender's transmission count before this opportunity.
+        contender's transmission count before this opportunity under `pp`,
+        else it is None: one copy each, numbered by the Msg1 count.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
-        attempts, tx_count, cls = self.attempt_count, self.msg1_count, self.cls
+        tx_count, cls = self.msg1_count, self.cls
         n_pre = self.n_pre
         n_prio = 0
         if self.drp:
-            prio = [is_ur[d] or attempts[d] > 0 for d in devs]
+            prio = [is_ur[d] or tx_count[d] > 0 for d in devs]
             n_prio = sum(prio)
         elif r_use:
             prio = [is_ur[d] for d in devs]
-        base = [tx_count[d] for d in devs]
-        dual = []
+        base = dual = None
         if self.pp:  # a femto copy needs two transmissions of budget left
+            base = [tx_count[d] for d in devs]
             last = self.max_tx - 2
             dual = [
                 j for j, d in enumerate(devs)
@@ -518,28 +524,30 @@ class _Contention:
 
         cells: dict[int, int] = {}
         claim = cells.setdefault
-        trace = self.trace
         for jj, d, pre in zip(range(0, 16 * len(devs), 16), devs, pre1):
             tx_count[d] += 1
-            attempts[d] += 1
             key = serving[d] * n_pre + pre
             copy = jj | cls[d]
             held = claim(key, copy)
             if held != copy:
                 cells[key] = held | cls[d] | 4
-            if trace is not None:
-                trace.append((t, d, "msg1", pre, serving[d], attempts[d]))
-        for j, pre in zip(dual, pre2):
+        for j, pre in zip(dual or (), pre2):
             d = devs[j]
             tx_count[d] += 1
-            gnb = self.n_macro + femto[d]
-            key = gnb * n_pre + pre
+            key = (self.n_macro + femto[d]) * n_pre + pre
             copy = j * 16 | 8 | cls[d]
             held = claim(key, copy)
             if held != copy:
                 cells[key] = held | cls[d] | 4
-            if trace is not None:
-                trace.append((t, d, "msg1", pre, gnb, attempts[d]))
+        if self.trace is not None:
+            rows = [(d, pre, serving[d]) for d, pre in zip(devs, pre1)] + [
+                (devs[j], pre, self.n_macro + femto[devs[j]])
+                for j, pre in zip(dual or (), pre2)
+            ]
+            self.trace += [
+                (t, d, "msg1", pre, gnb, self._attempt(d))
+                for d, pre, gnb in rows
+            ]
         return (cells, base), prio_macros, n_prio
 
     def one_contender(
@@ -558,8 +566,7 @@ class _Contention:
         (d,) = devs
         ur = self.is_ur[d]
         base = self.msg1_count[d]
-        attempt = self.attempt_count[d] + 1
-        prio = (ur or attempt > 1) if self.drp else (ur and self.rp)
+        prio = (ur or base > 0) if self.drp else (ur and self.rp)
         n_pre = self.n_pre
         lo, hi = 0, n_pre
         if r_use > 0:
@@ -571,11 +578,11 @@ class _Contention:
         if dual:
             pre2 = draw(lo, hi)
         self.msg1_count[d] = base + 1 + dual
-        self.attempt_count[d] = attempt
 
         macro = self.serving[d]
         trace = self.trace
         if trace is not None:
+            attempt = self._attempt(d)
             trace.append((t, d, "msg1", pre, macro, attempt))
             if dual:
                 trace.append(
@@ -590,7 +597,7 @@ class _Contention:
         if dual:
             self.hist[code] += 1
 
-        detect, p_detect = self.detection.random, self.p_detect
+        detect, p_detect = self.detect, self.p_detect
         gnb = -1
         if detect() < p_detect[base + 1] and (
             not self.sinr_gate or self._sinr_ok(d, macro)
@@ -598,7 +605,7 @@ class _Contention:
             gnb = macro
         if dual and detect() < p_detect[base + 2] and gnb < 0:
             gnb = self.n_macro + femto
-        rar_at = {0: (t + self.t1 + self.t2, gnb)} if gnb >= 0 else {}
+        rar_at = [(t + self.t1 + self.t2, gnb) if gnb >= 0 else None]
         self.resolve(t, rao_index, devs, rar_at)
         return int(prio)
 
@@ -612,11 +619,10 @@ class _Contention:
         Returns the detected copies as (gnb, local index) in that order.
         """
         cells, base = cells
-        hist = self.hist
-        n_pre = self.n_pre
-        p_detect = self.p_detect
-        draw = self.detection.random
-        sinr_gate = self.sinr_gate
+        hist, n_pre, p_detect, draw = (
+            self.hist, self.n_pre, self.p_detect, self.detect
+        )
+        tx_count, sinr_gate = self.msg1_count, self.sinr_gate
         detected = []
         for key in sorted(cells):
             packed = cells[key]
@@ -627,7 +633,10 @@ class _Contention:
             if code & 4:
                 continue
             j, gnb = packed >> 4, key // n_pre
-            if draw() < p_detect[base[j] + 1 + (packed >> 3 & 1)] and (
+            nth = (  # the copy's transmission number
+                base[j] + 1 + (packed >> 3 & 1) if base else tx_count[devs[j]]
+            )
+            if draw() < p_detect[nth] and (
                 not sinr_gate or self._sinr_ok(devs[j], gnb)
             ):
                 detected.append((gnb, j))
@@ -641,18 +650,25 @@ class _Contention:
             return True
         dist = max(float(self.serving_dist[dev]), 1e-9)
         pl = path_loss_db(dist, cfg)
-        power = ramped_tx_power_dbm(pl, self.attempt_count[dev], cfg)
+        power = ramped_tx_power_dbm(pl, self._attempt(dev), cfg)
         return sinr_db(power - pl, cfg) >= cfg.sinr_threshold_db
 
-    def grants(self, t: int, detected) -> dict[int, tuple[int, int]]:
+    def _attempt(self, dev: int) -> int:
+        """The device's attempts: its Msg1 copies less its femto copies,
+        which under `pp` are half its copies, rounded down, for a device
+        with a femto (one per attempt while the budget allows one)."""
+        n = self.msg1_count[dev]
+        return n - n // 2 if self.pp and self.femto[dev] >= 0 else n
+
+    def grants(self, t: int, detected, n: int) -> list:
         """RAR grants: per gNB, capacity-limited response subframes.
 
         A copy ranked past the window's capacity behaves as undetected. A
         dual transmitter keeps its earliest grant, the macro's on an exact
-        tie (macro gNB indices sort first). Returns local index ->
-        (RAR time, gnb).
+        tie (macro gNB indices sort first). Returns, by local index, each
+        of the `n` contenders' (RAR time, gnb), or None.
         """
-        rar_at: dict[int, tuple[int, int]] = {}
+        rar_at: list[tuple[int, int] | None] = [None] * n
         first_rar = t + self.t1 + self.t2
         rank, prev_gnb = 0, -1
         for gnb, j in detected:
@@ -663,36 +679,34 @@ class _Contention:
             if slot >= self.n_slots:
                 continue
             key = (first_rar + slot * self.subframe, gnb)
-            if j not in rar_at or key < rar_at[j]:
+            if rar_at[j] is None or key < rar_at[j]:
                 rar_at[j] = key
         return rar_at
 
     def resolve(self, t, rao_index, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff.
 
-        Two passes. The first settles every contender in `devs` order: its
-        Msg3, then Msg4, HARQ draws (up to the first at or above
-        `harq_fail_prob`, at most `max_harq` each), the outcome and its
-        trace rows, with a slot kept for each backoff row. The second takes
-        the backoffs of all retries in one bulk draw, in the same order,
-        queues them and fills the rows, as a one-pass loop would. Without a
-        grant a retry goes to `rao_index + (t1 + t2 + rar_window + ra - 1 +
-        bi) // ra` (`t` is a multiple of `ra`, and `t1` is positive, so it
-        lands later); a grant holder's fail base, kept in `based`, is
+        One pass over `devs`, in order. A grant holder runs its Msg3, then
+        Msg4, HARQ draws (up to the first at or above `harq_fail_prob`, at
+        most `max_harq` each). A contender that fails with budget left
+        takes its backoff draw there and then, and is queued and traced in
+        place. Without a grant a retry goes to `rao_index + (t1 + t2 +
+        rar_window + ra - 1 + bi) // ra` (`t` is a multiple of `ra`, and
+        `t1` is positive, so it lands later); a grant holder's fail base is
         rounded up to the grid.
         """
         (harq, harq_fail, max_harq, edt, max_tx, t1, t3, t4, cr_timer,
-         retry_gap, no_grant_gap, ra, bi_max, all_bi, draws_bi, msg1_count,
-         arrival, completion, wait, msg2, msg3, msg4, buckets, backoffs,
+         retry_gap, no_grant_gap, ra, draws_bi, msg1_count, arrival,
+         completion, wait, msg2, msg3, msg4, buckets, backoff,
          trace) = self.resolve_args
         last = self.last_resolution
         msg1_end = t + t1
-        retry = []  # retrying contenders, in `devs` order
-        slots = []  # their trace rows, when tracing
-        based = None  # grant holder -> fail base, for those that retry
-        for j, dev in enumerate(devs):
-            grant = rar_at.get(j)
+        for dev, grant in zip(devs, rar_at):
             if grant is None:
+                if trace is None and msg1_count[dev] < max_tx:
+                    bi = backoff() if draws_bi[dev] else 0
+                    buckets[rao_index + (no_grant_gap + bi) // ra].append(dev)
+                    continue
                 fail_base = msg1_end
             else:
                 rar_time, gnb = grant
@@ -735,31 +749,9 @@ class _Contention:
                 if trace is not None:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
-            retry.append(dev)
-            if grant is not None:
-                based = based or {}
-                based[dev] = fail_base
-            if trace is not None:
-                slots.append(len(trace))
-                trace.append(None)
-        self.last_resolution = last
-        if not retry:
-            return
-
-        if all_bi:
-            bis = backoffs(0, bi_max + 1, len(retry))
-        else:
-            drawn = iter(backoffs(0, bi_max + 1, sum(
-                draws_bi[dev] for dev in retry
-            )))
-            bis = [next(drawn) if draws_bi[dev] else 0 for dev in retry]
-        if based is None and trace is None:
-            for dev, bi in zip(retry, bis):
-                buckets[rao_index + (no_grant_gap + bi) // ra].append(dev)
-            return
-        based = based or {}
-        for i, (dev, bi) in enumerate(zip(retry, bis)):
-            next_eligible = based.get(dev, msg1_end) + retry_gap + bi
+            bi = backoff() if draws_bi[dev] else 0
+            next_eligible = fail_base + retry_gap + bi
             buckets[-(-next_eligible // ra)].append(dev)
             if trace is not None:
-                trace[slots[i]] = (next_eligible, dev, "backoff", -1, -1, 0)
+                trace.append((next_eligible, dev, "backoff", -1, -1, 0))
+        self.last_resolution = last

@@ -494,14 +494,18 @@ def run_validation(
     jobs: int | None = None,
     log=None,
 ) -> list[EntryResult]:
-    """Evaluate the reference entries; `seeds` overrides every entry list.
+    """Evaluate the reference entries; `seeds` overrides every entry list,
+    and None keeps the frozen ones.
 
     With overridden (short) seed lists the deep-percentile entries report
     insufficient samples and fail; that is intended for smoke runs only.
     """
+    if seeds is not None and not seeds:
+        raise ValueError("empty seed list; pass None for the frozen lists")
 
     def pool(name: str, default: tuple[int, ...]) -> KpiReport:
-        return pooled_report(name, seeds or default, jobs, log)
+        chosen = default if seeds is None else seeds
+        return pooled_report(name, chosen, jobs, log)
 
     chosen = list(tables) if tables else list(TABLES)
     for table in chosen:

@@ -4,13 +4,17 @@ One master seed fans out into independent generators, one per consumer, so
 that adding or removing draws in one part of the simulator never shifts the
 sequences seen by another. Equal seed means equal streams, bit for bit.
 
-`BlockStream` reads a generator in blocks and serves scalar and bulk draws
-from them, with the values of the generator's own scalar draws.
+`BlockStream` serves integer draws over several ranges from block draws;
+`doubles` and `integers_in` serve a stream read by one kind of draw only
+as a C-level `__next__` over per-block lists. Each value is the
+generator's own scalar draw, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -28,9 +32,9 @@ STREAM_NAMES = (
 class RandomSource:
     """Bundle of independent per-purpose generators.
 
-    `engine.run` reads the four contention streams (preamble, detection,
-    harq, backoff) through `BlockStream`, so after a run those generators
-    end up to one block past the draws the run used.
+    `engine.run` reads preamble by `BlockStream`, detection and harq by
+    `doubles` and backoff by `integers_in`, all in blocks, so after a run
+    those generators end up to one block past the draws the run used.
     """
 
     placement: np.random.Generator
@@ -67,16 +71,14 @@ _INT64 = 1 << 63
 
 
 class BlockStream:
-    """Scalar `random()`, `integers(lo, hi)` and bulk `integers_bulk(lo, hi,
-    k)` served from block draws.
-
-    Doubles come from `gen.random(BLOCK)`. Integers apply numpy's Lemire
-    rule for ranges up to 2**32 to the raw 32-bit words of
-    `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`, read through a
-    position pointer into the current block. The first draw of a range in
-    a block maps the whole block at once, `lo + (word * n) >> 32`, into a
-    list of values, and the maps are dropped at each refill. So a scalar
-    draw is one list index and a bulk draw of k values is one slice.
+    """Scalar `integers(lo, hi)` and bulk `integers_bulk(lo, hi, k)` served
+    from block draws, by numpy's Lemire rule for ranges up to 2**32 on the
+    raw 32-bit words of `gen.integers(0, 2**32, BLOCK, dtype=np.uint32)`,
+    read through a position pointer into the current block. The first
+    draw of a range in a block maps the whole block at once, `lo + (word *
+    n) >> 32`, into a list of values, and the maps are dropped at each
+    refill. So a scalar draw is one list index and a bulk draw of k values
+    is one slice.
 
     A word with `(word * n) mod 2**32 < n` could be a Lemire rejection. A
     block that holds one for a range gets no map for it, and that range
@@ -84,23 +86,19 @@ class BlockStream:
     draw that crosses the block's end takes the rest of the block and goes
     on in the next one; n = 1 consumes no word. Each value therefore
     equals the one the generator's own scalar call would return, bit for
-    bit, as long as a stream is read by one kind of draw only (doubles or
-    integers); the generator itself runs up to one block ahead.
+    bit, as long as nothing else reads the generator, which itself runs up
+    to one block ahead.
     """
 
-    __slots__ = ("_gen", "_doubles", "_block", "_pos", "_maps")
+    __slots__ = ("_gen", "_block", "_pos", "_maps")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._doubles: list[float] = []
         self._block = np.zeros(0, dtype=np.uint32)
         self._pos = BLOCK  # the first draw refills
         # (lo, hi) -> the current block mapped into that range; [] when a
         # word of the block could be rejected (the word-by-word path).
         self._maps: dict[tuple[int, int], list[int]] = {}
-
-    def random(self) -> float:
-        return (self._doubles or self._refill_doubles()).pop()
 
     def integers(self, lo: int, hi: int) -> int:
         vals = self._maps.get((lo, hi))
@@ -172,10 +170,6 @@ class BlockStream:
             if m & _LOW >= threshold:
                 return lo + (m >> 32)
 
-    def _refill_doubles(self) -> list[float]:
-        self._doubles = self._gen.random(BLOCK).tolist()[::-1]
-        return self._doubles
-
     def _refill_words(self) -> None:
         self._block = self._gen.integers(0, _WORD, BLOCK, dtype=np.uint32)
         self._pos = 0
@@ -187,6 +181,25 @@ def buffered(gen):
     if isinstance(gen, np.random.Generator):
         return BlockStream(gen)
     return gen
+
+
+def doubles(gen):
+    """Next-double callable: `__next__` of a chain over `gen.random(BLOCK)`
+    lists on a numpy Generator, else `gen.random`."""
+    if isinstance(gen, np.random.Generator):
+        blocks = iter(lambda: gen.random(BLOCK).tolist(), None)
+        return chain.from_iterable(blocks).__next__
+    return gen.random
+
+
+def integers_in(gen, lo: int, hi: int):
+    """Next-value callable of the one range (lo, hi): `__next__` of a chain
+    over `BlockStream.integers_bulk(lo, hi, BLOCK)` lists on a numpy
+    Generator, else `gen.integers(lo, hi)`."""
+    if isinstance(gen, np.random.Generator):
+        block = partial(BlockStream(gen).integers_bulk, lo, hi, BLOCK)
+        return chain.from_iterable(iter(block, None)).__next__
+    return partial(gen.integers, lo, hi)
 
 
 def bulk_integers(stream):

@@ -1,8 +1,11 @@
 """Scenario parsing, validation, serialization, and overrides."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rachsim.config import (
+    ENHANCEMENT_FLAGS,
     ConfigError,
     ScenarioConstraintError,
     ScenarioParseError,
@@ -96,17 +99,83 @@ def test_sinr_threshold_off_values():
     assert build_scenario("sinr_threshold_db = -3.5\n").topology.sinr_threshold_db == -3.5
 
 
-def test_roundtrip_through_serialization():
-    sc = build_scenario(
-        "n_devices = 123\n"
-        "enhancements = edt,pp\n"
-        "urllc_fraction = 0.05\n"
-        "n_femto_cells = 9\n"
-        "rar_window_ms = 0\n"
-        "seed = 77\n"
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _lattice_ms(lo_ticks):
+    """Durations on the 1/56 ms tick lattice."""
+    return st.integers(lo_ticks, 56 * 500).map(lambda k: k / 56)
+
+
+@st.composite
+def scenario_texts(draw):
+    """A scenario document of a random subset of key groups; the keys of a
+    group (say, a pool size and its flags) are valid only together."""
+    flags = draw(st.sets(st.sampled_from(ENHANCEMENT_FLAGS)))
+    if {"rp", "drp"} <= flags:
+        flags.discard(draw(st.sampled_from(["rp", "drp"])))
+    n_pre = draw(st.integers(2, 64))
+    reserved = (
+        "dynamic" if "drp" in flags
+        else draw(st.integers(1, n_pre - 1)) if "rp" in flags else 0
     )
+    radius = draw(_floats(1.0, 1000.0))
+    cce_total = draw(st.integers(1, 64))
+    groups = [
+        {"enhancements": ",".join(sorted(flags)), "reserved_r": reserved,
+         "n_preambles": n_pre},
+        {"cell_radius_m": radius,
+         "femto_radius_m": radius * draw(_floats(0.01, 0.99))},
+        {"cce_total": cce_total,
+         "cce_per_pdcch": draw(st.integers(1, cce_total))},
+        {"n_devices": draw(st.integers(0, 10**6))},
+        {"urllc_fraction": draw(_floats(0.0, 1.0))},
+        {"max_preamble_tx": draw(st.integers(1, 20))},
+        {"harq_fail_prob": draw(_floats(0.0, 1.0))},
+        {"max_harq": draw(st.integers(1, 10))},
+        {"rar_grants_per_msg": draw(st.integers(1, 10))},
+        {"seed": draw(st.integers(0, 2**64 - 1))},
+        {"subcarrier_spacing_khz": draw(st.sampled_from([15, 30, 60, 120]))},
+        {"symbols_per_slot": draw(st.sampled_from([7, 4, 2]))},
+        {"n_macro_cells": draw(st.integers(1, 19)),
+         "n_femto_cells": draw(st.integers(0, 200))},
+        {"pl_exponent": draw(_floats(0.5, 6.0)),
+         "pl_ref_db": draw(_floats(-200.0, 200.0)),
+         "pl_ref_dist_m": draw(_floats(0.1, 100.0))},
+        {"p_max_dbm": draw(_floats(-50.0, 50.0)),
+         "ramp_step_db": draw(_floats(0.0, 10.0)),
+         "noise_power_dbm": draw(_floats(-200.0, 0.0))},
+        {"sinr_threshold_db": draw(
+            st.one_of(st.just("off"), _floats(-50.0, 50.0))
+        )},
+        {"urllc_alpha": draw(_floats(0.1, 10.0)),
+         "urllc_beta": draw(_floats(0.1, 10.0)),
+         "non_urllc_horizon_s": draw(_floats(0.1, 100.0))},
+    ]
+    groups += [
+        {key: draw(_lattice_ms(1))}
+        for key in ("t_msg1_ms", "t_msg3_ms", "ra_period_ms")
+    ]
+    groups += [
+        {key: draw(_lattice_ms(0))}
+        for key in ("rar_window_ms", "bi_max_ms",
+                    "contention_resolution_timer_ms")
+    ]
+    chosen = draw(st.lists(st.sampled_from(groups), unique_by=id))
+    return "".join(
+        f"{key} = {value!r}\n" if isinstance(value, float)
+        else f"{key} = {value}\n"
+        for group in chosen for key, value in group.items()
+    )
+
+
+@given(scenario_texts())
+def test_roundtrip_through_serialization(text):
+    sc = build_scenario(text)
     again = build_scenario(serialize_scenario(sc))
     assert again == sc
+    assert serialize_scenario(again) == serialize_scenario(sc)
 
 
 def test_serialization_is_canonical():

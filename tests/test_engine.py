@@ -1236,7 +1236,7 @@ def _phases(self, t, rao_index, devs, r_use):
     batch of any size runs."""
     cells, prio_macros, n_prio = self.draw(t, devs, r_use)
     detected = self.cell_outcome(devs, r_use, cells, prio_macros)
-    self.resolve(t, rao_index, devs, self.grants(t, detected))
+    self.resolve(t, rao_index, devs, self.grants(t, detected, len(devs)))
     return n_prio
 
 
@@ -1263,12 +1263,17 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
         REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
     )
     fast = run(sc, collect_trace=True)
+    untraced = run(sc)
     monkeypatch.setattr(engine._Contention, "one_contender", _phases)
     ref = run(sc, collect_trace=True)
 
-    for col in ("urllc",) + engine._TICK_COLUMNS:
-        assert np.array_equal(getattr(fast, col), getattr(ref, col)), col
-    assert fast.log == ref.log
+    # Tracing changes no draw and no count: `resolve` queues a traced
+    # retry on its own path, and the trace rows are written in the loop.
+    for other in (ref, untraced):
+        for col in ("urllc",) + engine._TICK_COLUMNS:
+            assert np.array_equal(getattr(fast, col), getattr(other, col)), col
+        assert fast.log == other.log
+    assert untraced.trace is None
     assert fast.trace == ref.trace
 
     # The case holds sole contenders next to larger batches, and a sole

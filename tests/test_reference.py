@@ -103,3 +103,13 @@ def test_gates_passed_ignores_informational_rows():
     )
     assert gates_passed([ok, info_fail])
     assert not gates_passed([ok, gate_fail])
+
+
+def test_run_validation_rejects_an_empty_seed_list():
+    # An empty override is an error, not a request for the frozen lists;
+    # it must fail before any pool runs.
+    clear_cache()
+    lines = []
+    with pytest.raises(ValueError, match="empty seed list"):
+        run_validation(tables=["II"], seeds=(), jobs=1, log=lines.append)
+    assert lines == []

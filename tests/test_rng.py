@@ -12,6 +12,8 @@ from rachsim.rng import (
     RandomSource,
     buffered,
     bulk_integers,
+    doubles,
+    integers_in,
 )
 
 
@@ -77,10 +79,20 @@ def test_batched_draws_equal_scalar_draws(r):
         assert batch.random() == scalar.random()
 
 
-def twins(seed):
-    """A BlockStream and a Generator in the same state as the one it reads."""
+def twin_generators(seed, half_word=False):
+    """Two Generators in the same state; with `half_word`, each has made
+    one scalar draw, which leaves half of a 64-bit output buffered."""
     gen = np.random.Generator(np.random.PCG64(seed))
     twin = np.random.Generator(np.random.PCG64(seed))
+    if half_word:
+        gen.integers(0, 54)
+        twin.integers(0, 54)
+    return gen, twin
+
+
+def twins(seed):
+    """A BlockStream and a Generator in the same state as the one it reads."""
+    gen, twin = twin_generators(seed)
     return BlockStream(gen), twin
 
 
@@ -148,10 +160,11 @@ _COUNTS = st.one_of(
 def test_bulk_draw_equals_scalar_draws(seed, ranges, calls):
     """Bulk and scalar draws, interleaved over several ranges, mapped or
     word by word, across block ends, against scalar draws of a twin
-    generator; `random` reads a second stream, as the engine's detection
-    and HARQ streams do."""
+    generator; `random` reads a second stream through `doubles`, as the
+    engine's detection and HARQ streams do."""
     ints, twin = twins(seed)
-    doubles, twin_doubles = twins(seed + 1)
+    gen, twin_doubles = twin_generators(seed + 1)
+    double = doubles(gen)
     for kind, r, k in calls:
         lo, n = ranges[r % len(ranges)]
         if kind == "integers":
@@ -162,10 +175,10 @@ def test_bulk_draw_equals_scalar_draws(seed, ranges, calls):
             assert ints.integers_bulk(lo, lo + n, k) == scalar
         else:
             for _ in range(k):
-                assert doubles.random() == twin_doubles.random()
+                assert double() == twin_doubles.random()
     # Both are aligned on the next raw word (n = 2**32 never rejects).
     assert ints.integers(0, 2**32) == twin.integers(0, 2**32)
-    assert doubles.random() == twin_doubles.random()
+    assert double() == twin_doubles.random()
 
 
 def test_bulk_integers_makes_scalar_calls_on_other_streams():
@@ -185,10 +198,54 @@ def test_bulk_integers_makes_scalar_calls_on_other_streams():
     assert bulk_integers(stream) == stream.integers_bulk
 
 
-def test_block_stream_random_equals_scalar_draws():
-    stream, twin = twins(51)
+def test_doubles_equal_scalar_draws():
+    for half_word in (False, True):
+        gen, twin = twin_generators(51, half_word)
+        draw = doubles(gen)
+        # The callable reads nothing until its first draw.
+        assert gen.bit_generator.state == twin.bit_generator.state
+        for _ in range(3 * BLOCK + 5):
+            assert draw() == twin.random()
+
+
+# (lo, hi) of a single-range stream: n = 1 (no word is consumed), n = 2,
+# the engine's default backoff range, and widths in [2**31, 2**32), where
+# numpy's Lemire rule rejects up to half of all words.
+SINGLE_RANGES = [
+    (3, 4), (0, 2), (0, 1121), (7, 7 + 2**31 + 1), (0, 2**32 - 1),
+    (-5, -5 + 3 * 2**30 + 5),
+]
+
+
+@pytest.mark.parametrize("half_word", [False, True])
+@pytest.mark.parametrize("lo, hi", SINGLE_RANGES)
+def test_integers_in_equals_scalar_draws(lo, hi, half_word):
+    gen, twin = twin_generators(81 + hi % 7, half_word)
+    draw = integers_in(gen, lo, hi)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    # Over three blocks of words, or more where words are rejected.
     for _ in range(3 * BLOCK + 5):
-        assert stream.random() == twin.random()
+        assert draw() == twin.integers(lo, hi)
+
+
+def test_single_kind_callables_fall_back_to_stub_methods():
+    class Stub:
+        def __init__(self):
+            self.calls = []
+
+        def random(self):
+            self.calls.append("random")
+            return 0.25
+
+        def integers(self, lo, hi):
+            self.calls.append((lo, hi))
+            return lo + len(self.calls)
+
+    stub = Stub()
+    draw_double, draw_int = doubles(stub), integers_in(stub, 10, 20)
+    assert stub.calls == []
+    assert [draw_double(), draw_int(), draw_int()] == [0.25, 12, 13]
+    assert stub.calls == ["random", (10, 20), (10, 20)]
 
 
 def test_block_stream_rejects_empty_range():

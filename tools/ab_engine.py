@@ -14,8 +14,10 @@ two revisions taking turns; then each builds the arrivals untimed and
 times one `engine.run`. The first revision goes first on odd seeds and
 second on even ones. The two placements must hold the same
 `serving_cell`, `femto_cell` and `serving_dist` bytes, and the two
-`RunResult`s identical device columns and `OpportunityLog`s; the script
-stops at the first difference.
+`RunResult`s identical device columns and `OpportunityLog`s. On the first
+seed of each scenario both revisions also make one untimed traced run,
+whose trace rows must be equal one by one. The script stops at the first
+difference and names it, for a trace the first row that differs.
 
 It prints two markdown tables, one for `engine.run` and one for
 `place_devices`: per scenario, the median speed-up (time of the first
@@ -140,6 +142,18 @@ def same_result(a, b) -> str | None:
     return None
 
 
+def first_trace_difference(a, b) -> str | None:
+    """None when both traced runs hold the same trace rows, else the first
+    row that differs (or the first row one trace lacks)."""
+    for i, (x, y) in enumerate(zip(a.trace, b.trace)):
+        if x != y:
+            return f"trace row {i}: {x} != {y}"
+    if len(a.trace) != len(b.trace):
+        return (f"trace length {len(a.trace)} != {len(b.trace)}, first "
+                f"unmatched row {min(len(a.trace), len(b.trace))}")
+    return None
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) == 1:
         return values[0], values[0], values[0]
@@ -188,6 +202,14 @@ def main(argv=None) -> int:
                     print(f"{name} seed {seed}: {differs} differs",
                           file=sys.stderr)
                     return 1
+                if seed == SEEDS[0]:
+                    traced = [pkg.engine.run(case, collect_trace=True)
+                              for pkg, case in zip(pkgs, cases)]
+                    differs = first_trace_difference(*traced)
+                    if differs:
+                        print(f"{name} seed {seed}: {differs}",
+                              file=sys.stderr)
+                        return 1
                 for what, a, b in zip(TIMED, (run_a, place_a),
                                       (run_b, place_b)):
                     totals[what][0] += a[0]
