@@ -2,8 +2,6 @@
 procedure, with contention enhancements, KPI reporting, and a frozen
 reference-validation harness."""
 
-import types
-
 from .config import (
     ConfigError,
     Scenario,
@@ -48,8 +46,46 @@ from .traffic import assign_classes, generate_arrivals
 
 __version__ = "0.1.0"
 
-# Every name imported above; the submodules stay out of `import *`.
 __all__ = [
-    name for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, types.ModuleType)
-] + ["__version__"]
+    "AccessRecord",
+    "CellLayout",
+    "ConfigError",
+    "DevicePlacement",
+    "EmptyObservationError",
+    "EntryResult",
+    "KpiError",
+    "KpiReport",
+    "MergeMismatchError",
+    "NoSuccessError",
+    "Numerology",
+    "OpportunityLog",
+    "RandomSource",
+    "REFERENCE_SCENARIOS",
+    "RunResult",
+    "Scenario",
+    "ScenarioConstraintError",
+    "ScenarioParseError",
+    "TICKS_PER_MS",
+    "TimingParams",
+    "TopologyConfig",
+    "TrafficConfig",
+    "apply_overrides",
+    "assign_classes",
+    "build_layout",
+    "build_report",
+    "build_scenario",
+    "gates_passed",
+    "generate_arrivals",
+    "merge",
+    "ms_to_ticks",
+    "parse_scenario_text",
+    "place_devices",
+    "pooled_report",
+    "run",
+    "run_validation",
+    "scenario_fingerprint",
+    "scenario_with",
+    "serialize_scenario",
+    "ticks_to_ms",
+    "__version__",
+]

@@ -163,6 +163,13 @@ _TICK_COLUMNS = (
 _LOOP_COLUMNS = _TICK_COLUMNS[:2] + _TICK_COLUMNS[4:]
 
 
+def _attempts(copies, dual):
+    """Attempts from Msg1 copies (ints or arrays): a `dual` device, one
+    with `dual_last >= 0`, sends two per attempt while it can, so its
+    attempts are half its copies, rounded up; any other sends one."""
+    return copies - copies // 2 * dual
+
+
 @dataclass
 class RunResult:
     """One run: per-device columns indexed by device id, plus the log.
@@ -289,7 +296,7 @@ class _Contention:
     with one bulk draw per pool range (`rng.bulk_integers`), which gives
     the values of as many scalar draws, and `one_contender` with scalar
     `integers(lo, hi)` draws. The loop counts only `msg1_count`, one write
-    per Msg1 copy; `_attempt` derives a device's attempts from it.
+    per Msg1 copy; `_attempts` derives the attempts from it.
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
@@ -365,20 +372,23 @@ class _Contention:
         self.draws_bi = ((self.bi_max > 0) & ~(ebf & is_ur)).tolist()
         self.hist = [0] * 32  # occupied cells per cell code
         self.serving = placement.serving_cell[order].tolist()
-        self.femto = placement.femto_cell[order].tolist()
+        femto = placement.femto_cell[order]
+        self.femto = femto.tolist()
+        # The femto-copy rule: an attempt that starts with at most
+        # `dual_last[d]` Msg1 copies also sends a femto copy (-1: never).
+        last = self.max_tx - 2 if self.pp else -1
+        self.dual_last = np.where(femto >= 0, last, -1).tolist()
         self.serving_dist = placement.serving_dist[order]
         n = len(arrivals)
         for name in _LOOP_COLUMNS:
             setattr(self, name, [-1] * n)
-        # `simulate` derives attempt_count from msg1_count at its end.
         self.msg1_count = [0] * n
         self.arrival_ticks = arrivals[order].tolist()
         # What `resolve` unpacks once per call.
-        retry_gap = self.t2 + self.rar_window
         self.resolve_args = (
             self.harq, scenario.harq_fail_prob, scenario.max_harq, self.edt,
-            self.max_tx, self.t1, self.t3, self.t4, self.cr_timer, retry_gap,
-            self.t1 + retry_gap + self.ra - 1, self.ra, self.draws_bi,
+            self.max_tx, self.t1, self.t3, self.t4, self.cr_timer,
+            self.t2 + self.rar_window, self.ra, self.draws_bi,
             self.msg1_count, self.arrival_ticks, self.completion_ticks,
             self.wait_ticks, self.msg2_ticks, self.msg3_ticks, self.msg4_ticks,
             self.buckets, self.backoff, self.trace,
@@ -441,12 +451,12 @@ class _Contention:
             if devs:
                 t = rao_index * ra
                 if len(devs) == 1:
-                    n_prio = one_contender(t, rao_index, devs, r_use)
+                    n_prio = one_contender(t, devs, r_use)
                 else:
                     cells, prio_macros, n_prio = draw(t, devs, r_use)
                     detected = cell_outcome(devs, r_use, cells, prio_macros)
                     rar_at = grants(t, detected, len(devs))
-                    resolve(t, rao_index, devs, rar_at)
+                    resolve(t, devs, rar_at)
             if drp:
                 slot = rao_index % sib2
                 window_sum += n_prio - ring[slot]
@@ -462,8 +472,7 @@ class _Contention:
         log.sum_pool_non_urllc = n_pre * n_raos - sum_r
         tx = np.array(self.msg1_count, dtype=np.int64)
         log.total_msg1_tx = int(tx.sum())
-        halves = self.pp & (np.array(self.femto) >= 0)
-        self.attempt_count = tx - tx // 2 * halves
+        self.attempt_count = _attempts(tx, np.array(self.dual_last) >= 0)
         for name, (bits, value) in _CELL_COUNTERS.items():
             setattr(log, name, sum(
                 n for code, n in enumerate(self.hist) if code & bits == value
@@ -503,13 +512,10 @@ class _Contention:
         elif r_use:
             prio = [is_ur[d] for d in devs]
         base = dual = None
-        if self.pp:  # a femto copy needs two transmissions of budget left
+        if self.pp:
             base = [tx_count[d] for d in devs]
-            last = self.max_tx - 2
-            dual = [
-                j for j, d in enumerate(devs)
-                if femto[d] >= 0 and base[j] <= last
-            ]
+            dual_last = self.dual_last
+            dual = [j for j, d in enumerate(devs) if base[j] <= dual_last[d]]
         if r_use:
             pre1 = self._preambles(prio, r_use)
             pre2 = (
@@ -524,6 +530,7 @@ class _Contention:
 
         cells: dict[int, int] = {}
         claim = cells.setdefault
+        trace = self.trace
         for jj, d, pre in zip(range(0, 16 * len(devs), 16), devs, pre1):
             tx_count[d] += 1
             key = serving[d] * n_pre + pre
@@ -531,28 +538,22 @@ class _Contention:
             held = claim(key, copy)
             if held != copy:
                 cells[key] = held | cls[d] | 4
+            if trace is not None:
+                trace.append((t, d, "msg1", pre, serving[d], self._attempt(d)))
         for j, pre in zip(dual or (), pre2):
             d = devs[j]
             tx_count[d] += 1
-            key = (self.n_macro + femto[d]) * n_pre + pre
+            gnb = self.n_macro + femto[d]
+            key = gnb * n_pre + pre
             copy = j * 16 | 8 | cls[d]
             held = claim(key, copy)
             if held != copy:
                 cells[key] = held | cls[d] | 4
-        if self.trace is not None:
-            rows = [(d, pre, serving[d]) for d, pre in zip(devs, pre1)] + [
-                (devs[j], pre, self.n_macro + femto[devs[j]])
-                for j, pre in zip(dual or (), pre2)
-            ]
-            self.trace += [
-                (t, d, "msg1", pre, gnb, self._attempt(d))
-                for d, pre, gnb in rows
-            ]
+            if trace is not None:
+                trace.append((t, d, "msg1", pre, gnb, self._attempt(d)))
         return (cells, base), prio_macros, n_prio
 
-    def one_contender(
-        self, t: int, rao_index: int, devs: list[int], r_use: int
-    ) -> int:
+    def one_contender(self, t: int, devs: list[int], r_use: int) -> int:
         """All phases for an opportunity with one contender; returns 1 if
         it is a priority contender, else 0.
 
@@ -574,7 +575,7 @@ class _Contention:
         draw = self.preamble.integers
         pre = draw(lo, hi)
         femto = self.femto[d]
-        dual = self.pp and femto >= 0 and base <= self.max_tx - 2
+        dual = base <= self.dual_last[d]
         if dual:
             pre2 = draw(lo, hi)
         self.msg1_count[d] = base + 1 + dual
@@ -606,7 +607,7 @@ class _Contention:
         if dual and detect() < p_detect[base + 2] and gnb < 0:
             gnb = self.n_macro + femto
         rar_at = [(t + self.t1 + self.t2, gnb) if gnb >= 0 else None]
-        self.resolve(t, rao_index, devs, rar_at)
+        self.resolve(t, devs, rar_at)
         return int(prio)
 
     def cell_outcome(self, devs, r_use, cells, prio_macros):
@@ -654,11 +655,8 @@ class _Contention:
         return sinr_db(power - pl, cfg) >= cfg.sinr_threshold_db
 
     def _attempt(self, dev: int) -> int:
-        """The device's attempts: its Msg1 copies less its femto copies,
-        which under `pp` are half its copies, rounded down, for a device
-        with a femto (one per attempt while the budget allows one)."""
-        n = self.msg1_count[dev]
-        return n - n // 2 if self.pp and self.femto[dev] >= 0 else n
+        """The device's attempts so far, from its Msg1 copies."""
+        return _attempts(self.msg1_count[dev], self.dual_last[dev] >= 0)
 
     def grants(self, t: int, detected, n: int) -> list:
         """RAR grants: per gNB, capacity-limited response subframes.
@@ -683,30 +681,23 @@ class _Contention:
                 rar_at[j] = key
         return rar_at
 
-    def resolve(self, t, rao_index, devs, rar_at) -> None:
+    def resolve(self, t, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff.
 
         One pass over `devs`, in order. A grant holder runs its Msg3, then
         Msg4, HARQ draws (up to the first at or above `harq_fail_prob`, at
         most `max_harq` each). A contender that fails with budget left
         takes its backoff draw there and then, and is queued and traced in
-        place. Without a grant a retry goes to `rao_index + (t1 + t2 +
-        rar_window + ra - 1 + bi) // ra` (`t` is a multiple of `ra`, and
-        `t1` is positive, so it lands later); a grant holder's fail base is
-        rounded up to the grid.
+        place, at the first opportunity at or after its fail time plus
+        `t2 + rar_window` plus its backoff.
         """
         (harq, harq_fail, max_harq, edt, max_tx, t1, t3, t4, cr_timer,
-         retry_gap, no_grant_gap, ra, draws_bi, msg1_count, arrival,
-         completion, wait, msg2, msg3, msg4, buckets, backoff,
-         trace) = self.resolve_args
+         retry_gap, ra, draws_bi, msg1_count, arrival, completion, wait,
+         msg2, msg3, msg4, buckets, backoff, trace) = self.resolve_args
         last = self.last_resolution
         msg1_end = t + t1
         for dev, grant in zip(devs, rar_at):
             if grant is None:
-                if trace is None and msg1_count[dev] < max_tx:
-                    bi = backoff() if draws_bi[dev] else 0
-                    buckets[rao_index + (no_grant_gap + bi) // ra].append(dev)
-                    continue
                 fail_base = msg1_end
             else:
                 rar_time, gnb = grant

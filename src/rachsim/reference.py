@@ -504,8 +504,7 @@ def run_validation(
         raise ValueError("empty seed list; pass None for the frozen lists")
 
     def pool(name: str, default: tuple[int, ...]) -> KpiReport:
-        chosen = default if seeds is None else seeds
-        return pooled_report(name, chosen, jobs, log)
+        return pooled_report(name, seeds or default, jobs, log)
 
     chosen = list(tables) if tables else list(TABLES)
     for table in chosen:

@@ -1,7 +1,7 @@
 """Scenario parsing, validation, serialization, and overrides."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rachsim.config import (
@@ -171,6 +171,10 @@ def scenario_texts(draw):
 
 
 @given(scenario_texts())
+@example(
+    "n_devices = 123\nenhancements = edt,pp\nurllc_fraction = 0.05\n"
+    "n_femto_cells = 9\nrar_window_ms = 0\nseed = 77\n"
+)
 def test_roundtrip_through_serialization(text):
     sc = build_scenario(text)
     again = build_scenario(serialize_scenario(sc))

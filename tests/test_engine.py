@@ -1231,12 +1231,12 @@ def test_sinr_gate_disabled_equals_trivial_gate():
 # -- one-contender path ------------------------------------------------------
 
 
-def _phases(self, t, rao_index, devs, r_use):
+def _phases(self, t, devs, r_use):
     """Reference for `_Contention.one_contender`: the four phases that a
     batch of any size runs."""
     cells, prio_macros, n_prio = self.draw(t, devs, r_use)
     detected = self.cell_outcome(devs, r_use, cells, prio_macros)
-    self.resolve(t, rao_index, devs, self.grants(t, detected, len(devs)))
+    self.resolve(t, devs, self.grants(t, detected, len(devs)))
     return n_prio
 
 
@@ -1267,8 +1267,8 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
     monkeypatch.setattr(engine._Contention, "one_contender", _phases)
     ref = run(sc, collect_trace=True)
 
-    # Tracing changes no draw and no count: `resolve` queues a traced
-    # retry on its own path, and the trace rows are written in the loop.
+    # Tracing changes no draw and no count, though `draw` and `resolve`
+    # write the trace rows inside the loop.
     for other in (ref, untraced):
         for col in ("urllc",) + engine._TICK_COLUMNS:
             assert np.array_equal(getattr(fast, col), getattr(other, col)), col
