@@ -696,6 +696,7 @@ class _Contention:
          msg2, msg3, msg4, buckets, backoff, trace) = self.resolve_args
         last = self.last_resolution
         msg1_end = t + t1
+        retry_up = retry_gap + ra - 1  # rounds up to the grid
         for dev, grant in zip(devs, rar_at):
             if grant is None:
                 fail_base = msg1_end
@@ -741,8 +742,8 @@ class _Contention:
                     trace.append((fail_base, dev, "failed", -1, -1, 0))
                 continue
             bi = backoff() if draws_bi[dev] else 0
-            next_eligible = fail_base + retry_gap + bi
-            buckets[-(-next_eligible // ra)].append(dev)
+            buckets[(fail_base + retry_up + bi) // ra].append(dev)
             if trace is not None:
-                trace.append((next_eligible, dev, "backoff", -1, -1, 0))
+                eligible = fail_base + retry_gap + bi
+                trace.append((eligible, dev, "backoff", -1, -1, 0))
         self.last_resolution = last
