@@ -11,18 +11,14 @@ from .config import (
     TrafficConfig,
     apply_overrides,
     build_scenario,
-    parse_scenario_text,
     scenario_fingerprint,
     scenario_with,
     serialize_scenario,
 )
 from .engine import AccessRecord, OpportunityLog, RunResult, run
 from .kpi import (
-    EmptyObservationError,
-    KpiError,
     KpiReport,
     MergeMismatchError,
-    NoSuccessError,
     build_report,
     merge,
 )
@@ -51,12 +47,9 @@ __all__ = [
     "CellLayout",
     "ConfigError",
     "DevicePlacement",
-    "EmptyObservationError",
     "EntryResult",
-    "KpiError",
     "KpiReport",
     "MergeMismatchError",
-    "NoSuccessError",
     "Numerology",
     "OpportunityLog",
     "RandomSource",
@@ -78,7 +71,6 @@ __all__ = [
     "generate_arrivals",
     "merge",
     "ms_to_ticks",
-    "parse_scenario_text",
     "place_devices",
     "pooled_report",
     "run",

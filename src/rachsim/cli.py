@@ -60,15 +60,8 @@ def _set_pairs(sets: list[str]) -> list[tuple[str, str]]:
 
 
 def _load_scenario(path: Path | None, sets: list[str]) -> Scenario:
-    if path is None:
-        text = ""
-    else:
-        text = path.read_text(encoding="utf-8")
-    scenario = build_scenario(text)
-    pairs = _set_pairs(sets)
-    if pairs:
-        scenario = apply_overrides(scenario, pairs)
-    return scenario
+    text = "" if path is None else path.read_text(encoding="utf-8")
+    return apply_overrides(build_scenario(text), _set_pairs(sets))
 
 
 def _write(path: Path, text: str) -> None:
@@ -86,9 +79,8 @@ def _report_csv(report: KpiReport, seed_label: str) -> str:
 
 def _cdf_csv(report: KpiReport) -> str:
     lines = ["delay_ms,cum_prob"]
-    if report.n_success:
-        for delay_ms, prob in report.cdf_points():
-            lines.append(f"{delay_ms:.10g},{prob:.10g}")
+    for delay_ms, prob in report.cdf_points():
+        lines.append(f"{delay_ms:.10g},{prob:.10g}")
     return "\n".join(lines) + "\n"
 
 
@@ -191,7 +183,7 @@ def _cmd_sweep(args) -> int:
             lines.append(f"{value},{seed},{rep.csv_row()}")
         pooled = merge(per_seed)
         lines.append(f"{value},pooled,{pooled.csv_row()}")
-        collision = pooled.kpis()["collision_overall"]
+        collision = pooled.collision_probability()
         summary = "empty"
         if collision is not None:
             summary = f"collision {collision * 100:.4g}%"

@@ -160,7 +160,8 @@ class Scenario:
                 )
             if "rp" in self.enhancements and self.reserved_r == 0:
                 raise ScenarioConstraintError(
-                    "rp requires reserved_r >= 1 (default 3 when omitted)"
+                    "rp requires reserved_r >= 1 (a scenario file that "
+                    "omits reserved_r gets 3)"
                 )
 
 
@@ -175,7 +176,8 @@ _KEYS: dict[str, tuple[str, str, str]] = {
     "n_preambles": ("", "int", "preamble signatures per cell"),
     "max_preamble_tx": ("", "int",
                         "per-device budget of preamble transmissions"),
-    "reserved_r": ("", "reserved", "reserved-pool size: integer or 'dynamic'"),
+    "reserved_r": ("", "reserved", "reserved-pool size: integer or 'dynamic'"
+                   "; 3 when a scenario file sets rp and omits it"),
     "enhancements": ("", "flags",
                      "comma-separated subset of " + ",".join(ENHANCEMENT_FLAGS)),
     "harq_fail_prob": ("", "float",
@@ -249,9 +251,18 @@ def _parse_value(kind: str, raw: str, key: str, line: int):
     )
 
 
-def parse_scenario_text(text: str) -> dict[str, object]:
-    """Parse a key=value document into a per-section field dict."""
-    values: dict[str, tuple[object, int]] = {}
+def build_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document; empty text yields defaults.
+
+    A document that sets `rp` and omits reserved_r gets reserved_r = 3, a
+    scenario-file rule that `apply_overrides` does not apply.
+    """
+    return _applied(Scenario(), _document_entries(text))
+
+
+def _document_entries(text: str):
+    """(key, raw value, line) per line of a document, then the rp default."""
+    seen: dict[str, str] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
         if not stripped:
@@ -261,26 +272,15 @@ def parse_scenario_text(text: str) -> dict[str, object]:
                 f"expected 'key = value', got {stripped!r}", lineno
             )
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KEYS:
-            raise ScenarioParseError(f"unknown key {key!r}", lineno)
-        if key in values:
+        if key in seen:
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
-        kind = _KEYS[key][1]
-        values[key] = (_parse_value(kind, raw, key, lineno), lineno)
-
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    for key, (value, _) in values.items():
-        sections[_KEYS[key][0]][key] = value
-    return sections
-
-
-def build_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document; empty text yields defaults."""
-    sections = parse_scenario_text(text)
-    top = sections[""]
-    if "rp" in top.get("enhancements", frozenset()) and "reserved_r" not in top:
-        top["reserved_r"] = 3
-    return _updated(Scenario(), sections)
+        seen[key] = raw
+        yield key, raw, lineno
+    flags = _parse_value(
+        "flags", seen.get("enhancements", ""), "enhancements", None
+    )
+    if "rp" in flags and "reserved_r" not in seen:
+        yield "reserved_r", "3", None
 
 
 def scenario_with(scenario: Scenario, **overrides) -> Scenario:
@@ -291,20 +291,22 @@ def scenario_with(scenario: Scenario, **overrides) -> Scenario:
 def apply_overrides(scenario: Scenario, pairs) -> Scenario:
     """Apply (key, raw text) overrides onto an existing scenario.
 
-    Keys and value syntax are the scenario-file ones; constraint
-    validation reruns on the updated scenario.
+    Keys and value syntax are the scenario-file ones; a later pair for a
+    key wins, and constraint validation reruns on the updated scenario.
     """
+    return _applied(
+        scenario, ((key, str(raw).strip(), None) for key, raw in pairs)
+    )
+
+
+def _applied(scenario: Scenario, entries) -> Scenario:
+    """`scenario` with each (key, raw value, line) entry set, revalidated."""
     sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
-    for key, raw in pairs:
+    for key, raw, line in entries:
         if key not in _KEYS:
-            raise ScenarioParseError(f"unknown key {key!r}")
+            raise ScenarioParseError(f"unknown key {key!r}", line)
         section, kind, _ = _KEYS[key]
-        sections[section][key] = _parse_value(kind, str(raw).strip(), key, None)
-    return _updated(scenario, sections)
-
-
-def _updated(scenario: Scenario, sections) -> Scenario:
-    """`scenario` with per-section field values replaced and revalidated."""
+        sections[section][key] = _parse_value(kind, raw, key, line)
     try:
         numerology = replace(scenario.numerology, **sections["numerology"])
         timing = replace(scenario.timing, **sections["timing"])

@@ -11,6 +11,10 @@ floats, so merging across seeds is exact: every ratio of a pooled report
 is the count-weighted ratio of its parts, and deep percentiles are read
 from the pooled histogram. The 99.99th percentile is only reported once
 the pooled success count reaches 100 000; below that it is absent.
+
+A figure without a basis is None in every method, as in `kpis()` and the
+blank report.csv cells: a ratio over an empty observation period or an
+absent pool, or a delay figure of a class with no successes.
 """
 
 from __future__ import annotations
@@ -30,20 +34,12 @@ PERCENTILE_LEVELS = (50.0, 95.0, 99.0, 99.99)
 DEEP_PERCENTILE_MIN_SAMPLES = 100_000
 
 
-class KpiError(Exception):
-    """Base for KPI computation failures."""
-
-
-class EmptyObservationError(KpiError):
-    """Ratio requested over an empty observation period."""
-
-
-class NoSuccessError(KpiError):
-    """Delay statistics requested with zero successful records."""
-
-
-class MergeMismatchError(KpiError):
+class MergeMismatchError(Exception):
     """Reports from differing scenarios cannot be pooled."""
+
+
+def _ratio(num: float, den: int) -> float | None:
+    return num / den if den else None
 
 
 @dataclass(kw_only=True)
@@ -80,30 +76,29 @@ class KpiReport(OpportunityLog):
     def _cells_total(self) -> int:
         return self.n_preambles * self.n_raos * self.n_gnbs
 
-    def collision_probability(self, klass: str = "overall") -> float:
+    def collision_probability(self, klass: str = "overall") -> float | None:
         """Collided-cell ratio; klass is overall, urllc, or non_urllc.
 
         Class ratios are normalized to the preamble pool available to
         that class on each subframe (the reserved pool for the priority
         class when a reservation is active, its complement otherwise).
+        None over an empty observation period.
         """
-        if self.n_raos == 0:
-            raise EmptyObservationError(
-                "collision probability is undefined over an empty "
-                "observation period"
-            )
         if klass == "overall":
-            return self.collided_cells / self._cells_total()
+            return _ratio(self.collided_cells, self._cells_total())
         if klass == "urllc":
-            denom = self.sum_pool_urllc * self.n_gnbs
-            return self.collided_urllc / denom if denom else 0.0
+            return _ratio(
+                self.collided_urllc, self.sum_pool_urllc * self.n_gnbs
+            )
         if klass == "non_urllc":
-            denom = self.sum_pool_non_urllc * self.n_gnbs
-            return self.collided_non_urllc / denom if denom else 0.0
+            return _ratio(
+                self.collided_non_urllc, self.sum_pool_non_urllc * self.n_gnbs
+            )
         raise ValueError(f"unknown class {klass!r}")
 
     def preamble_utilization(self) -> dict[str, float | None]:
-        """Used-cell ratios per pool; absent pools map to None.
+        """Used-cell ratios per pool; absent pools, and every pool over an
+        empty observation period, map to None.
 
         reserved / contention split the preamble space by the per-subframe
         reservation size; reserved_priority conditions the reserved-pool
@@ -111,42 +106,28 @@ class KpiReport(OpportunityLog):
         actually transmitted to that gNB, which is the serving-side view
         of how full the reserved slice runs under load.
         """
-        if self.n_raos == 0:
-            raise EmptyObservationError(
-                "utilization is undefined over an empty observation period"
-            )
         total = self._cells_total()
         res_slots = self.sum_r * self.n_gnbs
-        con_slots = total - res_slots
-        out: dict[str, float | None] = {
-            "overall": self.used_cells / total,
-            "reserved": self.used_reserved / res_slots if res_slots else None,
-            "contention": (
-                self.used_contention / con_slots if con_slots else None
+        return {
+            "overall": _ratio(self.used_cells, total),
+            "reserved": _ratio(self.used_reserved, res_slots),
+            "contention": _ratio(self.used_contention, total - res_slots),
+            "reserved_priority": _ratio(
+                self.used_reserved_at_prio_macro, self.prio_macro_r_sum
             ),
-            "reserved_priority": (
-                self.used_reserved_at_prio_macro / self.prio_macro_r_sum
-                if self.prio_macro_r_sum
-                else None
+            "urllc": _ratio(
+                self.used_urllc, self.sum_pool_urllc * self.n_gnbs
             ),
-            "urllc": (
-                self.used_urllc / (self.sum_pool_urllc * self.n_gnbs)
-                if self.sum_pool_urllc
-                else None
-            ),
-            "non_urllc": (
-                self.used_non_urllc / (self.sum_pool_non_urllc * self.n_gnbs)
-                if self.sum_pool_non_urllc
-                else None
+            "non_urllc": _ratio(
+                self.used_non_urllc, self.sum_pool_non_urllc * self.n_gnbs
             ),
         }
-        return out
 
     # -- delay statistics -----------------------------------------------
 
     def _hist(self, klass: str) -> tuple[Counter, int]:
-        """The class's delay histogram and its sample count; raises
-        NoSuccessError when the histogram is empty."""
+        """The delay histogram of klass (all, urllc, or non_urllc) and its
+        sample count."""
         if klass == "all":
             hist = self.delay_hist
         elif klass == "urllc":
@@ -155,42 +136,51 @@ class KpiReport(OpportunityLog):
             hist = self.delay_hist_non_urllc
         else:
             raise ValueError(f"unknown class {klass!r}")
-        total = sum(hist.values())
-        if total == 0:
-            raise NoSuccessError(f"no successful {klass} records")
-        return hist, total
+        return hist, sum(hist.values())
 
-    def mean_access_delay_ms(self, klass: str = "all") -> float:
+    def _percentiles_ms(self, levels, klass: str) -> dict[float, float]:
+        """The smallest delay whose empirical CDF reaches each of the
+        ascending `levels` percent, read in one walk up the sorted
+        histogram; empty when the class has no successes."""
         hist, total = self._hist(klass)
-        ticks = sum(t * c for t, c in hist.items())
-        return ticks_to_ms(ticks, self.time_scale) / total
-
-    def delay_percentile_ms(self, p: float, klass: str = "all") -> float:
-        """Smallest delay whose empirical CDF reaches p percent."""
-        hist, total = self._hist(klass)
-        if not 0 < p <= 100:
-            raise ValueError("percentile must be in (0, 100]")
-        k = max(1, math.ceil(p / 100.0 * total))
+        if not total:
+            return {}
+        ticks = iter(sorted(hist))
+        out = {}
         cum = 0
-        for tick in sorted(hist):
-            cum += hist[tick]
-            if cum >= k:
-                return ticks_to_ms(tick, self.time_scale)
-        return ticks_to_ms(max(hist), self.time_scale)
-
-    def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
-        """The standard percentile map; the 99.99th gates on sample depth."""
-        _, total = self._hist(klass)
-        out: dict[float, float | None] = {}
-        for p in PERCENTILE_LEVELS:
-            if p == 99.99 and total < DEEP_PERCENTILE_MIN_SAMPLES:
-                out[p] = None
-            else:
-                out[p] = self.delay_percentile_ms(p, klass)
+        for p in levels:
+            k = max(1, math.ceil(p / 100.0 * total))
+            while cum < k:
+                tick = next(ticks)
+                cum += hist[tick]
+            out[p] = ticks_to_ms(tick, self.time_scale)
         return out
 
+    def mean_access_delay_ms(self, klass: str = "all") -> float | None:
+        """Mean delay of the class's successes; None when it has none."""
+        hist, total = self._hist(klass)
+        ticks = sum(t * c for t, c in hist.items())
+        return _ratio(ticks_to_ms(ticks, self.time_scale), total)
+
+    def delay_percentile_ms(self, p: float, klass: str = "all") -> float | None:
+        """Smallest delay whose empirical CDF reaches p percent; None when
+        the class has no successes."""
+        if not 0 < p <= 100:
+            raise ValueError("percentile must be in (0, 100]")
+        return self._percentiles_ms((p,), klass).get(p)
+
+    def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
+        """The standard percentile map; the 99.99th, the last level, also
+        needs DEEP_PERCENTILE_MIN_SAMPLES successes of the class."""
+        levels = PERCENTILE_LEVELS
+        if self._hist(klass)[1] < DEEP_PERCENTILE_MIN_SAMPLES:
+            levels = levels[:-1]
+        found = self._percentiles_ms(levels, klass)
+        return dict.fromkeys(PERCENTILE_LEVELS) | found
+
     def cdf_points(self, klass: str = "all") -> list[tuple[float, float]]:
-        """Empirical CDF support points as (delay_ms, cumulative_prob)."""
+        """Empirical CDF support points as (delay_ms, cumulative_prob);
+        empty when the class has no successes."""
         hist, total = self._hist(klass)
         points = []
         cum = 0
@@ -205,25 +195,12 @@ class KpiReport(OpportunityLog):
         """Every reported figure, keyed by its report.csv column, in
         column order.
 
-        A figure is None where the CSV leaves it blank: a ratio over an
-        empty observation period, a delay of a class with no successes,
-        or a 99.99th percentile below DEEP_PERCENTILE_MIN_SAMPLES pooled
-        successes of its class.
+        A figure is None where the CSV leaves it blank: where its method
+        returns None, and for a 99.99th percentile below
+        DEEP_PERCENTILE_MIN_SAMPLES pooled successes of its class.
         """
-        seen = self.n_raos > 0
-        util = self.preamble_utilization() if seen else {}
-        none = dict.fromkeys(PERCENTILE_LEVELS)
-        pc = self.delay_percentiles() if self.delay_hist else none
-        pc_ur = (
-            self.delay_percentiles("urllc") if self.delay_hist_urllc else none
-        )
-
-        def collision(klass: str) -> float | None:
-            return self.collision_probability(klass) if seen else None
-
-        def mean(klass: str, hist: Counter) -> float | None:
-            return self.mean_access_delay_ms(klass) if hist else None
-
+        util = self.preamble_utilization()
+        pc = self.delay_percentiles()
         return {
             "n_seeds": self.n_seeds,
             "n_devices": self.n_devices,
@@ -235,23 +212,21 @@ class KpiReport(OpportunityLog):
             "n_gnbs": self.n_gnbs,
             "n_preambles": self.n_preambles,
             "mean_msg1": self.mean_msg1_count,
-            "collision_overall": collision("overall"),
-            "collision_urllc": collision("urllc"),
-            "collision_non_urllc": collision("non_urllc"),
-            "util_overall": util.get("overall"),
-            "util_reserved": util.get("reserved"),
-            "util_contention": util.get("contention"),
-            "util_reserved_priority": util.get("reserved_priority"),
-            "mean_delay_ms": mean("all", self.delay_hist),
+            "collision_overall": self.collision_probability("overall"),
+            "collision_urllc": self.collision_probability("urllc"),
+            "collision_non_urllc": self.collision_probability("non_urllc"),
+            "util_overall": util["overall"],
+            "util_reserved": util["reserved"],
+            "util_contention": util["contention"],
+            "util_reserved_priority": util["reserved_priority"],
+            "mean_delay_ms": self.mean_access_delay_ms(),
             "delay_p50_ms": pc[50.0],
             "delay_p95_ms": pc[95.0],
             "delay_p99_ms": pc[99.0],
             "delay_p9999_ms": pc[99.99],
-            "mean_delay_urllc_ms": mean("urllc", self.delay_hist_urllc),
-            "mean_delay_non_urllc_ms": mean(
-                "non_urllc", self.delay_hist_non_urllc
-            ),
-            "urllc_delay_p9999_ms": pc_ur[99.99],
+            "mean_delay_urllc_ms": self.mean_access_delay_ms("urllc"),
+            "mean_delay_non_urllc_ms": self.mean_access_delay_ms("non_urllc"),
+            "urllc_delay_p9999_ms": self.delay_percentiles("urllc")[99.99],
         }
 
     def csv_row(self) -> str:

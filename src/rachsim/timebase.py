@@ -39,9 +39,6 @@ class Numerology:
             )
 
 
-BASELINE = Numerology(15, 7)
-
-
 def time_scale_fraction(numerology: Numerology) -> Fraction:
     """Exact duration scale factor relative to the reference configuration."""
     return Fraction(15, numerology.subcarrier_spacing_khz) * Fraction(

@@ -71,6 +71,43 @@ def test_run_zero_devices_is_valid(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("sets", [
+    ["n_devices=0"],
+    ["n_devices=50", "harq_fail_prob=1"],
+], ids=["zero-devices", "all-fail"])
+def test_run_without_successes_writes_no_delays(tmp_path, sets):
+    argv = ["run", "--out", str(tmp_path)]
+    for item in sets:
+        argv += ["--set", item]
+    assert run_cli(*argv) == EXIT_OK
+    cdf = (tmp_path / "delay_cdf.csv").read_text()
+    assert cdf == "delay_ms,cum_prob\n"
+    header, row = (tmp_path / "report.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    delays = [name for name in cells if "delay" in name]
+    assert len(delays) == 8
+    assert all(cells[name] == "" for name in delays)
+    assert cells["n_success"] == "0"
+
+
+def test_rp_reserved_default_is_a_scenario_file_rule(tmp_path, capsys):
+    # --set pairs get no default, so rp alone fails, and the message
+    # promises none; a scenario file that omits reserved_r gets 3.
+    code = run_cli("run", "--out", str(tmp_path), "--set", "enhancements=rp")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "reserved_r >= 1" in err
+    assert "default" not in err
+    code = run_cli("sweep", "--out", str(tmp_path), "--set", "n_devices=10",
+                   "enhancements=rp,edt")
+    assert code == EXIT_CONFIG
+    cfg = tmp_path / "rp.cfg"
+    cfg.write_text("n_devices = 10\nenhancements = rp\n")
+    out = tmp_path / "file"
+    assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
+    assert "reserved_r = 3\n" in (out / "scenario.cfg").read_text()
+
+
 def test_scenario_file_and_env_out_dir(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("n_devices = 33\nseed = 4\n")

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
-from rachsim.engine import AccessRecord, OpportunityLog, RunResult, run
+from rachsim.engine import OpportunityLog, RunResult, run
 from rachsim.kpi import (
     _MAX_FIELDS,
     _SUM_FIELDS,
-    EmptyObservationError,
     KpiReport,
     MergeMismatchError,
-    NoSuccessError,
+    PERCENTILE_LEVELS,
     REPORT_COLUMNS,
     build_report,
     csv_header,
@@ -25,48 +24,41 @@ from rachsim.kpi import (
 )
 
 
-# The RunResult integer columns: AccessRecord fields that are not derived.
-TICK_COLUMNS = tuple(
-    f.name
-    for f in fields(AccessRecord)
-    if f.name not in ("device_id", "urllc", "success", "msg1_ticks")
+# The RunResult integer columns; -1 marks an absent time.
+TICK_COLUMNS = (
+    "msg1_count", "attempt_count", "arrival_ticks", "first_attempt_ticks",
+    "completion_ticks", "wait_ticks", "msg2_ticks", "msg3_ticks", "msg4_ticks",
 )
 
 
-def record(dev, delay_ticks, urllc=True, arrival=0):
-    """Successful record with the given first-attempt-to-done delay."""
-    return AccessRecord(
-        device_id=dev,
+def record(delay_ticks, urllc=True, arrival=0):
+    """A success's columns, with the given first-attempt-to-done delay."""
+    return dict(
         urllc=urllc,
-        success=True,
         msg1_count=1,
         attempt_count=1,
         arrival_ticks=arrival,
         first_attempt_ticks=arrival,
         completion_ticks=arrival + delay_ticks,
         wait_ticks=0,
-        msg1_ticks=56,
         msg2_ticks=168,
-        msg3_ticks=None,
-        msg4_ticks=None,
+        msg3_ticks=-1,
+        msg4_ticks=-1,
     )
 
 
-def failure(dev, urllc=True):
-    return AccessRecord(
-        device_id=dev,
+def failure(urllc=True):
+    return dict(
         urllc=urllc,
-        success=False,
         msg1_count=10,
         attempt_count=9,
         arrival_ticks=0,
         first_attempt_ticks=0,
-        completion_ticks=None,
-        wait_ticks=None,
-        msg1_ticks=None,
-        msg2_ticks=None,
-        msg3_ticks=None,
-        msg4_ticks=None,
+        completion_ticks=-1,
+        wait_ticks=-1,
+        msg2_ticks=-1,
+        msg3_ticks=-1,
+        msg4_ticks=-1,
     )
 
 
@@ -77,11 +69,7 @@ def result_with(records, scenario=None, **log_over):
     for key, value in log_over.items():
         setattr(log, key, value)
     columns = {
-        name: np.array(
-            [-1 if getattr(r, name) is None else getattr(r, name)
-             for r in records],
-            dtype=np.int64,
-        )
+        name: np.array([r[name] for r in records], dtype=np.int64)
         for name in TICK_COLUMNS
     }
     return RunResult(
@@ -89,14 +77,14 @@ def result_with(records, scenario=None, **log_over):
         scenario=scenario,
         layout=None,
         placement=None,
-        urllc=np.array([r.urllc for r in records], dtype=bool),
+        urllc=np.array([r["urllc"] for r in records], dtype=bool),
         **columns,
     )
 
 
 def test_collision_single_cell_hand_case():
     res = result_with(
-        [record(0, 280)], n_raos=1, used_cells=2, collided_cells=1
+        [record(280)], n_raos=1, used_cells=2, collided_cells=1
     )
     rep = build_report(res)
     assert rep.collision_probability() == 1 / 54
@@ -106,17 +94,18 @@ def test_collision_single_cell_hand_case():
     assert util["reserved_priority"] is None
 
 
-def test_collision_requires_observation():
+def test_ratios_without_observation_are_none():
     rep = build_report(result_with([]))
-    with pytest.raises(EmptyObservationError):
-        rep.collision_probability()
-    with pytest.raises(EmptyObservationError):
-        rep.preamble_utilization()
+    for klass in ("overall", "urllc", "non_urllc"):
+        assert rep.collision_probability(klass) is None
+    assert set(rep.preamble_utilization().values()) == {None}
+    with pytest.raises(ValueError):
+        rep.collision_probability("martian")
 
 
 def test_per_class_collision_uses_class_pools():
     res = result_with(
-        [record(0, 280)],
+        [record(280)],
         n_raos=2,
         collided_urllc=1,
         collided_non_urllc=2,
@@ -132,7 +121,7 @@ def test_per_class_collision_uses_class_pools():
 
 def test_reserved_priority_utilization_conditions_on_active_stations():
     res = result_with(
-        [record(0, 280)],
+        [record(280)],
         n_raos=4,
         sum_r=12,
         prio_macro_r_sum=6,  # stations that actually saw priority traffic
@@ -148,7 +137,7 @@ def test_reserved_priority_utilization_conditions_on_active_stations():
 def test_delay_cdf_three_points():
     # Delays 5, 10, 15 ms (280/560/840 ticks).
     rep = build_report(
-        result_with([record(0, 280), record(1, 560), record(2, 840)], n_raos=1)
+        result_with([record(280), record(560), record(840)], n_raos=1)
     )
     assert rep.cdf_points() == [
         (5.0, pytest.approx(1 / 3)),
@@ -161,7 +150,7 @@ def test_delay_cdf_three_points():
 def test_percentile_is_step_inverse_not_interpolated():
     rep = build_report(
         result_with(
-            [record(i, (i + 1) * 56) for i in range(4)], n_raos=1
+            [record((i + 1) * 56) for i in range(4)], n_raos=1
         )
     )  # delays 1, 2, 3, 4 ms
     assert rep.delay_percentile_ms(50.0) == 2.0  # ceil(0.5*4)=2nd value
@@ -176,7 +165,7 @@ def test_percentile_is_step_inverse_not_interpolated():
 
 
 def test_single_record_percentiles_collapse():
-    rep = build_report(result_with([record(0, 392)], n_raos=1))
+    rep = build_report(result_with([record(392)], n_raos=1))
     pct = rep.delay_percentiles()
     assert pct[50.0] == pct[95.0] == pct[99.0] == 7.0
     assert pct[99.99] is None  # below the deep-tail sample gate
@@ -193,21 +182,23 @@ def test_deep_percentile_gate_boundary():
     assert at.delay_percentiles()[99.99] == 1.0
 
 
-def test_no_success_errors():
-    rep = build_report(result_with([failure(0)], n_raos=1))
-    with pytest.raises(NoSuccessError):
-        rep.mean_access_delay_ms()
-    with pytest.raises(NoSuccessError):
-        rep.delay_percentile_ms(50.0)
-    with pytest.raises(NoSuccessError):
-        rep.cdf_points()
+def test_delay_figures_without_successes_are_none():
+    rep = build_report(result_with([failure()], n_raos=1))
+    assert rep.mean_access_delay_ms() is None
+    assert rep.delay_percentile_ms(50.0) is None
+    assert rep.delay_percentiles("urllc") == dict.fromkeys(PERCENTILE_LEVELS)
+    assert rep.cdf_points() == []
     assert rep.n_failed == 1
+    with pytest.raises(ValueError):
+        rep.delay_percentile_ms(0.0)
+    with pytest.raises(ValueError):
+        rep.mean_access_delay_ms("martian")
 
 
 def test_class_split_histograms():
     rep = build_report(
         result_with(
-            [record(0, 280, urllc=True), record(1, 560, urllc=False)],
+            [record(280, urllc=True), record(560, urllc=False)],
             n_raos=1,
         )
     )
@@ -222,7 +213,7 @@ def test_report_carries_the_log_counters():
     # every int field of a report pools by exactly one rule.
     log_fields = [f.name for f in fields(OpportunityLog)]
     values = {name: 7 + i for i, name in enumerate(log_fields)}
-    rep = build_report(result_with([record(0, 280)], **values))
+    rep = build_report(result_with([record(280)], **values))
     assert {name: getattr(rep, name) for name in log_fields} == values
     int_fields = [f.name for f in fields(KpiReport) if f.type in ("int", int)]
     for name in int_fields:
