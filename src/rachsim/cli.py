@@ -29,6 +29,7 @@ from .engine import run
 from .kpi import KpiReport, build_report, csv_header, merge
 from .reference import TABLES, gates_passed, replicate, run_validation
 from .rng import RandomSource
+from .timebase import ticks_to_ms
 from .topology import build_layout, path_loss_db, place_devices
 from .traffic import assign_classes
 
@@ -86,8 +87,9 @@ def _cdf_csv(report: KpiReport) -> str:
 
 def _trace_csv(result) -> str:
     lines = ["time_ms,device_id,event,preamble,gnb,attempt"]
+    scale = result.time_scale
     for t, dev, kind, pre, gnb, att in result.trace or ():
-        ms = result.ticks_to_ms(t)
+        ms = ticks_to_ms(t, scale)
         lines.append(f"{ms:.10g},{dev},{kind},{pre},{gnb},{att}")
     return "\n".join(lines) + "\n"
 

@@ -25,24 +25,24 @@ pool; a static pool's tallies, and the opportunity count, follow after
 the loop in closed form. An opportunity with two or more contenders then
 runs four phases: preamble draw (one packed int per occupied cell), cell
 outcome, RAR grants and resolution (one pass, HARQ legs and backoffs
-inline). One with a single contender, the most common kind at sparse
-loads, cannot collide and runs one method that takes the same draws and
-makes the same counts without the cell bookkeeping. Both count each
-occupied cell under a five-bit code in a histogram that lives for the
-run, and the run folds it into the cell counters of `OpportunityLog`
-once, at its end.
+inline). A sole contender, the most common kind at sparse loads, cannot
+collide: one method takes the same draws, its copies in one bulk draw,
+makes the same counts without the cell bookkeeping and settles an
+early-data grant in place, calling `resolve` only for the handshake or a
+miss. Both paths count each occupied cell under a five-bit code in a
+histogram that the run folds into `OpportunityLog` once, at its end.
 
 Per-device state lives in plain lists under an internal numbering: the
 devices sorted by their start opportunity, stably, so that internal id i
-is device `order[i]`. The loop then reads nearby list entries at each
-opportunity rather than ones scattered over the run. Ties keep device
-order, so every opportunity sees its contenders in the same sequence as
-under device ids, and every draw is the same. `run` maps back once, at
-its end: each loop column is scattered into device-id order and each
-trace row gets its device id. A device first transmits at its arrival's
-opportunity, so `run` takes the arrival and first-attempt columns
-straight from the arrival array. `RunResult` is columnar, one numpy array
-per device field; `records` builds `AccessRecord`s.
+is device `order[i]` and the loop reads nearby list entries. Set-up
+sorts once, and cuts each opportunity's arrivals from the sorted starts
+as a range of ids. Ties keep device order, so every opportunity sees its
+contenders in the same sequence as under device ids, and every draw is
+the same. `run` maps back once, at its end: loop columns to device-id
+order, trace rows to device ids. A device first transmits at its
+arrival's opportunity, so the arrival and first-attempt columns come
+from the arrival array. `RunResult` is columnar; `records` builds
+`AccessRecord`s.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from .config import Scenario
 from .rng import RandomSource, buffered, bulk_integers, doubles, integers_in
-from .timebase import ms_to_ticks, ticks_to_ms, time_scale_fraction
+from .timebase import ms_to_ticks, time_scale_fraction
 from .topology import (
     CellLayout,
     DevicePlacement,
@@ -216,9 +216,6 @@ class RunResult:
     def time_scale(self) -> Fraction:
         return time_scale_fraction(self.scenario.numerology)
 
-    def ticks_to_ms(self, ticks: int | None) -> float | None:
-        return None if ticks is None else ticks_to_ms(ticks, self.time_scale)
-
 
 def run(
     scenario: Scenario,
@@ -253,6 +250,8 @@ def run(
     arrivals = np.asarray(arrivals, dtype=np.int64)
     if arrivals.shape != (n,):
         raise ValueError("arrivals size does not match n_devices")
+    if arrivals.min(initial=0) < 0:  # -1 marks an absent time in a column
+        raise ValueError("arrivals must be non-negative tick counts")
 
     sim = _Contention(
         scenario, src, layout, placement, is_ur, arrivals, collect_trace
@@ -294,14 +293,15 @@ class _Contention:
     range `(0, bi_max + 1)`, are C-level `__next__` calls over per-block
     lists (`rng.doubles`, `rng.integers_in`). `draw` takes its preambles
     with one bulk draw per pool range (`rng.bulk_integers`), which gives
-    the values of as many scalar draws, and `one_contender` with scalar
-    `integers(lo, hi)` draws. The loop counts only `msg1_count`, one write
-    per Msg1 copy; `_attempts` derives the attempts from it.
+    the values of as many scalar draws; copies of one range share a draw.
+    The loop counts only `msg1_count`, one write per Msg1 copy;
+    `_attempts` derives the attempts from it.
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
-    `one_contender` and any larger batch through `draw`, `cell_outcome`,
-    `grants` and `resolve`; `draw` packs each occupied cell into one int.
+    `one_contender`, which settles an early-data grant without `resolve`,
+    and any larger batch through `draw`, `cell_outcome`, `grants` and
+    `resolve`; `draw` packs each occupied cell into one int.
     A cell's code is the sum of bits 1 (a URLLC copy), 2 (a background
     copy), 4 (collided), 8 (reserved pool) and 16 (reserved pool at a
     priority macro). `one_contender` and `cell_outcome` count each
@@ -357,13 +357,13 @@ class _Contention:
         self.last_resolution = 0
         start = -(-arrivals // self.ra)
         self.order = order = np.argsort(start, kind="stable")
-        # Opportunity -> contenders. Internal ids follow the start
-        # opportunity, so each opportunity's arrivals are one `range` of
-        # them, in ascending order.
+        # Opportunity -> contenders: a range of internal ids per start
+        # opportunity, cut wherever the sorted start changes.
         self.buckets = buckets = defaultdict(list)
-        raos, firsts = np.unique(start[order], return_index=True)
+        start = start[order]
+        firsts = np.flatnonzero(np.diff(start, prepend=start[:1] - 1))
         bounds = firsts.tolist() + [len(start)]
-        for rao, lo, hi in zip(raos.tolist(), bounds, bounds[1:]):
+        for rao, lo, hi in zip(start[firsts].tolist(), bounds, bounds[1:]):
             buckets[rao] = list(range(lo, hi))
         is_ur = is_ur[order]
         self.is_ur = is_ur.tolist()
@@ -377,7 +377,8 @@ class _Contention:
         # The femto-copy rule: an attempt that starts with at most
         # `dual_last[d]` Msg1 copies also sends a femto copy (-1: never).
         last = self.max_tx - 2 if self.pp else -1
-        self.dual_last = np.where(femto >= 0, last, -1).tolist()
+        self.dual = (femto >= 0) & (last >= 0)
+        self.dual_last = np.where(self.dual, last, -1).tolist()
         self.serving_dist = placement.serving_dist[order]
         n = len(arrivals)
         for name in _LOOP_COLUMNS:
@@ -470,9 +471,9 @@ class _Contention:
         log.n_raos, log.sum_r, log.r_max = n_raos, sum_r, r_max
         log.sum_pool_urllc = sum_r + n_pre * zero_r
         log.sum_pool_non_urllc = n_pre * n_raos - sum_r
-        tx = np.array(self.msg1_count, dtype=np.int64)
+        self.msg1_count = tx = np.array(self.msg1_count, dtype=np.int64)
         log.total_msg1_tx = int(tx.sum())
-        self.attempt_count = _attempts(tx, np.array(self.dual_last) >= 0)
+        self.attempt_count = _attempts(tx, self.dual)
         for name, (bits, value) in _CELL_COUNTERS.items():
             setattr(log, name, sum(
                 n for code, n in enumerate(self.hist) if code & bits == value
@@ -498,24 +499,26 @@ class _Contention:
         n_preambles + preamble, so that key order is (gnb, preamble) order.
         Its value packs the cell's first copy as its local index * 16, plus
         8 for a femto copy, with the cell's code bits 1 (a URLLC copy), 2
-        (a background copy) and 4 (collided). `base` lists each
-        contender's transmission count before this opportunity under `pp`,
-        else it is None: one copy each, numbered by the Msg1 count.
+        (a background copy) and 4 (collided). `base` lists the contenders'
+        transmission counts before this opportunity under `pp` or `drp`;
+        empty, each copy is numbered by the Msg1 count.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         tx_count, cls = self.msg1_count, self.cls
         n_pre = self.n_pre
-        n_prio = 0
-        if self.drp:
-            prio = [is_ur[d] or tx_count[d] > 0 for d in devs]
-            n_prio = sum(prio)
+        base, dual, n_prio = [], [], 0
+        if self.pp or self.drp:  # one pass over the counts before the draw
+            dual_last = self.dual_last
+            for j, d in enumerate(devs):
+                b = tx_count[d]
+                base.append(b)
+                n_prio += is_ur[d] or b > 0
+                if b <= dual_last[d]:
+                    dual.append(j)
+        if r_use and self.drp:
+            prio = [is_ur[d] or b > 0 for d, b in zip(devs, base)]
         elif r_use:
             prio = [is_ur[d] for d in devs]
-        base = dual = None
-        if self.pp:
-            base = [tx_count[d] for d in devs]
-            dual_last = self.dual_last
-            dual = [j for j, d in enumerate(devs) if base[j] <= dual_last[d]]
         if r_use:
             pre1 = self._preambles(prio, r_use)
             pre2 = (
@@ -523,9 +526,9 @@ class _Contention:
             )
             prio_macros = {serving[d] for d, p in zip(devs, prio) if p}
             self.log.prio_macro_r_sum += r_use * len(prio_macros)
-        else:
-            pre1 = self.preambles(0, n_pre, len(devs))
-            pre2 = self.preambles(0, n_pre, len(dual)) if dual else []
+        else:  # one bulk draw, read by the two copy loops in turn
+            k = len(devs) + len(dual)
+            pre1 = pre2 = iter(self.preambles(0, n_pre, k))
             prio_macros = ()
 
         cells: dict[int, int] = {}
@@ -540,7 +543,7 @@ class _Contention:
                 cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, serving[d], self._attempt(d)))
-        for j, pre in zip(dual or (), pre2):
+        for j, pre in zip(dual, pre2):
             d = devs[j]
             tx_count[d] += 1
             gnb = self.n_macro + femto[d]
@@ -551,7 +554,7 @@ class _Contention:
                 cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, self._attempt(d)))
-        return (cells, base), prio_macros, n_prio
+        return (cells, base), prio_macros, n_prio if self.drp else 0
 
     def one_contender(self, t: int, devs: list[int], r_use: int) -> int:
         """All phases for an opportunity with one contender; returns 1 if
@@ -568,16 +571,15 @@ class _Contention:
         ur = self.is_ur[d]
         base = self.msg1_count[d]
         prio = (ur or base > 0) if self.drp else (ur and self.rp)
-        n_pre = self.n_pre
-        lo, hi = 0, n_pre
+        lo, hi = 0, self.n_pre
         if r_use > 0:
-            lo, hi = (0, r_use) if prio else (r_use, n_pre)
-        draw = self.preamble.integers
-        pre = draw(lo, hi)
+            lo, hi = (0, r_use) if prio else (r_use, hi)
         femto = self.femto[d]
         dual = base <= self.dual_last[d]
         if dual:
-            pre2 = draw(lo, hi)
+            pre, pre2 = self.preambles(lo, hi, 2)
+        else:
+            pre = self.preamble.integers(lo, hi)
         self.msg1_count[d] = base + 1 + dual
 
         macro = self.serving[d]
@@ -606,8 +608,16 @@ class _Contention:
             gnb = macro
         if dual and detect() < p_detect[base + 2] and gnb < 0:
             gnb = self.n_macro + femto
-        rar_at = [(t + self.t1 + self.t2, gnb) if gnb >= 0 else None]
-        self.resolve(t, devs, rar_at)
+        rar = t + self.t1 + self.t2
+        if gnb < 0 or not self.edt:
+            self.resolve(t, devs, [(rar, gnb) if gnb >= 0 else None])
+        else:  # an early-data grant completes at the RAR, as in `resolve`
+            self.completion_ticks[d], self.msg2_ticks[d] = rar, self.t2
+            self.wait_ticks[d] = t - self.arrival_ticks[d]
+            self.last_resolution = max(self.last_resolution, rar)
+            if trace is not None:
+                trace.append((rar, d, "rar", -1, gnb, 0))
+                trace.append((rar, d, "connected", -1, gnb, 0))
         return int(prio)
 
     def cell_outcome(self, devs, r_use, cells, prio_macros):
@@ -668,15 +678,16 @@ class _Contention:
         """
         rar_at: list[tuple[int, int] | None] = [None] * n
         first_rar = t + self.t1 + self.t2
+        cap, n_slots, sf = self.grants_per_sf, self.n_slots, self.subframe
         rank, prev_gnb = 0, -1
         for gnb, j in detected:
             if gnb != prev_gnb:
                 rank, prev_gnb = 0, gnb
-            slot = rank // self.grants_per_sf
+            slot = rank // cap
             rank += 1
-            if slot >= self.n_slots:
+            if slot >= n_slots:
                 continue
-            key = (first_rar + slot * self.subframe, gnb)
+            key = (first_rar + slot * sf, gnb)
             if rar_at[j] is None or key < rar_at[j]:
                 rar_at[j] = key
         return rar_at

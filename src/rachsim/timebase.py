@@ -59,8 +59,9 @@ def ms_to_ticks(ms: float, scale: Fraction = Fraction(1)) -> int:
 
 
 def ticks_to_ms(ticks: int, scale: Fraction = Fraction(1)) -> float:
-    """Tick count back to ms under the given scale factor."""
-    return float(Fraction(ticks) * scale / TICKS_PER_MS)
+    """Tick count back to ms under the given scale factor: one int true
+    division, which Python rounds correctly, as `float` does a Fraction."""
+    return ticks * scale.numerator / (TICKS_PER_MS * scale.denominator)
 
 
 _POSITIVE_TIMINGS = (

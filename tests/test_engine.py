@@ -24,7 +24,7 @@ from rachsim.engine import run
 from rachsim.kpi import build_report
 from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
-from rachsim.timebase import ms_to_ticks
+from rachsim.timebase import ms_to_ticks, ticks_to_ms
 from rachsim.topology import DevicePlacement, build_layout, place_devices
 
 SINGLE = TopologyConfig(n_macro_cells=1)
@@ -154,7 +154,7 @@ def test_edt_single_device_exact_timeline():
     assert rec.msg3_ticks is None and rec.msg4_ticks is None
     assert rec.completion_ticks == 224
     assert rec.delay_ticks == 224
-    assert res.ticks_to_ms(rec.delay_ticks) == 4.0
+    assert ticks_to_ms(rec.delay_ticks, res.time_scale) == 4.0
 
 
 def test_offgrid_arrival_waits_for_next_opportunity():
@@ -1206,7 +1206,8 @@ def test_numerology_only_rescales_reported_times():
     assert ra.log == rb.log  # identical contention on the tick lattice
     for x, y in zip(ra.records, rb.records):
         assert x.completion_ticks == y.completion_ticks
-    assert rb.ticks_to_ms(560) == ra.ticks_to_ms(560) / 2
+    half = ticks_to_ms(560, rb.time_scale)
+    assert half == ticks_to_ms(560, ra.time_scale) / 2
 
 
 def test_sinr_gate_blocks_all_when_impossible():
@@ -1253,6 +1254,8 @@ ONE_CONTENDER_CASES = {
     "sinr-4db-pp": ("edt-pp", SINR_4DB + (("femto_radius_m", "300"),)),
     "pp-max-tx-1": ("edt-pp", (("max_preamble_tx", "1"),)),
     "pp-max-tx-2": ("edt-pp", (("max_preamble_tx", "2"),)),
+    "edt-5k": ("edt-5k", ()),
+    "rp5-mixed-dense": ("rp5-mixed-dense", ()),
 }
 
 
@@ -1286,3 +1289,13 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
     assert 0 < len(sole) < len(copies)
     dual = any(len(devs) == 2 for devs in sole)
     assert dual == ("pp" in sc.enhancements and sc.max_preamble_tx >= 2)
+
+
+# -- injected arrivals ------------------------------------------------------
+
+
+def test_negative_arrivals_are_rejected():
+    # A time before 0 could not be told from the -1 of an absent time.
+    sc = mk("n_devices = 3\n", topology=SINGLE)
+    with pytest.raises(ValueError, match="non-negative"):
+        run(sc, arrivals=np.array([0, -560, 280]))

@@ -97,6 +97,19 @@ def test_roundtrip_is_identity_on_integers(ticks):
     assert ms_to_ticks(ticks_to_ms(ticks)) == ticks
 
 
+@given(
+    st.integers(min_value=-(10**18), max_value=10**18),
+    st.sampled_from(sorted(SCALE_ORACLE)),
+)
+def test_ticks_to_ms_equals_the_fraction_formula(ticks, cell):
+    # One int true division, correctly rounded, gives the float of the
+    # exact rational value.
+    scale = time_scale_fraction(Numerology(*cell))
+    exact = float(Fraction(ticks) * scale / TICKS_PER_MS)
+    assert ticks_to_ms(ticks, scale) == exact
+    assert ticks_to_ms(ticks) == float(Fraction(ticks, TICKS_PER_MS))
+
+
 def test_half_up_rounding():
     # One tick is 1/56 ms; half a tick rounds up.
     assert ms_to_ticks(1 / 112) == 1

@@ -1,28 +1,34 @@
 """In-process A/B of `engine.run` and `topology.place_devices` between two
-revisions of the repository.
+revisions of the repository, with an A/A control.
 
     python3 tools/ab_engine.py --rev HEAD~1 --rev HEAD
 
-Each revision is extracted with `git archive` into a temporary directory,
-and its `src/rachsim` is imported under a package name of its own, `rachsim_a`
-and `rachsim_b`, so both revisions run in one process on one warm
-interpreter. For the 30 reference scenarios plus overload-20k
-(baseline-10k at 20 000 devices) and each of the seeds 1-30, every
-revision times `place_devices` as the median of PLACE_CALLS calls, each
-after an untimed layout on a fresh source of the seed, the calls of the
-two revisions taking turns; then each builds the arrivals untimed and
-times one `engine.run`. The first revision goes first on odd seeds and
-second on even ones. The two placements must hold the same
-`serving_cell`, `femto_cell` and `serving_dist` bytes, and the two
-`RunResult`s identical device columns and `OpportunityLog`s. On the first
-seed of each scenario both revisions also make one untimed traced run,
+Each revision is extracted with `git archive` into a temporary directory.
+Its `src/rachsim` is imported under package names of its own, so that
+both revisions run in one process on one warm interpreter, and the first
+revision is imported a second time, as A', for an A/A control. The three
+packages are imported twice over: in the order A, B, A' for the first
+half of the seeds, and A', B, A for the second half. So each of A/B and
+A/A' has the package imported first on one half of the seeds and last on
+the other, which cancels a bias from import order (an A/A run of one
+tree imported twice read 2-5% slower for the copy imported second).
+
+For the 30 reference scenarios plus overload-20k (baseline-10k at 20 000
+devices) and each of the seeds 1-30, every package times `place_devices`
+as the median of PLACE_CALLS calls, each after an untimed layout on a
+fresh source of the seed, the calls of the three packages taking turns;
+then each builds the arrivals untimed and times one `engine.run`. The
+turns go A, B, A' on odd seeds and A', B, A on even ones. The placements
+must hold the same `serving_cell`, `femto_cell` and `serving_dist` bytes,
+and the `RunResult`s identical device columns and `OpportunityLog`s. On
+the first seed of each scenario A and B also make one untimed traced run,
 whose trace rows must be equal one by one. The script stops at the first
 difference and names it, for a trace the first row that differs.
 
 It prints two markdown tables, one for `engine.run` and one for
-`place_devices`: per scenario, the median speed-up (time of the first
-revision / time of the second) with its quartiles and the pairs the
-second revision won, then the total time of each revision.
+`place_devices`: per scenario, the median speed-up (time of A / time of
+B) with its quartiles and the pairs B won, the A/A column (time of A /
+time of A') in the same form, then the total time of each package.
 """
 
 from __future__ import annotations
@@ -88,6 +94,10 @@ def scenarios(pkg) -> dict:
 # Device fields of a placement that both revisions must give bit for bit.
 PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
 TIMED = ("engine.run", "place_devices")
+# Packages by index: A, B and A' (the first revision imported again), and
+# the import and turn order of the first half of the seeds and odd seeds.
+TAGS = ("a", "b", "c")
+LOAD_ORDER = (0, 1, 2)
 
 
 def timed_place(pkg, scenario):
@@ -161,6 +171,11 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def spread(ratios: list[float]) -> str:
+    q1, med, q3 = quartiles(ratios)
+    return f"{med:.3f} [{q1:.3f}, {q3:.3f}]"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rev", action="append", required=True,
@@ -170,20 +185,25 @@ def main(argv=None) -> int:
         ap.error("give --rev twice")
 
     with tempfile.TemporaryDirectory(prefix="ab-engine-") as tmp:
-        pkgs = [
-            load(checkout(rev, Path(tmp) / f"tree_{tag}"), f"rachsim_{tag}")
-            for rev, tag in zip(args.rev, "ab")
-        ]
-        specs = [scenarios(pkg) for pkg in pkgs]
+        trees = [checkout(rev, Path(tmp) / f"tree_{tag}")
+                 for rev, tag in zip(args.rev, "ab")]
+        trees.append(trees[0])  # A', the first revision imported again
+        groups = []
+        for half, load_order in enumerate((LOAD_ORDER, LOAD_ORDER[::-1])):
+            pkgs = [None] * len(trees)
+            for k in load_order:
+                pkgs[k] = load(trees[k], f"rachsim_{TAGS[k]}{half}")
+            groups.append((pkgs, [scenarios(pkg) for pkg in pkgs]))
         rows = {what: [] for what in TIMED}
-        totals = {what: [0.0, 0.0] for what in TIMED}
-        for name in specs[0]:
-            ratios = {what: [] for what in TIMED}
+        totals = {what: [0.0] * len(trees) for what in TIMED}
+        for name in groups[0][1][0]:
+            ratios = {what: ([], []) for what in TIMED}
             for seed in SEEDS:
-                order = (0, 1) if seed % 2 else (1, 0)
+                pkgs, specs = groups[seed > SEEDS[len(SEEDS) // 2 - 1]]
+                order = LOAD_ORDER if seed % 2 else LOAD_ORDER[::-1]
                 cases = [pkg.config.scenario_with(spec[name], seed=seed)
                          for pkg, spec in zip(pkgs, specs)]
-                calls = ([], [])
+                calls = ([], [], [])
                 gc.collect()
                 for _ in range(PLACE_CALLS):
                     for k in order:
@@ -194,46 +214,51 @@ def main(argv=None) -> int:
                     t_place = statistics.median(c[0] for c in calls[k])
                     out[k] = (timed_run(pkgs[k], cases[k], placement, source),
                               (t_place, placement))
-                (run_a, place_a), (run_b, place_b) = out[0], out[1]
-                differs = same_placement(place_a[1], place_b[1]) or (
-                    same_result(run_a[1], run_b[1])
-                )
-                if differs:
-                    print(f"{name} seed {seed}: {differs} differs",
-                          file=sys.stderr)
-                    return 1
+                for k in (1, 2):
+                    differs = same_placement(out[0][1][1], out[k][1][1]) or (
+                        same_result(out[0][0][1], out[k][0][1])
+                    )
+                    if differs:
+                        print(f"{name} seed {seed}: {TAGS[k]} {differs} "
+                              "differs", file=sys.stderr)
+                        return 1
                 if seed == SEEDS[0]:
                     traced = [pkg.engine.run(case, collect_trace=True)
-                              for pkg, case in zip(pkgs, cases)]
+                              for pkg, case in zip(pkgs[:2], cases)]
                     differs = first_trace_difference(*traced)
                     if differs:
                         print(f"{name} seed {seed}: {differs}",
                               file=sys.stderr)
                         return 1
-                for what, a, b in zip(TIMED, (run_a, place_a),
-                                      (run_b, place_b)):
-                    totals[what][0] += a[0]
-                    totals[what][1] += b[0]
-                    ratios[what].append(a[0] / b[0])
+                for i, what in enumerate(TIMED):
+                    times = [out[k][i][0] for k in range(len(trees))]
+                    for k, t in enumerate(times):
+                        totals[what][k] += t
+                    ratios[what][0].append(times[0] / times[1])
+                    ratios[what][1].append(times[0] / times[2])
             for what in TIMED:
-                q1, med, q3 = quartiles(ratios[what])
-                won = sum(r > 1.0 for r in ratios[what])
-                rows[what].append(f"| {name} | {med:.3f} [{q1:.3f}, {q3:.3f}] "
-                                  f"| {won}/{len(ratios[what])} |")
+                ab, aa = ratios[what]
+                won = sum(r > 1.0 for r in ab)
+                rows[what].append(f"| {name} | {spread(ab)} | {won}/{len(ab)} "
+                                  f"| {spread(aa)} |")
                 print(what, rows[what][-1], file=sys.stderr, flush=True)
 
-    print(f"A = {args.rev[0]}, B = {args.rev[1]}; seeds 1-{SEEDS[-1]}, "
-          "alternating order; speed-up = time A / time B, median [q1, q3]")
+    print(f"A = {args.rev[0]}, B = {args.rev[1]}, A' = {args.rev[0]} "
+          f"imported again; seeds 1-{SEEDS[-1]}, import order swapped "
+          "between the halves and turn order between odd and even seeds; "
+          "speed-up = time A / time B, A/A = time A / time A', "
+          "median [q1, q3]")
     for what in TIMED:
-        a, b = totals[what]
+        a, b, a2 = totals[what]
         print()
         print(f"`{what}`:")
         print()
-        print("| scenario | speed-up | pairs B won |")
-        print("| --- | --- | --- |")
+        print("| scenario | speed-up | pairs B won | A/A |")
+        print("| --- | --- | --- | --- |")
         print("\n".join(rows[what]))
         print()
-        print(f"Total {what} time: A {a:.2f} s, B {b:.2f} s ({a / b:.3f}x)")
+        print(f"Total {what} time: A {a:.2f} s, B {b:.2f} s ({a / b:.3f}x), "
+              f"A' {a2:.2f} s ({a / a2:.3f}x)")
     return 0
 
 
