@@ -515,11 +515,11 @@ class _Contention:
                 n_prio += is_ur[d] or b > 0
                 if b <= dual_last[d]:
                     dual.append(j)
-        if r_use and self.drp:
-            prio = [is_ur[d] or b > 0 for d, b in zip(devs, base)]
-        elif r_use:
-            prio = [is_ur[d] for d in devs]
         if r_use:
+            if self.drp:
+                prio = [is_ur[d] or b > 0 for d, b in zip(devs, base)]
+            else:
+                prio = [is_ur[d] for d in devs]
             pre1 = self._preambles(prio, r_use)
             pre2 = (
                 self._preambles([prio[j] for j in dual], r_use) if dual else []
