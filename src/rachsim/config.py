@@ -147,8 +147,8 @@ class Scenario:
                 )
             if "drp" in self.enhancements:
                 raise ScenarioConstraintError(
-                    "drp implies a dynamic reserved pool; a fixed reserved_r "
-                    "cannot be set with it"
+                    f"drp requires reserved_r = {DYNAMIC} (a scenario file "
+                    "that omits reserved_r gets it)"
                 )
             if not 0 <= self.reserved_r < self.n_preambles:
                 raise ScenarioConstraintError(
@@ -254,14 +254,14 @@ def _parse_value(kind: str, raw: str, key: str, line: int):
 def build_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document; empty text yields defaults.
 
-    A document that sets `rp` and omits reserved_r gets reserved_r = 3, a
-    scenario-file rule that `apply_overrides` does not apply.
+    A document that omits reserved_r gets 3 under `rp` and `dynamic` under
+    `drp`, a scenario-file rule that `apply_overrides` does not apply.
     """
     return _applied(Scenario(), _document_entries(text))
 
 
 def _document_entries(text: str):
-    """(key, raw value, line) per line of a document, then the rp default."""
+    """(key, raw value, line) per line, then the reserved_r default."""
     seen: dict[str, str] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.split("#", 1)[0].strip()
@@ -279,8 +279,9 @@ def _document_entries(text: str):
     flags = _parse_value(
         "flags", seen.get("enhancements", ""), "enhancements", None
     )
-    if "rp" in flags and "reserved_r" not in seen:
-        yield "reserved_r", "3", None
+    default = "3" if "rp" in flags else DYNAMIC if "drp" in flags else None
+    if default and "reserved_r" not in seen:
+        yield "reserved_r", default, None
 
 
 def scenario_with(scenario: Scenario, **overrides) -> Scenario:

@@ -25,12 +25,15 @@ pool; a static pool's tallies, and the opportunity count, follow after
 the loop in closed form. An opportunity with two or more contenders then
 runs four phases: preamble draw (one packed int per occupied cell), cell
 outcome, RAR grants and resolution (one pass, HARQ legs and backoffs
-inline). A sole contender, the most common kind at sparse loads, cannot
-collide: one method takes the same draws, its copies in one bulk draw,
-makes the same counts without the cell bookkeeping and settles an
-early-data grant in place, calling `resolve` only for the handshake or a
-miss. Both paths count each occupied cell under a five-bit code in a
-histogram that the run folds into `OpportunityLog` once, at its end.
+inline). Under `edt`, a batch whose draw leaves one copy per cell and at
+most `grants_per_sf` cells can neither collide nor overflow a response
+subframe, and settles in one pass after the draw. A sole contender, the
+most common kind at sparse loads, cannot collide either: one method takes
+its draws, its copies in one bulk draw, and its counts without the cell
+bookkeeping. Both settle an early-data grant in place, calling `resolve`
+only for the handshake or a miss. Every path counts each occupied cell
+under a five-bit code in a histogram that the run folds into
+`OpportunityLog` once, at its end.
 
 Per-device state lives in plain lists under an internal numbering: the
 devices sorted by their start opportunity, stably, so that internal id i
@@ -299,14 +302,14 @@ class _Contention:
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
-    `one_contender`, which settles an early-data grant without `resolve`,
-    and any larger batch through `draw`, `cell_outcome`, `grants` and
-    `resolve`; `draw` packs each occupied cell into one int.
-    A cell's code is the sum of bits 1 (a URLLC copy), 2 (a background
-    copy), 4 (collided), 8 (reserved pool) and 16 (reserved pool at a
-    priority macro). `one_contender` and `cell_outcome` count each
-    occupied cell under its code in `hist`, which `simulate` folds into
-    the log once per run.
+    `one_contender`, and any larger batch through `draw`, which packs
+    each occupied cell into one int, then `settle` when `edt` is on, no
+    cell holds two copies and at most `grants_per_sf` are occupied, else
+    `cell_outcome`, `grants` and `resolve`. A cell's code is the sum of
+    bits 1 (a URLLC copy), 2 (a background copy), 4 (collided), 8
+    (reserved pool) and 16 (reserved pool at a priority macro). Each path
+    counts each occupied cell under its code in `hist`, which `simulate`
+    folds into the log once per run.
     """
 
     def __init__(
@@ -356,15 +359,17 @@ class _Contention:
         self.trace: list[tuple] | None = [] if collect_trace else None
         self.last_resolution = 0
         start = -(-arrivals // self.ra)
-        self.order = order = np.argsort(start, kind="stable")
+        # A stable order is unique; numpy radix-sorts 8- and 16-bit keys.
+        key = start.astype(np.min_scalar_type(start.max(initial=0)))
+        self.order = order = np.argsort(key, kind="stable")
         # Opportunity -> contenders: a range of internal ids per start
         # opportunity, cut wherever the sorted start changes.
-        self.buckets = buckets = defaultdict(list)
         start = start[order]
         firsts = np.flatnonzero(np.diff(start, prepend=start[:1] - 1))
         bounds = firsts.tolist() + [len(start)]
-        for rao, lo, hi in zip(start[firsts].tolist(), bounds, bounds[1:]):
-            buckets[rao] = list(range(lo, hi))
+        self.buckets = defaultdict(list, zip(
+            start[firsts].tolist(), map(list, map(range, bounds, bounds[1:]))
+        ))
         is_ur = is_ur[order]
         self.is_ur = is_ur.tolist()
         self.cls = (2 - is_ur).tolist()  # cell code class bit
@@ -415,8 +420,10 @@ class _Contention:
         folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
         sum of the final Msg1 counts.
 
-        Once the buckets are empty every arrival has had its opportunity,
-        so the loop runs on only to the opportunity of the last resolution.
+        A larger batch takes `settle` or the three general phases after
+        `draw`, as `draw` finds. Once the buckets are empty every arrival
+        has had its opportunity, so the loop runs on only to the
+        opportunity of the last resolution.
         """
         buckets = self.buckets
         if not buckets:
@@ -428,9 +435,9 @@ class _Contention:
         r_use, window_sum = self.r_static, 0
         sum_r = r_max = pooled = 0
         pop = buckets.pop
-        one_contender, draw, cell_outcome, grants, resolve = (
+        one_contender, draw, cell_outcome, grants, resolve, settle = (
             self.one_contender, self.draw, self.cell_outcome, self.grants,
-            self.resolve,
+            self.resolve, self.settle,
         )
         while buckets or rao_index <= -(-self.last_resolution // ra):
             if drp:
@@ -454,10 +461,12 @@ class _Contention:
                 if len(devs) == 1:
                     n_prio = one_contender(t, devs, r_use)
                 else:
-                    cells, prio_macros, n_prio = draw(t, devs, r_use)
-                    detected = cell_outcome(devs, r_use, cells, prio_macros)
-                    rar_at = grants(t, detected, len(devs))
-                    resolve(t, devs, rar_at)
+                    cells, prio_macros, n_prio, sole = draw(t, devs, r_use)
+                    if sole:
+                        settle(t, devs, r_use, cells, prio_macros)
+                    else:
+                        found = cell_outcome(devs, r_use, cells, prio_macros)
+                        resolve(t, devs, grants(t, found, len(devs)))
             if drp:
                 slot = rao_index % sib2
                 window_sum += n_prio - ring[slot]
@@ -492,16 +501,18 @@ class _Contention:
         """Preamble draw: the serving copies, then the femto copies (`pp`).
 
         Returns the occupied cells as `(cells, base)`; the serving macros
-        of the priority contenders when a pool is reserved; and the number
-        of priority contenders under `drp`, else 0. Without a pool every
-        copy draws from the whole preamble range, so the priority lists
-        are built only when one is broadcast. `cells` is keyed gnb *
-        n_preambles + preamble, so that key order is (gnb, preamble) order.
-        Its value packs the cell's first copy as its local index * 16, plus
-        8 for a femto copy, with the cell's code bits 1 (a URLLC copy), 2
-        (a background copy) and 4 (collided). `base` lists the contenders'
-        transmission counts before this opportunity under `pp` or `drp`;
-        empty, each copy is numbered by the Msg1 count.
+        of the priority contenders when a pool is reserved; the number of
+        priority contenders under `drp`, else 0; and whether `settle` takes
+        the batch. Without a pool every copy draws from the whole preamble
+        range, so the priority lists are built only when one is broadcast.
+        `cells` is keyed gnb * n_preambles + preamble, so that key order is
+        (gnb, preamble) order. Its value packs the cell's first copy as its
+        local index * 16, plus 8 for a femto copy, with the cell's code
+        bits 1 (a URLLC copy), 2 (a background copy) and 4 (collided).
+        `base` lists the contenders' transmission counts before this
+        opportunity under `pp` or `drp`; empty, each copy is numbered by
+        the Msg1 count. `settle` takes a batch under `edt` whose copies
+        each hold a cell alone, in at most `grants_per_sf` cells.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         tx_count, cls = self.msg1_count, self.cls
@@ -554,7 +565,9 @@ class _Contention:
                 cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, self._attempt(d)))
-        return (cells, base), prio_macros, n_prio if self.drp else 0
+        n = len(devs) + len(dual)
+        sole = self.edt and len(cells) == n <= self.grants_per_sf
+        return (cells, base), prio_macros, n_prio if self.drp else 0, sole
 
     def one_contender(self, t: int, devs: list[int], r_use: int) -> int:
         """All phases for an opportunity with one contender; returns 1 if
@@ -609,16 +622,51 @@ class _Contention:
         if dual and detect() < p_detect[base + 2] and gnb < 0:
             gnb = self.n_macro + femto
         rar = t + self.t1 + self.t2
-        if gnb < 0 or not self.edt:
+        if gnb < 0 or not self.edt or trace is not None:
             self.resolve(t, devs, [(rar, gnb) if gnb >= 0 else None])
         else:  # an early-data grant completes at the RAR, as in `resolve`
             self.completion_ticks[d], self.msg2_ticks[d] = rar, self.t2
             self.wait_ticks[d] = t - self.arrival_ticks[d]
             self.last_resolution = max(self.last_resolution, rar)
-            if trace is not None:
-                trace.append((rar, d, "rar", -1, gnb, 0))
-                trace.append((rar, d, "connected", -1, gnb, 0))
         return int(prio)
+
+    def settle(self, t, devs, r_use, cells, prio_macros) -> None:
+        """`cell_outcome`, `grants` and `resolve` in one pass, for a batch
+        under `edt` with one copy per cell and at most `grants_per_sf`
+        cells: each detected copy ranks in its gNB's first response
+        subframe, so a contender's grant is its first detected copy in
+        (gnb, preamble) order, the macro's before the femto's. Grants
+        complete in place, as in `one_contender`, and the misses go to
+        `resolve` in contender order; a traced batch goes there whole, so
+        that its outcome rows keep contender order.
+        """
+        (cells, base), n_pre, draw = cells, self.n_pre, self.detect
+        hist, p_detect, tx = self.hist, self.p_detect, self.msg1_count
+        gnbs = [-1] * len(devs)  # each contender's grant gNB, -1 for none
+        for key in sorted(cells):
+            packed, gnb = cells[key], key // n_pre
+            code, j = packed & 7, packed >> 4
+            if r_use and key % n_pre < r_use:
+                code |= 24 if gnb in prio_macros else 8
+            hist[code] += 1
+            nth = base[j] + 1 + (packed >> 3 & 1) if base else tx[devs[j]]
+            if draw() < p_detect[nth] and gnbs[j] < 0 and (
+                not self.sinr_gate or self._sinr_ok(devs[j], gnb)
+            ):
+                gnbs[j] = gnb
+        rar = t + self.t1 + self.t2
+        if self.trace is not None:
+            grants = [(rar, g) if g >= 0 else None for g in gnbs]
+            return self.resolve(t, devs, grants)
+        for d, gnb in zip(devs, gnbs):
+            if gnb >= 0:  # an early-data grant completes at the RAR
+                self.completion_ticks[d], self.msg2_ticks[d] = rar, self.t2
+                self.wait_ticks[d] = t - self.arrival_ticks[d]
+                if rar > self.last_resolution:
+                    self.last_resolution = rar
+        misses = [d for d, gnb in zip(devs, gnbs) if gnb < 0]
+        if misses:
+            self.resolve(t, misses, [None] * len(misses))
 
     def cell_outcome(self, devs, r_use, cells, prio_macros):
         """Count every occupied cell and detect its sole copy, if any.

@@ -17,9 +17,10 @@ import numpy as np
 
 from .config import TopologyConfig
 
-# Devices per block of the femto distance matrix in `place_devices`: a
-# block of (FEMTO_BLOCK, n_femto) float64 stays cache-sized.
-FEMTO_BLOCK = 512
+# Devices per block of the femto distance matrix in `place_devices`. On
+# drp-mixed (75 femtos, two float64 arrays of 150 KiB a block) it took
+# 3.75 ms at 256, 4.28 ms at 512 and 4.07 ms at 128 (2-core Xeon VM).
+FEMTO_BLOCK = 256
 
 
 @dataclass(frozen=True)

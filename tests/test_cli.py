@@ -108,6 +108,21 @@ def test_rp_reserved_default_is_a_scenario_file_rule(tmp_path, capsys):
     assert "reserved_r = 3\n" in (out / "scenario.cfg").read_text()
 
 
+def test_drp_reserved_default_is_a_scenario_file_rule(tmp_path, capsys):
+    # drp admits only a dynamic pool: a --set route without reserved_r
+    # fails and names the fix, and a scenario file that omits it gets it.
+    code = run_cli("run", "--out", str(tmp_path), "--set", "enhancements=drp")
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "drp requires reserved_r = dynamic" in err
+    assert "omits reserved_r gets it" in err
+    cfg = tmp_path / "drp.cfg"
+    cfg.write_text("n_devices = 10\nenhancements = drp\n")
+    out = tmp_path / "file"
+    assert run_cli("run", "--scenario", str(cfg), "--out", str(out)) == 0
+    assert "reserved_r = dynamic\n" in (out / "scenario.cfg").read_text()
+
+
 def test_scenario_file_and_env_out_dir(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("n_devices = 33\nseed = 4\n")

@@ -89,6 +89,15 @@ def test_rp_defaults_reserved_to_three():
     assert sc.reserved_r == 3
 
 
+def test_drp_defaults_reserved_to_dynamic():
+    # drp admits no other value, so a document that omits reserved_r gets
+    # it; overrides get no default, and the message names the fix.
+    sc = build_scenario("enhancements = drp,edt\n")
+    assert sc.reserved_r == "dynamic"
+    with pytest.raises(ScenarioConstraintError, match="reserved_r = dynamic"):
+        apply_overrides(build_scenario(""), [("enhancements", "drp")])
+
+
 def test_unknown_enhancement_rejected():
     with pytest.raises(ScenarioConstraintError):
         build_scenario("enhancements = edt,warp\n")

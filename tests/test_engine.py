@@ -12,6 +12,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rachsim import engine
 from rachsim.config import (
@@ -26,6 +28,7 @@ from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
 from rachsim.timebase import ms_to_ticks, ticks_to_ms
 from rachsim.topology import DevicePlacement, build_layout, place_devices
+from rachsim.traffic import assign_classes
 
 SINGLE = TopologyConfig(n_macro_cells=1)
 
@@ -817,6 +820,64 @@ def test_columns_and_trace_follow_device_ids_under_reversed_arrivals():
         assert len(rows) == res.msg1_count[dev]
 
 
+# Start maxima on both sides of the 8-, 16- and 32-bit sort keys.
+KEY_EDGES = [0, 1, 255, 256, 65_535, 65_536, 2**32 - 1, 2**32, 2**40]
+
+
+@given(
+    top=st.sampled_from(KEY_EDGES),
+    others=st.lists(st.integers(0, 2**40), max_size=3),
+    picks=st.lists(st.integers(0, 3), max_size=80),
+)
+@example(top=0, others=[], picks=[])
+@example(top=65_536, others=[65_535, 0, 256], picks=[0, 1, 2, 3] * 20)
+def test_order_is_the_stable_argsort_of_the_starts(top, others, picks):
+    # The set-up sorts the start opportunities on the narrowest unsigned
+    # key that holds them; a stable order is unique, so it must equal the
+    # int64 one. A few distinct starts, the largest `top`, give heavy ties.
+    pool = [top] + [v % (top + 1) for v in others]
+    starts = np.array([pool[i % len(pool)] for i in picks], dtype=np.int64)
+    n = len(starts)
+    sc = mk(f"n_devices = {n}\n", topology=SINGLE)
+    ra = ms_to_ticks(sc.timing.ra_period_ms)
+    src = RandomSource.from_seed(1)
+    sim = engine._Contention(
+        sc, src, build_layout(sc.topology, src.placement),
+        single_placement(n), assign_classes(n, 0.5), starts * ra, False,
+    )
+    assert np.array_equal(sim.order, np.argsort(starts, kind="stable"))
+
+
+def test_contenders_keep_device_order_past_16_bit_starts():
+    # Starts that span more than 65 535 opportunities sort on a 32-bit
+    # key. Arrivals run against device order in groups that share an
+    # opportunity: each opportunity must still take its arrivals first,
+    # in device-id order, each at its own start.
+    sc = mk("enhancements = edt\nn_devices = 300\n", topology=SINGLE,
+            seed=2)
+    ra = ms_to_ticks(sc.timing.ra_period_ms)
+    starts = np.array([70_001, 3, 66_000, 70_000, 0, 65_536] * 50)
+    arrivals = np.maximum(starts * ra - 7, 0)
+    res = run(sc, arrivals=arrivals, collect_trace=True)
+    assert np.array_equal(res.first_attempt_ticks, starts * ra)
+    rows, seen = defaultdict(list), set()
+    for t, dev, kind, *_ in res.trace:
+        if kind == "msg1":
+            rows[t].append((dev in seen, dev))
+            seen.add(dev)
+    assert seen == set(range(300))
+    assert res.log.n_raos > 70_000
+    arrived = {}
+    for t, devs in rows.items():
+        firsts = [dev for retry, dev in devs if not retry]
+        assert devs[:len(firsts)] == [(False, d) for d in firsts]
+        assert firsts == sorted(firsts)
+        assert all(res.first_attempt_ticks[d] == t for d in firsts)
+        if firsts:
+            arrived[t // ra] = len(firsts)
+    assert arrived == dict.fromkeys([70_001, 3, 66_000, 70_000, 0, 65_536], 50)
+
+
 TICK_MS = repr(1 / 56)
 
 
@@ -1235,10 +1296,16 @@ def test_sinr_gate_disabled_equals_trivial_gate():
 def _phases(self, t, devs, r_use):
     """Reference for `_Contention.one_contender`: the four phases that a
     batch of any size runs."""
-    cells, prio_macros, n_prio = self.draw(t, devs, r_use)
+    cells, prio_macros, n_prio, _ = self.draw(t, devs, r_use)
+    _general(self, t, devs, r_use, cells, prio_macros)
+    return n_prio
+
+
+def _general(self, t, devs, r_use, cells, prio_macros):
+    """Reference for `_Contention.settle`: the three phases after `draw`
+    that any other batch runs."""
     detected = self.cell_outcome(devs, r_use, cells, prio_macros)
     self.resolve(t, devs, self.grants(t, detected, len(devs)))
-    return n_prio
 
 
 SINR_4DB = (("cell_radius_m", "1000"), ("sinr_threshold_db", "4"))
@@ -1289,6 +1356,75 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
     assert 0 < len(sole) < len(copies)
     dual = any(len(devs) == 2 for devs in sole)
     assert dual == ("pp" in sc.enhancements and sc.max_preamble_tx >= 2)
+
+
+# -- batch settle ------------------------------------------------------------
+
+# case id -> (reference scenario, overrides); every one has `edt` on.
+SETTLE_CASES = {
+    "drp": ("drp-mixed", (("n_devices", "5000"),)),
+    "edt-pp": ("edt-pp", ()),
+    "ebf": ("edt-pp-ebf", ()),
+    "rp5-mixed-dense": ("rp5-mixed-dense", ()),
+    "edt-5k": ("edt-5k", ()),
+    "sinr-4db-pp": ("edt-pp", SINR_4DB + (("femto_radius_m", "300"),)),
+    # Four PDCCHs of one grant: a batch of two with femto copies holds 4
+    # cells, at the settle's capacity bound, and larger ones hold more.
+    "capacity": ("edt-pp", (("rar_grants_per_msg", "1"),)),
+}
+
+
+def settled_batches(trace, cap):
+    """Opportunity time -> occupied cells of each batch that `settle`
+    must take, from the Msg1 rows: two or more contenders, no cell with
+    two copies, at most `cap` cells."""
+    copies = defaultdict(list)
+    for t, dev, kind, pre, gnb, _ in trace:
+        if kind == "msg1":
+            copies[t].append((dev, gnb, pre))
+    out = {}
+    for t, rows in copies.items():
+        cells = {(gnb, pre) for _, gnb, pre in rows}
+        if len({dev for dev, *_ in rows}) > 1 and len(cells) == len(rows):
+            out[t] = len(cells)
+    return {t: k for t, k in out.items() if k <= cap}, out
+
+
+@pytest.mark.parametrize("case", sorted(SETTLE_CASES))
+def test_batch_settle_equals_general_phases(case, monkeypatch):
+    name, overrides = SETTLE_CASES[case]
+    sc = apply_overrides(
+        REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
+    )
+    assert "edt" in sc.enhancements
+    settle, taken = engine._Contention.settle, []
+
+    def recorded(self, t, devs, r_use, cells, prio_macros):
+        taken.append((t, len(cells[0])))
+        settle(self, t, devs, r_use, cells, prio_macros)
+
+    monkeypatch.setattr(engine._Contention, "settle", recorded)
+    fast = run(sc, collect_trace=True)
+    traced_calls, taken[:] = taken[:], []
+    untraced = run(sc)
+    monkeypatch.setattr(engine._Contention, "settle", _general)
+    ref = run(sc, collect_trace=True)
+
+    for other in (ref, untraced):
+        for col in ("urllc",) + engine._TICK_COLUMNS:
+            assert np.array_equal(getattr(fast, col), getattr(other, col)), col
+        assert fast.log == other.log
+    assert fast.trace == ref.trace
+
+    # The settle takes exactly the batches that meet its three
+    # conditions, traced or not, and the case holds some.
+    cap = (sc.cce_total // sc.cce_per_pdcch) * sc.rar_grants_per_msg
+    want, clean = settled_batches(ref.trace, cap)
+    assert dict(traced_calls) == dict(taken) == want
+    assert len(want) > 0
+    if case == "capacity":
+        assert cap == 4 and cap in want.values()
+        assert max(clean.values()) > cap
 
 
 # -- injected arrivals ------------------------------------------------------
