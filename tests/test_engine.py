@@ -850,9 +850,9 @@ def test_order_is_the_stable_argsort_of_the_starts(top, others, picks):
 
 def test_contenders_keep_device_order_past_16_bit_starts():
     # Starts that span more than 65 535 opportunities sort on a 32-bit
-    # key. Arrivals run against device order in groups that share an
-    # opportunity: each opportunity must still take its arrivals first,
-    # in device-id order, each at its own start.
+    # key. Six starts interleave across the device ids, 50 devices each:
+    # each opportunity must still take its arrivals first, in device-id
+    # order, each at its own start.
     sc = mk("enhancements = edt\nn_devices = 300\n", topology=SINGLE,
             seed=2)
     ra = ms_to_ticks(sc.timing.ra_period_ms)

@@ -161,13 +161,15 @@ def assert_matches_norm_oracle(placement, layout):
         assert got.tobytes() == want.tobytes(), name
 
 
-# Device counts on both sides of the femto block boundaries, where a
-# block slice one short or one long would drop or misplace a device.
+# Device counts on both sides of the first and second femto block
+# boundaries, where a block slice one short or one long would drop or
+# misplace a device.
 @pytest.mark.parametrize("n_femto", [0, 1, 75])
 @pytest.mark.parametrize(
     "n",
     [0, 1, FEMTO_BLOCK - 1, FEMTO_BLOCK, FEMTO_BLOCK + 1,
-     2 * FEMTO_BLOCK + 1, 2000],
+     2 * FEMTO_BLOCK - 1, 2 * FEMTO_BLOCK, 2 * FEMTO_BLOCK + 1,
+     4 * FEMTO_BLOCK + 1, 2000],
 )
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_placement_matches_norm_oracle(seed, n, n_femto):

@@ -19,9 +19,9 @@ as the median of PLACE_CALLS calls, each after an untimed layout on a
 fresh source of the seed, the calls of the three packages taking turns;
 then each builds the arrivals untimed and times `engine.run` as the best
 of RUN_CALLS calls, again taking turns. Each package's best is one
-sample: A/B divides A's by B's, and A/A A's by A''s, so that all three
-take the minimum over the same number of calls. The turns go A, B, A' on
-odd seeds and A', B, A on even ones. The placements
+sample: A/B divides A's best by B's, and A/A divides it by the best of
+A', so every side takes the minimum over the same number of calls. The
+turns go A, B, A' on odd seeds and A', B, A on even ones. The placements
 must hold the same `serving_cell`, `femto_cell` and `serving_dist` bytes,
 and the `RunResult`s identical device columns and `OpportunityLog`s. On
 the first seed of each scenario A and B also make one untimed traced run,
