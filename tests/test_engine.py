@@ -1427,6 +1427,22 @@ def test_batch_settle_equals_general_phases(case, monkeypatch):
         assert max(clean.values()) > cap
 
 
+def test_settled_grants_extend_the_observation_period():
+    # Two devices share the only opportunity on distinct preambles and
+    # both are detected: the batch settles, and its grants at the RAR
+    # (t1 + t2 = 224 ticks) are the run's last resolution, so the period
+    # runs on to the opportunity at 280 ticks.
+    sc = mk("enhancements = edt\nn_devices = 2\n", topology=SINGLE)
+    res = run(
+        sc, source=scripted_source(preamble=RoundRobin(), detection=Fixed(0)),
+        placement=single_placement(2), arrivals=np.zeros(2, dtype=np.int64),
+    )
+    assert res.completion_ticks.tolist() == [224, 224]
+    assert res.wait_ticks.tolist() == [0, 0]
+    assert res.msg2_ticks.tolist() == [168, 168]
+    assert res.log.n_raos == 2
+
+
 # -- injected arrivals ------------------------------------------------------
 
 
