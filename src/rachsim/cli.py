@@ -197,13 +197,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    tables = [t.upper() for t in args.table] if args.table else None
     seeds = (
         None if args.seeds is None
         else _parse_seed_range(f"seeds={args.seeds}")
     )
     results = run_validation(
-        tables=tables,
+        tables=args.table,
         seeds=seeds,
         jobs=args.jobs,
         log=(lambda msg: print(msg, file=sys.stderr)),

@@ -23,17 +23,15 @@ the window of priority counts is a fixed ring with an integer running
 sum, and the pool tallies move only at an opportunity with a non-zero
 pool; a static pool's tallies, and the opportunity count, follow after
 the loop in closed form. An opportunity with two or more contenders then
-runs four phases: preamble draw (one packed int per occupied cell), cell
-outcome, RAR grants and resolution (one pass, HARQ legs and backoffs
-inline). Under `edt`, a batch whose draw leaves one copy per cell and at
-most `grants_per_sf` cells can neither collide nor overflow a response
-subframe, and settles in one pass after the draw. A sole contender, the
-most common kind at sparse loads, cannot collide either: one method takes
-its draws, its copies in one bulk draw, and its counts without the cell
-bookkeeping. Both settle an early-data grant in place, calling `resolve`
-only for the handshake or a miss. Every path counts each occupied cell
-under a five-bit code in a histogram that the run folds into
-`OpportunityLog` once, at its end.
+runs three phases: preamble draw (one packed int per occupied cell), one
+pass over the cells that detects each sole copy and ranks it for an RAR
+grant, and resolution (one pass, HARQ legs and backoffs inline). A sole
+contender, the most common kind at sparse loads, cannot collide: one
+method takes its draws, its copies in one bulk draw, and its counts
+without the cell bookkeeping, and settles an early-data grant in place,
+calling `resolve` only for the handshake or a miss. Both paths count each
+occupied cell under a five-bit code in a histogram that the run folds
+into `OpportunityLog` once, at its end.
 
 Per-device state lives in plain lists under an internal numbering: the
 devices sorted by their start opportunity, stably, so that internal id i
@@ -303,13 +301,12 @@ class _Contention:
     `simulate` sizes the reserved pool from a ring of the last `sib2`
     priority counts under `drp`, then sends a sole contender to
     `one_contender`, and any larger batch through `draw`, which packs
-    each occupied cell into one int, then `settle` when `edt` is on, no
-    cell holds two copies and at most `grants_per_sf` are occupied, else
-    `cell_outcome`, `grants` and `resolve`. A cell's code is the sum of
-    bits 1 (a URLLC copy), 2 (a background copy), 4 (collided), 8
-    (reserved pool) and 16 (reserved pool at a priority macro). Each path
-    counts each occupied cell under its code in `hist`, which `simulate`
-    folds into the log once per run.
+    each occupied cell into one int, `cell_outcome`, which grants the
+    detected copies, and `resolve`. A cell's code is the sum of bits 1 (a
+    URLLC copy), 2 (a background copy), 4 (collided), 8 (reserved pool)
+    and 16 (reserved pool at a priority macro). Both paths count each
+    occupied cell under its code in `hist`, which `simulate` folds into
+    the log once per run.
     """
 
     def __init__(
@@ -420,10 +417,8 @@ class _Contention:
         folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
         sum of the final Msg1 counts.
 
-        A larger batch takes `settle` or the three general phases after
-        `draw`, as `draw` finds. Once the buckets are empty every arrival
-        has had its opportunity, so the loop runs on only to the
-        opportunity of the last resolution.
+        Once the buckets are empty every arrival has had its opportunity,
+        so the loop runs on only to the opportunity of the last resolution.
         """
         buckets = self.buckets
         if not buckets:
@@ -435,9 +430,8 @@ class _Contention:
         r_use, window_sum = self.r_static, 0
         sum_r = r_max = pooled = 0
         pop = buckets.pop
-        one_contender, draw, cell_outcome, grants, resolve, settle = (
-            self.one_contender, self.draw, self.cell_outcome, self.grants,
-            self.resolve, self.settle,
+        one_contender, draw, cell_outcome, resolve = (
+            self.one_contender, self.draw, self.cell_outcome, self.resolve
         )
         while buckets or rao_index <= -(-self.last_resolution // ra):
             if drp:
@@ -461,12 +455,10 @@ class _Contention:
                 if len(devs) == 1:
                     n_prio = one_contender(t, devs, r_use)
                 else:
-                    cells, prio_macros, n_prio, sole = draw(t, devs, r_use)
-                    if sole:
-                        settle(t, devs, r_use, cells, prio_macros)
-                    else:
-                        found = cell_outcome(devs, r_use, cells, prio_macros)
-                        resolve(t, devs, grants(t, found, len(devs)))
+                    cells, base, prio_macros, n_prio = draw(t, devs, r_use)
+                    resolve(t, devs, cell_outcome(
+                        t, devs, r_use, cells, base, prio_macros
+                    ))
             if drp:
                 slot = rao_index % sib2
                 window_sum += n_prio - ring[slot]
@@ -500,19 +492,17 @@ class _Contention:
     def draw(self, t: int, devs: list[int], r_use: int):
         """Preamble draw: the serving copies, then the femto copies (`pp`).
 
-        Returns the occupied cells as `(cells, base)`; the serving macros
-        of the priority contenders when a pool is reserved; the number of
-        priority contenders under `drp`, else 0; and whether `settle` takes
-        the batch. Without a pool every copy draws from the whole preamble
-        range, so the priority lists are built only when one is broadcast.
-        `cells` is keyed gnb * n_preambles + preamble, so that key order is
-        (gnb, preamble) order. Its value packs the cell's first copy as its
-        local index * 16, plus 8 for a femto copy, with the cell's code
-        bits 1 (a URLLC copy), 2 (a background copy) and 4 (collided).
-        `base` lists the contenders' transmission counts before this
-        opportunity under `pp` or `drp`; empty, each copy is numbered by
-        the Msg1 count. `settle` takes a batch under `edt` whose copies
-        each hold a cell alone, in at most `grants_per_sf` cells.
+        Returns the occupied cells, `base`, the serving macros of the
+        priority contenders when a pool is reserved, and the number of
+        priority contenders under `drp`, else 0. Without a pool every copy
+        draws from the whole preamble range, so the priority lists are
+        built only when one is broadcast. `cells` is keyed gnb *
+        n_preambles + preamble, so that key order is (gnb, preamble) order.
+        Its value packs the cell's first copy as its local index * 16, plus
+        8 for a femto copy, with the cell's code bits 1 (a URLLC copy), 2
+        (a background copy) and 4 (collided). `base` lists the contenders'
+        transmission counts before this opportunity under `pp` or `drp`;
+        empty, each copy is numbered by the Msg1 count.
         """
         is_ur, serving, femto = self.is_ur, self.serving, self.femto
         tx_count, cls = self.msg1_count, self.cls
@@ -565,9 +555,7 @@ class _Contention:
                 cells[key] = held | cls[d] | 4
             if trace is not None:
                 trace.append((t, d, "msg1", pre, gnb, self._attempt(d)))
-        n = len(devs) + len(dual)
-        sole = self.edt and len(cells) == n <= self.grants_per_sf
-        return (cells, base), prio_macros, n_prio if self.drp else 0, sole
+        return cells, base, prio_macros, n_prio if self.drp else 0
 
     def one_contender(self, t: int, devs: list[int], r_use: int) -> int:
         """All phases for an opportunity with one contender; returns 1 if
@@ -577,8 +565,8 @@ class _Contention:
         is a sole copy that takes its detection draw, the macro's first,
         and the earliest grant is the first response subframe at the
         macro if it detected, else at the femto (capacity is at least one
-        grant). The draws, cell codes and trace rows are those of `draw`,
-        `cell_outcome` and `grants` for a one-element `devs`.
+        grant). The draws, cell codes and trace rows are those of `draw`
+        and `cell_outcome` for a one-element `devs`.
         """
         (d,) = devs
         ur = self.is_ur[d]
@@ -630,76 +618,51 @@ class _Contention:
             self.last_resolution = max(self.last_resolution, rar)
         return int(prio)
 
-    def settle(self, t, devs, r_use, cells, prio_macros) -> None:
-        """`cell_outcome`, `grants` and `resolve` in one pass, for a batch
-        under `edt` with one copy per cell and at most `grants_per_sf`
-        cells: each detected copy ranks in its gNB's first response
-        subframe, so a contender's grant is its first detected copy in
-        (gnb, preamble) order, the macro's before the femto's. Grants
-        complete in place, as in `one_contender`, and the misses go to
-        `resolve` in contender order; a traced batch goes there whole, so
-        that its outcome rows keep contender order.
-        """
-        (cells, base), n_pre, draw = cells, self.n_pre, self.detect
-        hist, p_detect, tx = self.hist, self.p_detect, self.msg1_count
-        gnbs = [-1] * len(devs)  # each contender's grant gNB, -1 for none
-        for key in sorted(cells):
-            packed, gnb = cells[key], key // n_pre
-            code, j = packed & 7, packed >> 4
-            if r_use and key % n_pre < r_use:
-                code |= 24 if gnb in prio_macros else 8
-            hist[code] += 1
-            nth = base[j] + 1 + (packed >> 3 & 1) if base else tx[devs[j]]
-            if draw() < p_detect[nth] and gnbs[j] < 0 and (
-                not self.sinr_gate or self._sinr_ok(devs[j], gnb)
-            ):
-                gnbs[j] = gnb
-        rar = t + self.t1 + self.t2
-        if self.trace is not None:
-            grants = [(rar, g) if g >= 0 else None for g in gnbs]
-            return self.resolve(t, devs, grants)
-        for d, gnb in zip(devs, gnbs):
-            if gnb >= 0:  # an early-data grant completes at the RAR
-                self.completion_ticks[d], self.msg2_ticks[d] = rar, self.t2
-                self.wait_ticks[d] = t - self.arrival_ticks[d]
-                if rar > self.last_resolution:
-                    self.last_resolution = rar
-        misses = [d for d, gnb in zip(devs, gnbs) if gnb < 0]
-        if misses:
-            self.resolve(t, misses, [None] * len(misses))
-
-    def cell_outcome(self, devs, r_use, cells, prio_macros):
-        """Count every occupied cell and detect its sole copy, if any.
+    def cell_outcome(self, t, devs, r_use, cells, base, prio_macros):
+        """Count every occupied cell, detect its sole copy and grant it.
 
         Cells are visited in (gnb, preamble) order and each sole copy takes
         one detection draw. A cell's code adds 8 for the reserved pool and
         16 for the reserved pool at a priority macro to the class and
         collision bits of `draw`, and counts once in the run's histogram.
-        Returns the detected copies as (gnb, local index) in that order.
+        A detected copy takes the next place in its gNB's response
+        subframes, `grants_per_sf` to each of `n_slots`; one ranked past
+        them behaves as undetected. A dual transmitter keeps its earliest
+        grant, the macro's on an exact tie (macro gNB indices sort first).
+        Returns, by local index, each contender's (RAR time, gnb), or None.
         """
-        cells, base = cells
         hist, n_pre, p_detect, draw = (
             self.hist, self.n_pre, self.p_detect, self.detect
         )
         tx_count, sinr_gate = self.msg1_count, self.sinr_gate
-        detected = []
+        cap, n_slots, sf = self.grants_per_sf, self.n_slots, self.subframe
+        first_rar = t + self.t1 + self.t2
+        rar_at: list[tuple[int, int] | None] = [None] * len(devs)
+        rank, prev_gnb = 0, -1
         for key in sorted(cells):
-            packed = cells[key]
+            packed, gnb = cells[key], key // n_pre
             code = packed & 7
             if r_use and key % n_pre < r_use:
-                code |= 24 if key // n_pre in prio_macros else 8
+                code |= 24 if gnb in prio_macros else 8
             hist[code] += 1
             if code & 4:
                 continue
-            j, gnb = packed >> 4, key // n_pre
+            j = packed >> 4
             nth = (  # the copy's transmission number
                 base[j] + 1 + (packed >> 3 & 1) if base else tx_count[devs[j]]
             )
             if draw() < p_detect[nth] and (
                 not sinr_gate or self._sinr_ok(devs[j], gnb)
             ):
-                detected.append((gnb, j))
-        return detected
+                if gnb != prev_gnb:
+                    rank, prev_gnb = 0, gnb
+                slot = rank // cap
+                rank += 1
+                if slot < n_slots:
+                    grant = (first_rar + slot * sf, gnb)
+                    if rar_at[j] is None or grant < rar_at[j]:
+                        rar_at[j] = grant
+        return rar_at
 
     def _sinr_ok(self, dev: int, gnb: int) -> bool:
         """Optional macro-side SNR gate (`sinr_threshold_db`, off by
@@ -715,30 +678,6 @@ class _Contention:
     def _attempt(self, dev: int) -> int:
         """The device's attempts so far, from its Msg1 copies."""
         return _attempts(self.msg1_count[dev], self.dual_last[dev] >= 0)
-
-    def grants(self, t: int, detected, n: int) -> list:
-        """RAR grants: per gNB, capacity-limited response subframes.
-
-        A copy ranked past the window's capacity behaves as undetected. A
-        dual transmitter keeps its earliest grant, the macro's on an exact
-        tie (macro gNB indices sort first). Returns, by local index, each
-        of the `n` contenders' (RAR time, gnb), or None.
-        """
-        rar_at: list[tuple[int, int] | None] = [None] * n
-        first_rar = t + self.t1 + self.t2
-        cap, n_slots, sf = self.grants_per_sf, self.n_slots, self.subframe
-        rank, prev_gnb = 0, -1
-        for gnb, j in detected:
-            if gnb != prev_gnb:
-                rank, prev_gnb = 0, gnb
-            slot = rank // cap
-            rank += 1
-            if slot >= n_slots:
-                continue
-            key = (first_rar + slot * sf, gnb)
-            if rar_at[j] is None or key < rar_at[j]:
-                rar_at[j] = key
-        return rar_at
 
     def resolve(self, t, devs, rar_at) -> None:
         """Resolve each contender: success path, or failure with backoff.

@@ -513,10 +513,10 @@ def run_validation(
                 f"unknown reference table {table!r}; "
                 f"choose from {', '.join(TABLES)}"
             )
-    return [
+    return [  # each table once, in first-seen order
         _score(table, entry, pool) if isinstance(entry, Row)
         else entry(table, pool)
-        for table in map(str.upper, chosen)
+        for table in dict.fromkeys(map(str.upper, chosen))
         for entry in ENTRIES[table]
     ]
 

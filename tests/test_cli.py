@@ -346,3 +346,16 @@ def test_validate_smoke_exit_code(capsys):
     ]
     assert len(lines) == 6
     assert any("gates passed" in line for line in out.splitlines())
+
+
+def test_validate_scores_a_repeated_table_once(capsys):
+    # "II" and "ii" name one group: its six entries print and gate once.
+    code = run_cli(
+        "validate", "--table", "II", "--table", "ii", "--seeds", "1..1",
+        "--jobs", "1",
+    )
+    assert code == EXIT_VALIDATION
+    out = capsys.readouterr().out.splitlines()
+    lines = [line for line in out if line.startswith(("PASS", "FAIL"))]
+    assert len(lines) == 6
+    assert any(line.endswith("/6 gates passed") for line in out)

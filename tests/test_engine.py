@@ -1294,18 +1294,13 @@ def test_sinr_gate_disabled_equals_trivial_gate():
 
 
 def _phases(self, t, devs, r_use):
-    """Reference for `_Contention.one_contender`: the four phases that a
+    """Reference for `_Contention.one_contender`: the three phases that a
     batch of any size runs."""
-    cells, prio_macros, n_prio, _ = self.draw(t, devs, r_use)
-    _general(self, t, devs, r_use, cells, prio_macros)
+    cells, base, prio_macros, n_prio = self.draw(t, devs, r_use)
+    self.resolve(
+        t, devs, self.cell_outcome(t, devs, r_use, cells, base, prio_macros)
+    )
     return n_prio
-
-
-def _general(self, t, devs, r_use, cells, prio_macros):
-    """Reference for `_Contention.settle`: the three phases after `draw`
-    that any other batch runs."""
-    detected = self.cell_outcome(devs, r_use, cells, prio_macros)
-    self.resolve(t, devs, self.grants(t, detected, len(devs)))
 
 
 SINR_4DB = (("cell_radius_m", "1000"), ("sinr_threshold_db", "4"))
@@ -1323,6 +1318,9 @@ ONE_CONTENDER_CASES = {
     "pp-max-tx-2": ("edt-pp", (("max_preamble_tx", "2"),)),
     "edt-5k": ("edt-5k", ()),
     "rp5-mixed-dense": ("rp5-mixed-dense", ()),
+    # Four PDCCHs of one grant: a response subframe grants 4, fewer than
+    # the cells of the larger batches with femto copies.
+    "capacity": ("edt-pp", (("rar_grants_per_msg", "1"),)),
 }
 
 
@@ -1358,80 +1356,14 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
     assert dual == ("pp" in sc.enhancements and sc.max_preamble_tx >= 2)
 
 
-# -- batch settle ------------------------------------------------------------
-
-# case id -> (reference scenario, overrides); every one has `edt` on.
-SETTLE_CASES = {
-    "drp": ("drp-mixed", (("n_devices", "5000"),)),
-    "edt-pp": ("edt-pp", ()),
-    "ebf": ("edt-pp-ebf", ()),
-    "rp5-mixed-dense": ("rp5-mixed-dense", ()),
-    "edt-5k": ("edt-5k", ()),
-    "sinr-4db-pp": ("edt-pp", SINR_4DB + (("femto_radius_m", "300"),)),
-    # Four PDCCHs of one grant: a batch of two with femto copies holds 4
-    # cells, at the settle's capacity bound, and larger ones hold more.
-    "capacity": ("edt-pp", (("rar_grants_per_msg", "1"),)),
-}
+# -- batch grants ------------------------------------------------------------
 
 
-def settled_batches(trace, cap):
-    """Opportunity time -> occupied cells of each batch that `settle`
-    must take, from the Msg1 rows: two or more contenders, no cell with
-    two copies, at most `cap` cells."""
-    copies = defaultdict(list)
-    for t, dev, kind, pre, gnb, _ in trace:
-        if kind == "msg1":
-            copies[t].append((dev, gnb, pre))
-    out = {}
-    for t, rows in copies.items():
-        cells = {(gnb, pre) for _, gnb, pre in rows}
-        if len({dev for dev, *_ in rows}) > 1 and len(cells) == len(rows):
-            out[t] = len(cells)
-    return {t: k for t, k in out.items() if k <= cap}, out
-
-
-@pytest.mark.parametrize("case", sorted(SETTLE_CASES))
-def test_batch_settle_equals_general_phases(case, monkeypatch):
-    name, overrides = SETTLE_CASES[case]
-    sc = apply_overrides(
-        REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
-    )
-    assert "edt" in sc.enhancements
-    settle, taken = engine._Contention.settle, []
-
-    def recorded(self, t, devs, r_use, cells, prio_macros):
-        taken.append((t, len(cells[0])))
-        settle(self, t, devs, r_use, cells, prio_macros)
-
-    monkeypatch.setattr(engine._Contention, "settle", recorded)
-    fast = run(sc, collect_trace=True)
-    traced_calls, taken[:] = taken[:], []
-    untraced = run(sc)
-    monkeypatch.setattr(engine._Contention, "settle", _general)
-    ref = run(sc, collect_trace=True)
-
-    for other in (ref, untraced):
-        for col in ("urllc",) + engine._TICK_COLUMNS:
-            assert np.array_equal(getattr(fast, col), getattr(other, col)), col
-        assert fast.log == other.log
-    assert fast.trace == ref.trace
-
-    # The settle takes exactly the batches that meet its three
-    # conditions, traced or not, and the case holds some.
-    cap = (sc.cce_total // sc.cce_per_pdcch) * sc.rar_grants_per_msg
-    want, clean = settled_batches(ref.trace, cap)
-    assert dict(traced_calls) == dict(taken) == want
-    assert len(want) > 0
-    if case == "capacity":
-        assert cap == 4 and cap in want.values()
-        assert max(clean.values()) > cap
-
-
-def test_settled_grants_extend_the_observation_period():
+def test_batch_grants_extend_the_observation_period():
     # Two devices share the only opportunity on distinct preambles and
-    # both are detected: the batch settles, and its grants at the RAR
-    # (t1 + t2 = 224 ticks) are the run's last resolution, so the period
-    # runs on to the opportunity at 280 ticks.
+    # both are detected: their early-data grants at the RAR (t1 + t2 =
+    # 224 ticks) are the run's last resolution, so the period runs on to
+    # the opportunity at 280 ticks.
     sc = mk("enhancements = edt\nn_devices = 2\n", topology=SINGLE)
     res = run(
         sc, source=scripted_source(preamble=RoundRobin(), detection=Fixed(0)),
