@@ -10,7 +10,9 @@ Reports keep raw counters and integer tick histograms rather than derived
 floats, so merging across seeds is exact: every ratio of a pooled report
 is the count-weighted ratio of its parts, and deep percentiles are read
 from the pooled histogram. The 99.99th percentile is only reported once
-the pooled success count reaches 100 000; below that it is absent.
+the pooled success count reaches 100 000; below that it is absent. The
+two class histograms are the stored partition of the successes; the
+histogram of all successes and the failure count are derived from them.
 
 A figure without a basis is None in every method, as in `kpis()` and the
 blank report.csv cells: a ratio over an empty observation period or an
@@ -20,9 +22,9 @@ absent pool, or a delay figure of a class with no successes.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -42,13 +44,51 @@ def _ratio(num: float, den: int) -> float | None:
     return num / den if den else None
 
 
-@dataclass(kw_only=True)
+_EMPTY = np.zeros((2, 0), dtype=np.int64)  # the histogram of no samples
+_EMPTY.flags.writeable = False
+
+
+def _frozen(ticks, counts) -> np.ndarray:
+    """The read-only (2, k) int64 histogram of the ascending `ticks` over
+    their `counts`; every empty histogram is _EMPTY."""
+    if not len(ticks):
+        return _EMPTY
+    hist = np.array((ticks, counts), dtype=np.int64)
+    hist.flags.writeable = False
+    return hist
+
+
+def _histogram(ticks: np.ndarray) -> np.ndarray:
+    return _frozen(*np.unique(ticks, return_counts=True))
+
+
+def _pooled(hists) -> list[list[int]]:
+    """The union of the samples of `hists` as two lists, the ascending
+    ticks and their counts, in one pass: concatenate, sum the counts of
+    each tick, sort the ticks. A lone non-empty histogram is read as it
+    is; no input is written."""
+    hists = [h for h in hists if h.shape[1]]
+    if len(hists) <= 1:
+        return (hists[0] if hists else _EMPTY).tolist()
+    pooled = {}
+    for tick, count in zip(*np.concatenate(hists, axis=1).tolist()):
+        pooled[tick] = pooled.get(tick, 0) + count
+    ticks = sorted(pooled)
+    return [ticks, [pooled[tick] for tick in ticks]]
+
+
+@dataclass(kw_only=True, slots=True)
 class KpiReport(OpportunityLog):
     """Pooled KPI counters for one scenario across one or more seeds.
 
     The contention counters are the `OpportunityLog` fields, under the
     log's names; a report adds the per-device counts and the delay
-    histograms.
+    histograms of the two classes. Each histogram is a (2, k) int64 array,
+    read-only as built: the ascending distinct delays in ticks, then their
+    positive counts. The class histograms partition the successes, so
+    `delay_hist` (all successes) and `n_failed` are derived, not stored.
+    The report's own fields are slots, which leaves the log counters few
+    enough for CPython to share their instance-dict keys between reports.
     """
 
     fingerprint: str
@@ -58,10 +98,25 @@ class KpiReport(OpportunityLog):
     n_urllc: int = 0
     n_success: int = 0
     n_success_urllc: int = 0
-    n_failed: int = 0
-    delay_hist: Counter = field(default_factory=Counter)
-    delay_hist_urllc: Counter = field(default_factory=Counter)
-    delay_hist_non_urllc: Counter = field(default_factory=Counter)
+    delay_hist_urllc: np.ndarray = field(default_factory=lambda: _EMPTY)
+    delay_hist_non_urllc: np.ndarray = field(default_factory=lambda: _EMPTY)
+
+    def __eq__(self, other):  # field by field, arrays by their values
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
+
+    @property
+    def n_failed(self) -> int:
+        return self.n_devices - self.n_success
+
+    @property
+    def delay_hist(self) -> np.ndarray:
+        """The histogram of all successes, pooled from the two classes."""
+        return _frozen(*self._hist("all")[:2])
 
     # -- derived ratios -------------------------------------------------
 
@@ -86,14 +141,9 @@ class KpiReport(OpportunityLog):
         """
         if klass == "overall":
             return _ratio(self.collided_cells, self._cells_total())
-        if klass == "urllc":
-            return _ratio(
-                self.collided_urllc, self.sum_pool_urllc * self.n_gnbs
-            )
-        if klass == "non_urllc":
-            return _ratio(
-                self.collided_non_urllc, self.sum_pool_non_urllc * self.n_gnbs
-            )
+        if klass in ("urllc", "non_urllc"):
+            return _ratio(getattr(self, f"collided_{klass}"),
+                          getattr(self, f"sum_pool_{klass}") * self.n_gnbs)
         raise ValueError(f"unknown class {klass!r}")
 
     def preamble_utilization(self) -> dict[str, float | None]:
@@ -125,69 +175,71 @@ class KpiReport(OpportunityLog):
 
     # -- delay statistics -----------------------------------------------
 
-    def _hist(self, klass: str) -> tuple[Counter, int]:
-        """The delay histogram of klass (all, urllc, or non_urllc) and its
-        sample count."""
-        if klass == "all":
-            hist = self.delay_hist
-        elif klass == "urllc":
-            hist = self.delay_hist_urllc
-        elif klass == "non_urllc":
-            hist = self.delay_hist_non_urllc
-        else:
+    def _hist(self, klass: str) -> tuple[list[int], list[int], int]:
+        """The delay histogram of klass (all, urllc, or non_urllc) as its
+        ascending ticks, their counts and the sum of the counts."""
+        urllc, non_urllc = self.delay_hist_urllc, self.delay_hist_non_urllc
+        hists = {"all": (urllc, non_urllc), "urllc": (urllc,),
+                 "non_urllc": (non_urllc,)}.get(klass)
+        if hists is None:
             raise ValueError(f"unknown class {klass!r}")
-        return hist, sum(hist.values())
+        ticks, counts = _pooled(hists)
+        return ticks, counts, sum(counts)
 
-    def _percentiles_ms(self, levels, klass: str) -> dict[float, float]:
+    def _percentiles_ms(self, levels, hist) -> dict[float, float]:
         """The smallest delay whose empirical CDF reaches each of the
-        ascending `levels` percent, read in one walk up the sorted
-        histogram; empty when the class has no successes."""
-        hist, total = self._hist(klass)
+        ascending `levels` percent, read in one walk up `hist`; empty when
+        it holds no successes."""
+        ticks, counts, total = hist
         if not total:
             return {}
-        ticks = iter(sorted(hist))
+        bins = zip(ticks, counts)
         out = {}
         cum = 0
         for p in levels:
             k = max(1, math.ceil(p / 100.0 * total))
             while cum < k:
-                tick = next(ticks)
-                cum += hist[tick]
+                tick, count = next(bins)
+                cum += count
             out[p] = ticks_to_ms(tick, self.time_scale)
         return out
 
+    def _mean_ms(self, hist) -> float | None:
+        ticks, counts, total = hist
+        ticks_sum = sum(t * c for t, c in zip(ticks, counts))
+        return _ratio(ticks_to_ms(ticks_sum, self.time_scale), total)
+
+    def _percentile_map(self, hist) -> dict[float, float | None]:
+        levels = PERCENTILE_LEVELS
+        if hist[2] < DEEP_PERCENTILE_MIN_SAMPLES:
+            levels = levels[:-1]
+        found = self._percentiles_ms(levels, hist)
+        return dict.fromkeys(PERCENTILE_LEVELS) | found
+
     def mean_access_delay_ms(self, klass: str = "all") -> float | None:
         """Mean delay of the class's successes; None when it has none."""
-        hist, total = self._hist(klass)
-        ticks = sum(t * c for t, c in hist.items())
-        return _ratio(ticks_to_ms(ticks, self.time_scale), total)
+        return self._mean_ms(self._hist(klass))
 
     def delay_percentile_ms(self, p: float, klass: str = "all") -> float | None:
         """Smallest delay whose empirical CDF reaches p percent; None when
         the class has no successes."""
         if not 0 < p <= 100:
             raise ValueError("percentile must be in (0, 100]")
-        return self._percentiles_ms((p,), klass).get(p)
+        return self._percentiles_ms((p,), self._hist(klass)).get(p)
 
     def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
         """The standard percentile map; the 99.99th, the last level, also
         needs DEEP_PERCENTILE_MIN_SAMPLES successes of the class."""
-        levels = PERCENTILE_LEVELS
-        if self._hist(klass)[1] < DEEP_PERCENTILE_MIN_SAMPLES:
-            levels = levels[:-1]
-        found = self._percentiles_ms(levels, klass)
-        return dict.fromkeys(PERCENTILE_LEVELS) | found
+        return self._percentile_map(self._hist(klass))
 
     def cdf_points(self, klass: str = "all") -> list[tuple[float, float]]:
         """Empirical CDF support points as (delay_ms, cumulative_prob);
         empty when the class has no successes."""
-        hist, total = self._hist(klass)
-        points = []
-        cum = 0
-        for tick in sorted(hist):
-            cum += hist[tick]
-            points.append((ticks_to_ms(tick, self.time_scale), cum / total))
-        return points
+        ticks, counts, total = self._hist(klass)
+        return [
+            (ticks_to_ms(tick, self.time_scale), cum / total)
+            for tick, cum in zip(ticks, accumulate(counts))
+        ]
 
     # -- the report table ------------------------------------------------
 
@@ -200,7 +252,10 @@ class KpiReport(OpportunityLog):
         DEEP_PERCENTILE_MIN_SAMPLES pooled successes of its class.
         """
         util = self.preamble_utilization()
-        pc = self.delay_percentiles()
+        # The pooled view is built once per call.
+        hist = {k: self._hist(k) for k in ("all", "urllc", "non_urllc")}
+        pc = self._percentile_map(hist["all"])
+        urllc_pc = self._percentile_map(hist["urllc"])
         return {
             "n_seeds": self.n_seeds,
             "n_devices": self.n_devices,
@@ -219,14 +274,14 @@ class KpiReport(OpportunityLog):
             "util_reserved": util["reserved"],
             "util_contention": util["contention"],
             "util_reserved_priority": util["reserved_priority"],
-            "mean_delay_ms": self.mean_access_delay_ms(),
+            "mean_delay_ms": self._mean_ms(hist["all"]),
             "delay_p50_ms": pc[50.0],
             "delay_p95_ms": pc[95.0],
             "delay_p99_ms": pc[99.0],
             "delay_p9999_ms": pc[99.99],
-            "mean_delay_urllc_ms": self.mean_access_delay_ms("urllc"),
-            "mean_delay_non_urllc_ms": self.mean_access_delay_ms("non_urllc"),
-            "urllc_delay_p9999_ms": self.delay_percentiles("urllc")[99.99],
+            "mean_delay_urllc_ms": self._mean_ms(hist["urllc"]),
+            "mean_delay_non_urllc_ms": self._mean_ms(hist["non_urllc"]),
+            "urllc_delay_p9999_ms": urllc_pc[99.99],
         }
 
     def csv_row(self) -> str:
@@ -295,48 +350,49 @@ def build_report(result: RunResult) -> KpiReport:
     done = result.completion_ticks
     success = done >= 0
     delay = done - result.first_attempt_ticks
-    n_success = int(success.sum())
     return KpiReport(
         fingerprint=scenario_fingerprint(scenario),
         time_scale=result.time_scale,
         n_seeds=1,
         n_devices=len(urllc),
         n_urllc=int(urllc.sum()),
-        n_success=n_success,
+        n_success=int(success.sum()),
         n_success_urllc=int((success & urllc).sum()),
-        n_failed=len(urllc) - n_success,
         **{f.name: getattr(log, f.name) for f in fields(OpportunityLog)},
-        delay_hist=_histogram(delay[success]),
         delay_hist_urllc=_histogram(delay[success & urllc]),
         delay_hist_non_urllc=_histogram(delay[success & ~urllc]),
     )
-
-
-def _histogram(ticks: np.ndarray) -> Counter:
-    """Counter of int tick values."""
-    values, counts = np.unique(ticks, return_counts=True)
-    return Counter(dict(zip(values.tolist(), counts.tolist())))
 
 
 def merge(reports) -> KpiReport:
     """Pool reports from multiple seeds of the same scenario.
 
     Count-weighted, commutative and associative; merging a report with
-    itself doubles every count and leaves every ratio unchanged.
+    itself doubles every count and leaves every ratio unchanged. No input
+    is written.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("nothing to merge")
-    out = KpiReport(
-        fingerprint=reports[0].fingerprint, time_scale=reports[0].time_scale
+    first = reports[0]
+    if any(rep.fingerprint != first.fingerprint for rep in reports):
+        raise MergeMismatchError(
+            "cannot pool reports from different scenarios"
+        )
+    return KpiReport(
+        fingerprint=first.fingerprint,
+        time_scale=first.time_scale,
+        **{name: sum(getattr(rep, name) for rep in reports)
+           for name in _SUM_FIELDS},
+        **{name: max(getattr(rep, name) for rep in reports)
+           for name in _MAX_FIELDS},
+        delay_hist_urllc=_frozen(
+            *_pooled([rep.delay_hist_urllc for rep in reports])
+        ),
+        delay_hist_non_urllc=_frozen(
+            *_pooled([rep.delay_hist_non_urllc for rep in reports])
+        ),
     )
-    for rep in reports:
-        if rep.fingerprint != out.fingerprint:
-            raise MergeMismatchError(
-                "cannot pool reports from different scenarios"
-            )
-        _add_into(out, rep)
-    return out
 
 
 # Every int counter pools by sum, except these, which pool by max.
@@ -346,14 +402,3 @@ _SUM_FIELDS = tuple(
     for f in fields(KpiReport)
     if f.type in ("int", int) and f.name not in _MAX_FIELDS
 )
-
-
-def _add_into(dst: KpiReport, src: KpiReport) -> None:
-    for name in _SUM_FIELDS:
-        setattr(dst, name, getattr(dst, name) + getattr(src, name))
-    for name in _MAX_FIELDS:
-        setattr(dst, name, max(getattr(dst, name), getattr(src, name)))
-    dst.delay_hist.update(src.delay_hist)
-    dst.delay_hist_urllc.update(src.delay_hist_urllc)
-    dst.delay_hist_non_urllc.update(src.delay_hist_non_urllc)
-

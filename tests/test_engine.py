@@ -1013,6 +1013,12 @@ def fold_records(result):
     return out, hists
 
 
+def hist_dict(hist):
+    """A report histogram, (2, k) ticks over counts, as a tick -> count
+    dict."""
+    return dict(zip(*hist.tolist()))
+
+
 OVERLOAD_TEXT = (
     "n_devices = 3000\nurllc_fraction = 0.3\n"
     "urllc_horizon_s = 0.5\nnon_urllc_horizon_s = 1.5\n"
@@ -1058,10 +1064,10 @@ def test_invariants_under_overload(text, topology):
     # The columnar report equals the record-by-record fold.
     counts, hists = fold_records(res)
     assert {k: getattr(rep, k) for k in counts} == counts
-    assert rep.delay_hist == hists["all"]
-    assert rep.delay_hist_urllc == hists["urllc"]
-    assert rep.delay_hist_non_urllc == hists["non_urllc"]
-    assert all(type(k) is int for k in rep.delay_hist)
+    assert hist_dict(rep.delay_hist) == hists["all"]
+    assert hist_dict(rep.delay_hist_urllc) == hists["urllc"]
+    assert hist_dict(rep.delay_hist_non_urllc) == hists["non_urllc"]
+    assert all(type(k) is int for k in hist_dict(rep.delay_hist))
 
 
 # OpportunityLog's per-cell counters: every used_* and collided_* field.

@@ -1,5 +1,7 @@
 """KPI arithmetic on hand-built records and exact multi-seed merging."""
 
+import copy
+import math
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -11,9 +13,11 @@ from hypothesis import strategies as st
 
 from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
 from rachsim.engine import OpportunityLog, RunResult, run
+from rachsim.timebase import ticks_to_ms
 from rachsim.kpi import (
     _MAX_FIELDS,
     _SUM_FIELDS,
+    DEEP_PERCENTILE_MIN_SAMPLES,
     KpiReport,
     MergeMismatchError,
     PERCENTILE_LEVELS,
@@ -60,6 +64,12 @@ def failure(urllc=True):
         msg3_ticks=-1,
         msg4_ticks=-1,
     )
+
+
+def hist_dict(hist):
+    """A report histogram, (2, k) ticks over counts, as a tick -> count
+    dict."""
+    return dict(zip(*hist.tolist()))
 
 
 def result_with(records, scenario=None, **log_over):
@@ -175,10 +185,12 @@ def test_deep_percentile_gate_boundary():
     scenario = build_scenario("")
     fp = scenario_fingerprint(scenario)
     below = KpiReport(fingerprint=fp, time_scale=Fraction(1))
-    below.delay_hist = Counter({56: 99_999})
+    below.delay_hist_urllc = np.array([[56], [99_999]])
+    assert hist_dict(below.delay_hist) == Counter({56: 99_999})
     assert below.delay_percentiles()[99.99] is None
     at = KpiReport(fingerprint=fp, time_scale=Fraction(1))
-    at.delay_hist = Counter({56: 100_000})
+    at.delay_hist_non_urllc = np.array([[56], [100_000]])
+    assert hist_dict(at.delay_hist) == Counter({56: 100_000})
     assert at.delay_percentiles()[99.99] == 1.0
 
 
@@ -251,8 +263,119 @@ def test_merge_is_commutative_and_associative(order, cuts):
     assert pooled.csv_row() == flat.csv_row()
     assert pooled == flat
     for name in ("delay_hist", "delay_hist_urllc", "delay_hist_non_urllc"):
-        summed = sum((getattr(r, name) for r in MERGE_REPORTS), Counter())
-        assert getattr(pooled, name) == summed
+        summed = sum(
+            (Counter(hist_dict(getattr(r, name))) for r in MERGE_REPORTS),
+            Counter(),
+        )
+        assert hist_dict(getattr(pooled, name)) == summed
+
+
+# The parent revision's Counter-based delay readers, kept as an oracle for
+# the array histograms: the same walk over a tick -> count dict.
+def oracle_percentiles(hist, levels, scale):
+    total = sum(hist.values())
+    if not total:
+        return {}
+    ticks = iter(sorted(hist))
+    out = {}
+    cum = 0
+    for p in levels:
+        k = max(1, math.ceil(p / 100.0 * total))
+        while cum < k:
+            tick = next(ticks)
+            cum += hist[tick]
+        out[p] = ticks_to_ms(tick, scale)
+    return out
+
+
+def oracle_delay_percentiles(hist, scale):
+    levels = PERCENTILE_LEVELS
+    if sum(hist.values()) < DEEP_PERCENTILE_MIN_SAMPLES:
+        levels = levels[:-1]
+    found = oracle_percentiles(hist, levels, scale)
+    return dict.fromkeys(PERCENTILE_LEVELS) | found
+
+
+def oracle_mean_ms(hist, scale):
+    total = sum(hist.values())
+    ticks = sum(t * c for t, c in hist.items())
+    return ticks_to_ms(ticks, scale) / total if total else None
+
+
+def oracle_cdf_points(hist, scale):
+    total = sum(hist.values())
+    points = []
+    cum = 0
+    for tick in sorted(hist):
+        cum += hist[tick]
+        points.append((ticks_to_ms(tick, scale), cum / total))
+    return points
+
+
+# One device: its delay in ticks, its class, and whether it succeeded. A
+# few distinct ticks, so that reports share ticks and merges must add.
+DEVICES = st.tuples(
+    st.sampled_from([0, 1, 56, 57, 280, 281, 2800, 10**9]),
+    st.booleans(),
+    st.booleans(),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    runs=st.lists(st.lists(DEVICES, max_size=12), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_class_histograms_merge_like_counters(runs, data):
+    # Reports built from random per-class samples and merged in a random
+    # grouping hold int64 histograms with strictly ascending ticks and
+    # positive counts, pool to the summed samples, leave their inputs
+    # unchanged, and read every delay figure as the Counter oracle does.
+    reports = [
+        build_report(result_with([
+            record(tick, urllc) if ok else failure(urllc)
+            for tick, urllc, ok in devices
+        ]))
+        for devices in runs
+    ]
+    order = data.draw(st.permutations(range(len(reports))))
+    cuts = data.draw(st.sets(st.integers(1, max(1, len(reports) - 1))))
+    shuffled = [reports[i] for i in order]
+    bounds = sorted({0, *(c for c in cuts if c < len(reports)), len(reports)})
+    before = copy.deepcopy(reports)
+    parts = [merge(shuffled[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    pooled = merge(parts)
+    assert reports == before
+    oracle = {klass: Counter() for klass in ("all", "urllc", "non_urllc")}
+    for devices in runs:
+        for tick, urllc, ok in devices:
+            if ok:
+                oracle["all"][tick] += 1
+                oracle["urllc" if urllc else "non_urllc"][tick] += 1
+    for rep in [*reports, *parts, pooled]:
+        for hist, n in ((rep.delay_hist_urllc, rep.n_success_urllc),
+                        (rep.delay_hist_non_urllc,
+                         rep.n_success - rep.n_success_urllc)):
+            assert hist.dtype == np.int64 and hist.shape[0] == 2
+            assert (np.diff(hist[0]) > 0).all() and (hist[1] > 0).all()
+            assert hist[1].sum() == n
+        summed = Counter(hist_dict(rep.delay_hist_urllc))
+        summed.update(hist_dict(rep.delay_hist_non_urllc))
+        assert hist_dict(rep.delay_hist) == summed
+    scale = pooled.time_scale
+    for klass, hist in oracle.items():
+        name = "delay_hist" if klass == "all" else f"delay_hist_{klass}"
+        assert hist_dict(getattr(pooled, name)) == hist
+        assert pooled.delay_percentiles(klass) == oracle_delay_percentiles(
+            hist, scale
+        )
+        assert pooled.mean_access_delay_ms(klass) == oracle_mean_ms(
+            hist, scale
+        )
+        assert pooled.cdf_points(klass) == oracle_cdf_points(hist, scale)
+        for p in (0.5, 25.0, 50.0, 99.0, 100.0):
+            expected = oracle_percentiles(hist, (p,), scale).get(p)
+            assert pooled.delay_percentile_ms(p, klass) == expected
 
 
 def test_merge_self_doubles_counts_keeps_ratios():

@@ -9,7 +9,7 @@ import pytest
 from rachsim.config import TopologyConfig
 from rachsim.rng import RandomSource
 from rachsim.topology import (
-    FEMTO_BLOCK,
+    FEMTO_BLOCK_ENTRIES,
     build_layout,
     path_loss_db,
     place_devices,
@@ -161,9 +161,13 @@ def assert_matches_norm_oracle(placement, layout):
         assert got.tobytes() == want.tobytes(), name
 
 
+# Devices per femto block at 75 femtos.
+FEMTO_BLOCK = FEMTO_BLOCK_ENTRIES // 75
+
+
 # Device counts on both sides of the first and second femto block
-# boundaries, where a block slice one short or one long would drop or
-# misplace a device.
+# boundaries at 75 femtos, where a block slice one short or one long would
+# drop or misplace a device.
 @pytest.mark.parametrize("n_femto", [0, 1, 75])
 @pytest.mark.parametrize(
     "n",
@@ -178,6 +182,20 @@ def test_placement_matches_norm_oracle(seed, n, n_femto):
     )
     src = RandomSource.from_seed(seed)
     layout = build_layout(cfg, src.placement)
+    assert_matches_norm_oracle(place_devices(n, layout, src.placement), layout)
+
+
+# The same boundaries where few femtos make long blocks, one femto
+# making a block of FEMTO_BLOCK_ENTRIES devices.
+@pytest.mark.parametrize("n_femto", [1, 5, 12])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_placement_matches_norm_oracle_at_long_blocks(n_femto, offset):
+    cfg = TopologyConfig(
+        n_macro_cells=3, n_femto_cells=n_femto, femto_radius_m=49.0
+    )
+    src = RandomSource.from_seed(4)
+    layout = build_layout(cfg, src.placement)
+    n = FEMTO_BLOCK_ENTRIES // n_femto + offset
     assert_matches_norm_oracle(place_devices(n, layout, src.placement), layout)
 
 

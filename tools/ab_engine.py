@@ -1,5 +1,5 @@
-"""In-process A/B of `engine.run` and `topology.place_devices` between two
-revisions of the repository, with an A/A control.
+"""In-process A/B of `engine.run`, `topology.place_devices` and the report
+layer between two revisions of the repository, with an A/A control.
 
     python3 tools/ab_engine.py --rev HEAD~1 --rev HEAD
 
@@ -25,13 +25,23 @@ turns go A, B, A' on odd seeds and A', B, A on even ones. The placements
 must hold the same `serving_cell`, `femto_cell` and `serving_dist` bytes,
 and the `RunResult`s identical device columns and `OpportunityLog`s. On
 the first seed of each scenario A and B also make one untimed traced run,
-whose trace rows must be equal one by one. The script stops at the first
-difference and names it, for a trace the first row that differs.
+whose trace rows must be equal one by one.
 
-It prints two markdown tables, one for `engine.run` and one for
-`place_devices`: per scenario, the median speed-up (time of A / time of
-B) with its quartiles and the pairs B won, the A/A column (time of A /
-time of A') in the same form, then the total time of each package.
+The report layer is timed on each package's own `RunResult` of the seed:
+`build_report`, then `csv_row` and `cdf_points` on that report, as the
+median of REPORT_CALLS calls taken in turns. Once all seeds of a
+scenario are done, each revision's package times `merge` of its 30
+reports in MERGE_ROUNDS rounds, again taking turns; each round is one
+sample, and the rounds alternate between the two imports of each
+revision. The
+`csv_row` and `cdf_points` bytes, of each seed's report and of the
+merged one, must be equal across the packages. The script stops at the
+first difference and names it, for a trace the first row that differs.
+
+It prints four markdown tables, for `engine.run`, `place_devices`, the
+report layer and `merge`: per scenario, the median speed-up (time of A /
+time of B) with its quartiles and the pairs B won, the A/A column (time
+of A / time of A') in the same form, then the total time of each package.
 """
 
 from __future__ import annotations
@@ -63,6 +73,10 @@ PLACE_CALLS = 5
 # 1.0 on this kind of shared 2-core host; the best of three calls per
 # package, A and A' alike, damps the slow outliers.
 RUN_CALLS = 3
+# The report layer takes 0.2-1 ms and a merge of 30 reports about 1 ms, so
+# each is timed over several calls taken in turns, as placement is.
+REPORT_CALLS = 5
+MERGE_ROUNDS = 30
 
 
 def checkout(rev: str, dest: Path) -> Path:
@@ -85,7 +99,8 @@ def load(tree: Path, name: str):
     pkg = importlib.util.module_from_spec(spec)
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
-    for sub in ("config", "engine", "reference", "rng", "topology", "traffic"):
+    for sub in ("config", "engine", "kpi", "reference", "rng", "topology",
+                "traffic"):
         importlib.import_module(f"{name}.{sub}")
     return pkg
 
@@ -100,7 +115,7 @@ def scenarios(pkg) -> dict:
 
 # Device fields of a placement that both revisions must give bit for bit.
 PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
-TIMED = ("engine.run", "place_devices")
+TIMED = ("engine.run", "place_devices", "report", "merge")
 # Packages by index: A, B and A' (the first revision imported again), and
 # the import and turn order of the first half of the seeds and odd seeds.
 TAGS = ("a", "b", "c")
@@ -139,6 +154,24 @@ def timed_run(pkg, scenario, placement, arrivals):
         scenario, source=fresh, placement=placement, arrivals=arrivals
     )
     return time.perf_counter() - t0, result
+
+
+def timed_report(pkg, result):
+    """(seconds, (csv_row, cdf_points), report) of the report layer on
+    `result`: build_report, then csv_row and cdf_points of that report."""
+    t0 = time.perf_counter()
+    report = pkg.kpi.build_report(result)
+    row = report.csv_row()
+    cdf = report.cdf_points()
+    return time.perf_counter() - t0, (row, cdf), report
+
+
+def timed_merge(pkg, reports):
+    """(seconds, (csv_row, cdf_points)) of one merge of `reports`."""
+    t0 = time.perf_counter()
+    merged = pkg.kpi.merge(reports)
+    t = time.perf_counter() - t0
+    return t, (merged.csv_row(), merged.cdf_points())
 
 
 def same_placement(a, b) -> str | None:
@@ -209,6 +242,7 @@ def main(argv=None) -> int:
         totals = {what: [0.0] * len(trees) for what in TIMED}
         for name in groups[0][1][0]:
             ratios = {what: ([], []) for what in TIMED}
+            kept = ([], [], [])  # each package's report of every seed
             for seed in SEEDS:
                 pkgs, specs = groups[seed > SEEDS[len(SEEDS) // 2 - 1]]
                 order = LOAD_ORDER if seed % 2 else LOAD_ORDER[::-1]
@@ -225,16 +259,25 @@ def main(argv=None) -> int:
                 for _ in range(RUN_CALLS):
                     for k in order:
                         runs[k].append(timed_run(pkgs[k], cases[k], *given[k]))
+                reports = ([], [], [])
+                for _ in range(REPORT_CALLS):
+                    for k in order:
+                        reports[k].append(
+                            timed_report(pkgs[k], runs[k][-1][1]))
                 out = {}
                 for k in order:
                     t_place = statistics.median(c[0] for c in calls[k])
                     t_run = min(r[0] for r in runs[k])
+                    t_report = statistics.median(r[0] for r in reports[k])
                     out[k] = ((t_run, runs[k][-1][1]),
-                              (t_place, calls[k][-1][1]))
+                              (t_place, calls[k][-1][1]),
+                              (t_report, reports[k][-1][1]))
+                    kept[k].append(reports[k][-1][2])
                 for k in (1, 2):
                     differs = same_placement(out[0][1][1], out[k][1][1]) or (
                         same_result(out[0][0][1], out[k][0][1])
-                    )
+                    ) or ("report bytes" if out[0][2][1] != out[k][2][1]
+                          else None)
                     if differs:
                         print(f"{name} seed {seed}: {TAGS[k]} {differs} "
                               "differs", file=sys.stderr)
@@ -247,12 +290,25 @@ def main(argv=None) -> int:
                         print(f"{name} seed {seed}: {differs}",
                               file=sys.stderr)
                         return 1
-                for i, what in enumerate(TIMED):
+                for i, what in enumerate(TIMED[:-1]):
                     times = [out[k][i][0] for k in range(len(trees))]
                     for k, t in enumerate(times):
                         totals[what][k] += t
                     ratios[what][0].append(times[0] / times[1])
                     ratios[what][1].append(times[0] / times[2])
+            gc.collect()
+            for r in range(MERGE_ROUNDS):
+                order = LOAD_ORDER if r % 2 else LOAD_ORDER[::-1]
+                pkgs = groups[r % 2][0]
+                merged = {k: timed_merge(pkgs[k], kept[k]) for k in order}
+                if any(merged[k][1] != merged[0][1] for k in (1, 2)):
+                    print(f"{name}: merged report bytes differ",
+                          file=sys.stderr)
+                    return 1
+                for k in order:
+                    totals["merge"][k] += merged[k][0]
+                ratios["merge"][0].append(merged[0][0] / merged[1][0])
+                ratios["merge"][1].append(merged[0][0] / merged[2][0])
             for what in TIMED:
                 ab, aa = ratios[what]
                 won = sum(r > 1.0 for r in ab)
