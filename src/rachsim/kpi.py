@@ -141,9 +141,14 @@ class KpiReport(OpportunityLog):
         """
         if klass == "overall":
             return _ratio(self.collided_cells, self._cells_total())
-        if klass in ("urllc", "non_urllc"):
-            return _ratio(getattr(self, f"collided_{klass}"),
-                          getattr(self, f"sum_pool_{klass}") * self.n_gnbs)
+        if klass == "urllc":
+            return _ratio(
+                self.collided_urllc, self.sum_pool_urllc * self.n_gnbs
+            )
+        if klass == "non_urllc":
+            return _ratio(
+                self.collided_non_urllc, self.sum_pool_non_urllc * self.n_gnbs
+            )
         raise ValueError(f"unknown class {klass!r}")
 
     def preamble_utilization(self) -> dict[str, float | None]:
