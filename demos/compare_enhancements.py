@@ -5,7 +5,8 @@ Usage: python3 demos/compare_enhancements.py [n_devices] [n_seeds]
 
 import sys
 
-from rachsim import apply_overrides, build_report, build_scenario, merge, run
+from rachsim import build_scenario, merge
+from rachsim.reference import replicate
 
 STACKS = [
     ("baseline", ""),
@@ -13,14 +14,6 @@ STACKS = [
     ("edt+pp", "edt, pp"),
     ("edt+pp+ebf", "edt, pp, ebf"),
 ]
-
-
-def pooled(scenario, seeds):
-    reports = []
-    for seed in seeds:
-        sc = apply_overrides(scenario, [("seed", str(seed))])
-        reports.append(build_report(run(sc)))
-    return merge(reports)
 
 
 def main():
@@ -39,7 +32,7 @@ def main():
             "n_femto_cells = 12\n"
             + (f"enhancements = {flags}\n" if flags else "")
         )
-        rep = pooled(base, seeds)
+        rep = merge(replicate([(base, seed) for seed in seeds]))
         print(
             f"{label:<12} "
             f"{rep.collision_probability() * 100:>9.3f}% "

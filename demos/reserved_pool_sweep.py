@@ -8,7 +8,8 @@ Usage: python3 demos/reserved_pool_sweep.py [n_seeds]
 
 import sys
 
-from rachsim import apply_overrides, build_report, build_scenario, merge, run
+from rachsim import apply_overrides, build_scenario, merge
+from rachsim.reference import replicate
 
 
 def main():
@@ -20,13 +21,8 @@ def main():
     )
     print(f"{'r':>2} {'priority collision':>19} {'reserved utilization':>21}")
     for r in range(1, 6):
-        reports = []
-        for seed in range(1, n_seeds + 1):
-            sc = apply_overrides(
-                base, [("reserved_r", str(r)), ("seed", str(seed))]
-            )
-            reports.append(build_report(run(sc)))
-        rep = merge(reports)
+        sc = apply_overrides(base, [("reserved_r", str(r))])
+        rep = merge(replicate([(sc, seed) for seed in range(1, n_seeds + 1)]))
         util = rep.preamble_utilization()["reserved_priority"]
         print(
             f"{r:>2} {rep.collision_probability('urllc') * 100:>18.3f}% "

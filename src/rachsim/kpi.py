@@ -11,8 +11,9 @@ floats, so merging across seeds is exact: every ratio of a pooled report
 is the count-weighted ratio of its parts, and deep percentiles are read
 from the pooled histogram. The 99.99th percentile is only reported once
 the pooled success count reaches 100 000; below that it is absent. The
-two class histograms are the stored partition of the successes; the
-histogram of all successes and the failure count are derived from them.
+two class histograms are the stored partition of the successes: the
+failure count is derived, and the all-class delay figures read the two
+pooled. `kpis()` reads every delay column through its public method.
 
 A figure without a basis is None in every method, as in `kpis()` and the
 blank report.csv cells: a ratio over an empty observation period or an
@@ -85,10 +86,9 @@ class KpiReport(OpportunityLog):
     log's names; a report adds the per-device counts and the delay
     histograms of the two classes. Each histogram is a (2, k) int64 array,
     read-only as built: the ascending distinct delays in ticks, then their
-    positive counts. The class histograms partition the successes, so
-    `delay_hist` (all successes) and `n_failed` are derived, not stored.
-    The report's own fields are slots, which leaves the log counters few
-    enough for CPython to share their instance-dict keys between reports.
+    positive counts, and stays read-only through pickling and copying.
+    The class histograms partition the successes, so `n_failed` is
+    derived, not stored. Every field, the log's included, is a slot.
     """
 
     fingerprint: str
@@ -109,14 +109,15 @@ class KpiReport(OpportunityLog):
             for f in fields(self)
         )
 
+    def __setstate__(self, state):  # numpy pickles no writeable flag
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.delay_hist_urllc.flags.writeable = False
+        self.delay_hist_non_urllc.flags.writeable = False
+
     @property
     def n_failed(self) -> int:
         return self.n_devices - self.n_success
-
-    @property
-    def delay_hist(self) -> np.ndarray:
-        """The histogram of all successes, pooled from the two classes."""
-        return _frozen(*self._hist("all")[:2])
 
     # -- derived ratios -------------------------------------------------
 
@@ -209,21 +210,11 @@ class KpiReport(OpportunityLog):
             out[p] = ticks_to_ms(tick, self.time_scale)
         return out
 
-    def _mean_ms(self, hist) -> float | None:
-        ticks, counts, total = hist
-        ticks_sum = sum(t * c for t, c in zip(ticks, counts))
-        return _ratio(ticks_to_ms(ticks_sum, self.time_scale), total)
-
-    def _percentile_map(self, hist) -> dict[float, float | None]:
-        levels = PERCENTILE_LEVELS
-        if hist[2] < DEEP_PERCENTILE_MIN_SAMPLES:
-            levels = levels[:-1]
-        found = self._percentiles_ms(levels, hist)
-        return dict.fromkeys(PERCENTILE_LEVELS) | found
-
     def mean_access_delay_ms(self, klass: str = "all") -> float | None:
         """Mean delay of the class's successes; None when it has none."""
-        return self._mean_ms(self._hist(klass))
+        ticks, counts, total = self._hist(klass)
+        ticks_sum = sum(t * c for t, c in zip(ticks, counts))
+        return _ratio(ticks_to_ms(ticks_sum, self.time_scale), total)
 
     def delay_percentile_ms(self, p: float, klass: str = "all") -> float | None:
         """Smallest delay whose empirical CDF reaches p percent; None when
@@ -235,7 +226,12 @@ class KpiReport(OpportunityLog):
     def delay_percentiles(self, klass: str = "all") -> dict[float, float | None]:
         """The standard percentile map; the 99.99th, the last level, also
         needs DEEP_PERCENTILE_MIN_SAMPLES successes of the class."""
-        return self._percentile_map(self._hist(klass))
+        hist = self._hist(klass)
+        levels = PERCENTILE_LEVELS
+        if hist[2] < DEEP_PERCENTILE_MIN_SAMPLES:
+            levels = levels[:-1]
+        found = self._percentiles_ms(levels, hist)
+        return dict.fromkeys(PERCENTILE_LEVELS) | found
 
     def cdf_points(self, klass: str = "all") -> list[tuple[float, float]]:
         """Empirical CDF support points as (delay_ms, cumulative_prob);
@@ -257,10 +253,7 @@ class KpiReport(OpportunityLog):
         DEEP_PERCENTILE_MIN_SAMPLES pooled successes of its class.
         """
         util = self.preamble_utilization()
-        # The pooled view is built once per call.
-        hist = {k: self._hist(k) for k in ("all", "urllc", "non_urllc")}
-        pc = self._percentile_map(hist["all"])
-        urllc_pc = self._percentile_map(hist["urllc"])
+        pc = self.delay_percentiles()
         return {
             "n_seeds": self.n_seeds,
             "n_devices": self.n_devices,
@@ -279,14 +272,14 @@ class KpiReport(OpportunityLog):
             "util_reserved": util["reserved"],
             "util_contention": util["contention"],
             "util_reserved_priority": util["reserved_priority"],
-            "mean_delay_ms": self._mean_ms(hist["all"]),
+            "mean_delay_ms": self.mean_access_delay_ms(),
             "delay_p50_ms": pc[50.0],
             "delay_p95_ms": pc[95.0],
             "delay_p99_ms": pc[99.0],
             "delay_p9999_ms": pc[99.99],
-            "mean_delay_urllc_ms": self._mean_ms(hist["urllc"]),
-            "mean_delay_non_urllc_ms": self._mean_ms(hist["non_urllc"]),
-            "urllc_delay_p9999_ms": urllc_pc[99.99],
+            "mean_delay_urllc_ms": self.mean_access_delay_ms("urllc"),
+            "mean_delay_non_urllc_ms": self.mean_access_delay_ms("non_urllc"),
+            "urllc_delay_p9999_ms": self.delay_percentiles("urllc")[99.99],
         }
 
     def csv_row(self) -> str:

@@ -23,7 +23,7 @@ full.
 import itertools
 import math
 import re
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,6 +44,7 @@ from rachsim.reference import REFERENCE_SCENARIOS, SEEDS_10, SEEDS_DEEP
 from rachsim.rng import RandomSource
 from rachsim.timebase import ms_to_ticks, time_scale_fraction
 from rachsim.traffic import generate_arrivals
+from stream_stubs import Fixed, Scripted
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -263,32 +264,6 @@ def test_criterion_7_dynamic_reservation_stack():
 # -- criterion 8: property suite -------------------------------------------
 
 
-class _Fixed:
-    """Generator stand-in returning one constant."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
-
-    def integers(self, lo, hi):
-        return min(max(lo, int(self.value)), hi - 1)
-
-
-class _Scripted:
-    """Generator stand-in consuming a fixed queue of draws."""
-
-    def __init__(self, *values):
-        self.q = deque(values)
-
-    def random(self):
-        return float(self.q.popleft())
-
-    def integers(self, lo, hi):
-        return int(self.q.popleft())
-
-
 MIXED = build_scenario(
     "n_devices = 600\n"
     "urllc_fraction = 0.25\n"
@@ -367,8 +342,8 @@ def _small_instance_brute_force():
         counts = Counter(draws.tolist())
         expect_win = {i for i in range(n) if counts[draws[i]] == 1}
         src = RandomSource.from_seed(1).replaced(
-            preamble=_Scripted(*draws.tolist()),
-            detection=_Fixed(0.0),
+            preamble=Scripted(*draws.tolist()),
+            detection=Fixed(0.0),
         )
         res = run(
             sc,
@@ -401,8 +376,8 @@ def _small_instance_brute_force():
         counts = Counter(assignment)
         expect_win = {i for i in range(4) if counts[assignment[i]] == 1}
         src = RandomSource.from_seed(1).replaced(
-            preamble=_Scripted(*assignment),
-            detection=_Fixed(0.0),
+            preamble=Scripted(*assignment),
+            detection=Fixed(0.0),
         )
         res = run(sc4, source=src, arrivals=np.zeros(4, dtype=np.int64))
         won = {r.device_id for r in res.records if r.success}
@@ -428,7 +403,7 @@ def test_detection_curve_shape_is_exponential():
         topology=TopologyConfig(n_macro_cells=1, n_femto_cells=0),
     )
     for value, expect in ((hi - 1e-9, True), (hi + 1e-9, False)):
-        src = RandomSource.from_seed(1).replaced(detection=_Fixed(value))
+        src = RandomSource.from_seed(1).replaced(detection=Fixed(value))
         res = run(sc, source=src, arrivals=np.zeros(1, dtype=np.int64))
         assert res.records[0].success is expect
 

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import pickle
 from collections import Counter
 from dataclasses import fields
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
 from rachsim.engine import OpportunityLog, RunResult, run
+from rachsim.reference import replicate
 from rachsim.timebase import ticks_to_ms
 from rachsim.kpi import (
     _MAX_FIELDS,
@@ -70,6 +72,14 @@ def hist_dict(hist):
     """A report histogram, (2, k) ticks over counts, as a tick -> count
     dict."""
     return dict(zip(*hist.tolist()))
+
+
+def all_dict(rep):
+    """The histogram of all a report's successes, as the sum of its class
+    histograms."""
+    return Counter(hist_dict(rep.delay_hist_urllc)) + Counter(
+        hist_dict(rep.delay_hist_non_urllc)
+    )
 
 
 def result_with(records, scenario=None, **log_over):
@@ -186,11 +196,11 @@ def test_deep_percentile_gate_boundary():
     fp = scenario_fingerprint(scenario)
     below = KpiReport(fingerprint=fp, time_scale=Fraction(1))
     below.delay_hist_urllc = np.array([[56], [99_999]])
-    assert hist_dict(below.delay_hist) == Counter({56: 99_999})
+    assert all_dict(below) == Counter({56: 99_999})
     assert below.delay_percentiles()[99.99] is None
     at = KpiReport(fingerprint=fp, time_scale=Fraction(1))
     at.delay_hist_non_urllc = np.array([[56], [100_000]])
-    assert hist_dict(at.delay_hist) == Counter({56: 100_000})
+    assert all_dict(at) == Counter({56: 100_000})
     assert at.delay_percentiles()[99.99] == 1.0
 
 
@@ -262,12 +272,15 @@ def test_merge_is_commutative_and_associative(order, cuts):
     pooled = merge(parts[::-1])
     assert pooled.csv_row() == flat.csv_row()
     assert pooled == flat
-    for name in ("delay_hist", "delay_hist_urllc", "delay_hist_non_urllc"):
+    for name in ("delay_hist_urllc", "delay_hist_non_urllc"):
         summed = sum(
             (Counter(hist_dict(getattr(r, name))) for r in MERGE_REPORTS),
             Counter(),
         )
         assert hist_dict(getattr(pooled, name)) == summed
+    summed = sum((all_dict(r) for r in MERGE_REPORTS), Counter())
+    assert all_dict(pooled) == summed
+    assert pooled.cdf_points() == oracle_cdf_points(summed, pooled.time_scale)
 
 
 # The parent revision's Counter-based delay readers, kept as an oracle for
@@ -352,6 +365,7 @@ def test_class_histograms_merge_like_counters(runs, data):
             if ok:
                 oracle["all"][tick] += 1
                 oracle["urllc" if urllc else "non_urllc"][tick] += 1
+    scale = pooled.time_scale
     for rep in [*reports, *parts, pooled]:
         for hist, n in ((rep.delay_hist_urllc, rep.n_success_urllc),
                         (rep.delay_hist_non_urllc,
@@ -359,13 +373,13 @@ def test_class_histograms_merge_like_counters(runs, data):
             assert hist.dtype == np.int64 and hist.shape[0] == 2
             assert (np.diff(hist[0]) > 0).all() and (hist[1] > 0).all()
             assert hist[1].sum() == n
-        summed = Counter(hist_dict(rep.delay_hist_urllc))
-        summed.update(hist_dict(rep.delay_hist_non_urllc))
-        assert hist_dict(rep.delay_hist) == summed
-    scale = pooled.time_scale
+        summed = all_dict(rep)
+        assert rep.cdf_points() == oracle_cdf_points(summed, scale)
+        assert rep.mean_access_delay_ms() == oracle_mean_ms(summed, scale)
+    assert all_dict(pooled) == oracle["all"]
     for klass, hist in oracle.items():
-        name = "delay_hist" if klass == "all" else f"delay_hist_{klass}"
-        assert hist_dict(getattr(pooled, name)) == hist
+        if klass != "all":
+            assert hist_dict(getattr(pooled, f"delay_hist_{klass}")) == hist
         assert pooled.delay_percentiles(klass) == oracle_delay_percentiles(
             hist, scale
         )
@@ -414,6 +428,24 @@ def test_merge_does_not_mutate_inputs():
     before = a.n_devices
     merge([a, a])
     assert a.n_devices == before
+
+
+def test_histograms_stay_read_only_through_pickle_and_copy():
+    # numpy pickles no writeable flag; a report restores it, for the
+    # empty histogram too (the default scenario has no non-priority
+    # device), and also in the reports of a process pool.
+    sc = build_scenario("n_devices = 20\n")
+    rep = build_report(run(sc))
+    assert rep.delay_hist_urllc.shape[1] and not rep.delay_hist_non_urllc.size
+    pooled = replicate([(sc, 1), (sc, 1)], jobs=2)
+    copies = [pickle.loads(pickle.dumps(rep)), copy.deepcopy(rep), *pooled]
+    for other in copies:
+        assert other == rep
+        for name in ("delay_hist_urllc", "delay_hist_non_urllc"):
+            hist = getattr(other, name)
+            assert not hist.flags.writeable
+            with pytest.raises(ValueError):
+                hist[...] = 0
 
 
 def test_merge_empty_rejected():

@@ -60,9 +60,10 @@ def test_batched_draws_equal_scalar_draws(r):
     """Under PCG64 a batch of k draws equals k scalar draws, bit for bit.
 
     The golden fixtures were written when the engine drew each
-    opportunity's preambles in one batch (`integers(lo, hi, k)`); it now
-    makes one scalar draw per copy. This pins that the split leaves the
-    stream, and so every result, unchanged.
+    opportunity's preambles in one batch (`integers(lo, hi, k)`). It now
+    serves them from `rng.BlockStream`: one bulk draw per pool range, and
+    one scalar draw for a lone contender's single copy. This pins that
+    batched and scalar draws give the same stream, and so every result.
     """
     for lo, hi in ((0, 54), (0, r), (r, 54)):
         for k in (1, 2, 3, 7, 40):

@@ -52,7 +52,6 @@ import gc
 import importlib
 import importlib.util
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -60,7 +59,8 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+from record_bench import checkout
+
 OVERLOAD = "overload-20k"
 # Thirty pairs per scenario, so that the quartiles of the speed-up stand
 # clear of run-to-run noise.
@@ -77,16 +77,6 @@ RUN_CALLS = 3
 # each is timed over several calls taken in turns, as placement is.
 REPORT_CALLS = 5
 MERGE_ROUNDS = 30
-
-
-def checkout(rev: str, dest: Path) -> Path:
-    dest.mkdir(parents=True)
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev],
-        capture_output=True, check=True,
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-    return dest
 
 
 def load(tree: Path, name: str):
