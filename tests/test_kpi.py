@@ -279,7 +279,6 @@ def test_merge_is_commutative_and_associative(order, cuts):
         )
         assert hist_dict(getattr(pooled, name)) == summed
     summed = sum((all_dict(r) for r in MERGE_REPORTS), Counter())
-    assert all_dict(pooled) == summed
     assert pooled.cdf_points() == oracle_cdf_points(summed, pooled.time_scale)
 
 
