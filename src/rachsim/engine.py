@@ -40,9 +40,11 @@ sorts once, and cuts each opportunity's arrivals from the sorted starts
 as a range of ids. Ties keep device order, so every opportunity sees its
 contenders in the same sequence as under device ids, and every draw is
 the same. `run` maps back once, at its end: loop columns to device-id
-order, trace rows to device ids. A device first transmits at its
-arrival's opportunity, so the arrival and first-attempt columns come
-from the arrival array. `RunResult` is columnar; `records` builds
+order, each list freed as its column is built, and trace rows to device
+ids. A device first transmits at its arrival's opportunity, so the
+arrival and first-attempt columns come from the arrival array, and
+`wait_ticks` from completion = arrival + wait + t1 + msg2 + msg3 + msg4
+(an absent leg counts 0). `RunResult` is columnar; `records` builds
 `AccessRecord`s.
 """
 
@@ -159,9 +161,9 @@ _TICK_COLUMNS = (
     "msg1_count", "attempt_count", "arrival_ticks", "first_attempt_ticks",
     "completion_ticks", "wait_ticks", "msg2_ticks", "msg3_ticks", "msg4_ticks",
 )
-# The columns the loop writes, held as lists; `run` takes the other two
-# from the arrival array.
-_LOOP_COLUMNS = _TICK_COLUMNS[:2] + _TICK_COLUMNS[4:]
+# The columns the loop writes; `run` builds the other three.
+_LOOP_COLUMNS = ("msg1_count", "attempt_count", "completion_ticks",
+                 "msg2_ticks", "msg3_ticks", "msg4_ticks")
 
 
 def _attempts(copies, dual):
@@ -176,7 +178,8 @@ class RunResult:
     """One run: per-device columns indexed by device id, plus the log.
 
     Times are reference ticks; -1 in a tick column marks an absent value.
-    A device succeeded exactly when its `completion_ticks` is set.
+    A device succeeded exactly when its `completion_ticks` is set. `run`
+    derives `wait_ticks` from the other columns (see the module notes).
     """
 
     log: OpportunityLog
@@ -258,11 +261,16 @@ def run(
         scenario, src, layout, placement, is_ur, arrivals, collect_trace
     )
     sim.simulate()
+    del sim.resolve_args
     order = sim.order
     cols = {}
-    for name in _LOOP_COLUMNS:
+    for name in _LOOP_COLUMNS:  # each list is freed once its column is built
         cols[name] = col = np.empty(n, dtype=np.int64)
         col[order] = getattr(sim, name)
+        delattr(sim, name)
+    done, msg2, msg3, msg4 = (cols[name] for name in _LOOP_COLUMNS[2:])
+    wait = done - arrivals - sim.t1 - msg2 - msg3.clip(0) - msg4.clip(0)
+    wait[done < 0] = -1  # an absent leg counts 0; a failure has no wait
     trace = sim.trace
     if trace is not None:
         ids = order.tolist()
@@ -275,6 +283,7 @@ def run(
         urllc=np.asarray(is_ur, dtype=bool),
         arrival_ticks=arrivals.copy(),
         first_attempt_ticks=-(-arrivals // sim.ra) * sim.ra,
+        wait_ticks=wait,
         trace=trace,
         **cols,
     )
@@ -284,17 +293,18 @@ class _Contention:
     """Per-run state of the contention loop and its per-opportunity phases.
 
     Device state is held in lists indexed by internal id, named after the
-    RunResult columns of `_LOOP_COLUMNS`, plus `arrival_ticks`; -1 marks a
-    time not (yet) reached. Internal id i is device `order[i]`, where
-    `order` is the stable argsort of the start opportunities; every
-    per-device list is built in that order, and `run` scatters the loop
-    columns and trace rows back to device ids. A phase sees the
-    opportunity's contenders as `devs`, and a contender's position in it
-    is its local index. `detect()`, `harq()` and `backoff()`, in the one
-    range `(0, bi_max + 1)`, are C-level `__next__` calls over per-block
-    lists (`rng.doubles`, `rng.integers_in`). `draw` takes its preambles
-    with one bulk draw per pool range (`rng.bulk_integers`), which gives
-    the values of as many scalar draws; copies of one range share a draw.
+    RunResult columns of `_LOOP_COLUMNS`: `msg1_count` and four times, -1
+    for a time not (yet) reached; `simulate` adds `attempt_count` as an
+    array. Internal id i is device `order[i]`, where `order` is the stable
+    argsort of the start opportunities; every per-device list is built in
+    that order, and `run` scatters the loop columns and trace rows back to
+    device ids. A phase sees the opportunity's contenders as `devs`, and a
+    contender's position in it is its local index. `detect()`, `harq()`
+    and `backoff()`, in the one range `(0, bi_max + 1)`, are C-level
+    `__next__` calls over per-block lists (`rng.doubles`,
+    `rng.integers_in`). `draw` takes its preambles with one bulk draw per
+    pool range (`rng.bulk_integers`), which gives the values of as many
+    scalar draws; copies of one range share a draw.
     The loop counts only `msg1_count`, one write per Msg1 copy;
     `_attempts` derives the attempts from it.
 
@@ -381,20 +391,23 @@ class _Contention:
         last = self.max_tx - 2 if self.pp else -1
         self.dual = (femto >= 0) & (last >= 0)
         self.dual_last = np.where(self.dual, last, -1).tolist()
-        self.serving_dist = placement.serving_dist[order]
+        if self.sinr_gate:  # read only by `_sinr_ok`
+            self.serving_dist = placement.serving_dist[order]
         n = len(arrivals)
-        for name in _LOOP_COLUMNS:
-            setattr(self, name, [-1] * n)
         self.msg1_count = [0] * n
-        self.arrival_ticks = arrivals[order].tolist()
-        # What `resolve` unpacks once per call.
+        for name in _LOOP_COLUMNS[2:]:
+            setattr(self, name, [-1] * n)
+        # What `resolve` unpacks once per call; the Msg3 and Msg4 leg
+        # times of k HARQ transmissions are tables, so successes share ints.
+        legs = range(scenario.max_harq + 1)
         self.resolve_args = (
             self.harq, scenario.harq_fail_prob, scenario.max_harq, self.edt,
-            self.max_tx, self.t1, self.t3, self.t4, self.cr_timer,
+            self.max_tx, self.t1, [k * self.t3 for k in legs],
+            [k * self.t4 for k in legs], self.cr_timer,
             self.t2 + self.rar_window, self.ra, self.draws_bi,
-            self.msg1_count, self.arrival_ticks, self.completion_ticks,
-            self.wait_ticks, self.msg2_ticks, self.msg3_ticks, self.msg4_ticks,
-            self.buckets, self.backoff, self.trace,
+            self.msg1_count, self.completion_ticks, self.msg2_ticks,
+            self.msg3_ticks, self.msg4_ticks, self.buckets, self.backoff,
+            self.trace,
         )
 
     def simulate(self) -> None:
@@ -421,7 +434,8 @@ class _Contention:
         so the loop runs on only to the opportunity of the last resolution.
         """
         buckets = self.buckets
-        if not buckets:
+        if not buckets:  # no device: both counts are empty
+            self.attempt_count = self.msg1_count
             return
         ra = self.ra
         first_rao = rao_index = min(buckets)
@@ -614,7 +628,6 @@ class _Contention:
             self.resolve(t, devs, [(rar, gnb) if gnb >= 0 else None])
         else:  # an early-data grant completes at the RAR, as in `resolve`
             self.completion_ticks[d], self.msg2_ticks[d] = rar, self.t2
-            self.wait_ticks[d] = t - self.arrival_ticks[d]
             self.last_resolution = max(self.last_resolution, rar)
         return int(prio)
 
@@ -689,9 +702,9 @@ class _Contention:
         place, at the first opportunity at or after its fail time plus
         `t2 + rar_window` plus its backoff.
         """
-        (harq, harq_fail, max_harq, edt, max_tx, t1, t3, t4, cr_timer,
-         retry_gap, ra, draws_bi, msg1_count, arrival, completion, wait,
-         msg2, msg3, msg4, buckets, backoff, trace) = self.resolve_args
+        (harq, harq_fail, max_harq, edt, max_tx, t1, legs3, legs4,
+         cr_timer, retry_gap, ra, draws_bi, msg1_count, completion, msg2,
+         msg3, msg4, buckets, backoff, trace) = self.resolve_args
         last = self.last_resolution
         msg1_end = t + t1
         retry_up = retry_gap + ra - 1  # rounds up to the grid
@@ -708,25 +721,25 @@ class _Contention:
                     done, k3 = -1, 1
                     while harq() < harq_fail:  # Msg3 transmission k3 lost
                         if k3 == max_harq:
-                            fail_base = rar_time + max_harq * t3
+                            fail_base = rar_time + legs3[k3]
                             break
                         k3 += 1
                     else:
                         k4 = 1
                         while harq() < harq_fail:  # Msg4 transmission k4 lost
                             if k4 == max_harq:
-                                fail_base = rar_time + k3 * t3 + max_harq * t4
+                                fail_base = rar_time + legs3[k3] + legs4[k4]
                                 break
                             k4 += 1
                         else:
-                            if k3 * t3 + k4 * t4 <= cr_timer:
-                                done = rar_time + k3 * t3 + k4 * t4
-                                msg3[dev], msg4[dev] = k3 * t3, k4 * t4
+                            leg3, leg4 = legs3[k3], legs4[k4]
+                            if leg3 + leg4 <= cr_timer:
+                                done = rar_time + leg3 + leg4
+                                msg3[dev], msg4[dev] = leg3, leg4
                             else:
                                 fail_base = rar_time + cr_timer
                 if done >= 0:
                     completion[dev] = done
-                    wait[dev] = t - arrival[dev]
                     msg2[dev] = rar_time - msg1_end
                     if done > last:
                         last = done

@@ -184,20 +184,21 @@ def pooled_report(
 ) -> KpiReport:
     """Run `name` once per seed and merge; memoized per (name, seeds).
 
-    `log` gets one line when a pool starts and one with its wall time
-    when it is merged; a memoized pool logs nothing.
+    `log` gets one line when a pool starts and one with its wall and CPU
+    time (this process only) when it is merged; a memoized pool logs none.
     """
     key = (name, tuple(seeds))
     if key not in _POOL_CACHE:
         what = f"{name} over {len(seeds)} seed(s)"
         if log:
             log(f"running {what}")
-        t0 = time.perf_counter()
+        t0, cpu0 = time.perf_counter(), time.process_time()
         scenario = REFERENCE_SCENARIOS[name]
         work = [(scenario, s) for s in seeds]
         _POOL_CACHE[key] = merge(replicate(work, jobs))
         if log:
-            log(f"ran {what} in {time.perf_counter() - t0:.2f} s")
+            log(f"ran {what} in {time.perf_counter() - t0:.2f} s "
+                f"({time.process_time() - cpu0:.2f} s CPU)")
     return _POOL_CACHE[key]
 
 
@@ -499,6 +500,7 @@ def run_validation(
 
     With overridden (short) seed lists the deep-percentile entries report
     insufficient samples and fail; that is intended for smoke runs only.
+    `log` gets a line as each table starts, then those of its new pools.
     """
     if seeds is not None and not seeds:
         raise ValueError("empty seed list; pass None for the frozen lists")
@@ -513,12 +515,16 @@ def run_validation(
                 f"unknown reference table {table!r}; "
                 f"choose from {', '.join(TABLES)}"
             )
-    return [  # each table once, in first-seen order
-        _score(table, entry, pool) if isinstance(entry, Row)
-        else entry(table, pool)
-        for table in dict.fromkeys(map(str.upper, chosen))
-        for entry in ENTRIES[table]
-    ]
+    results = []
+    for table in dict.fromkeys(map(str.upper, chosen)):  # first-seen order
+        if log:
+            log(f"scoring table {table}")
+        results += [
+            _score(table, entry, pool) if isinstance(entry, Row)
+            else entry(table, pool)
+            for entry in ENTRIES[table]
+        ]
+    return results
 
 
 def gates_passed(results) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rachsim import engine
@@ -26,7 +26,7 @@ from rachsim.engine import run
 from rachsim.kpi import build_report
 from rachsim.reference import REFERENCE_SCENARIOS
 from rachsim.rng import RandomSource
-from rachsim.timebase import ms_to_ticks, ticks_to_ms
+from rachsim.timebase import TimingParams, ms_to_ticks, ticks_to_ms
 from rachsim.topology import DevicePlacement, build_layout, place_devices
 from rachsim.traffic import assign_classes
 from stream_stubs import Fixed, Scripted
@@ -967,6 +967,89 @@ def test_invariants_on_mixed_runs(seed):
     assert log.collided_cells <= log.used_cells
     assert log.used_cells <= log.n_raos * log.n_gnbs * log.n_preambles
     assert log.total_msg1_tx == sum(r.msg1_count for r in res.records)
+
+
+# An odd number of ticks, in ms: on the lattice, off every whole ms.
+ODD_TICKS_MS = st.integers(0, 150).map(lambda k: (2 * k + 1) / 56)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edt=st.booleans(),
+    pp=st.booleans(),
+    n_macro=st.integers(1, 3),
+    n_femto=st.integers(0, 12),
+    harq_fail=st.floats(0.0, 1.0),
+    max_harq=st.integers(1, 5),
+    max_tx=st.integers(1, 10),
+    grants=st.integers(1, 4),
+    timing=st.fixed_dictionaries({
+        f"{name}_ms": ODD_TICKS_MS for name in (
+            "t_msg1", "t_msg2", "t_msg3", "t_msg4", "ra_period",
+            "rar_window", "contention_resolution_timer",
+        )
+    }),
+    n=st.integers(0, 300),
+    span=st.integers(1, 20_000),
+    seed=st.integers(1, 2**16),
+)
+@example(edt=True, pp=True, n_macro=1, n_femto=12, harq_fail=0.1,
+         max_harq=5, max_tx=10, grants=3, timing=dict(
+             t_msg1_ms=57 / 56, t_msg2_ms=3 / 56, t_msg3_ms=5 / 56,
+             t_msg4_ms=7 / 56, ra_period_ms=281 / 56, rar_window_ms=5 / 56,
+             contention_resolution_timer_ms=2689 / 56,
+         ), n=300, span=20_000, seed=1)
+@example(edt=False, pp=False, n_macro=3, n_femto=0, harq_fail=0.3,
+         max_harq=3, max_tx=4, grants=1, timing=dict(
+             t_msg1_ms=1 / 56, t_msg2_ms=167 / 56, t_msg3_ms=281 / 56,
+             t_msg4_ms=279 / 56, ra_period_ms=1 / 56, rar_window_ms=57 / 56,
+             contention_resolution_timer_ms=2689 / 56,
+         ), n=300, span=3_000, seed=2)
+def test_wait_column_is_the_last_msg1_less_the_arrival(
+    edt, pp, n_macro, n_femto, harq_fail, max_harq, max_tx, grants, timing,
+    n, span, seed,
+):
+    # `run` derives `wait_ticks` after the loop; the trace gives it
+    # directly, as the start of the device's last Msg1. A failed device
+    # has no time in any column of the handshake.
+    sc = mk(
+        "", n_devices=n, urllc_fraction=0.5, seed=seed,
+        enhancements=frozenset(
+            flag for flag, on in (("edt", edt), ("pp", pp)) if on
+        ),
+        harq_fail_prob=harq_fail, max_harq=max_harq, max_preamble_tx=max_tx,
+        rar_grants_per_msg=grants, timing=TimingParams(**timing),
+        topology=TopologyConfig(
+            n_macro_cells=n_macro, n_femto_cells=n_femto
+        ),
+    )
+    arrivals = np.random.default_rng(seed).integers(0, span, n)
+    traced = run(sc, arrivals=arrivals, collect_trace=True)
+    plain = run(sc, arrivals=arrivals)
+    for name in ("urllc",) + engine._TICK_COLUMNS:
+        assert np.array_equal(getattr(plain, name),
+                              getattr(traced, name)), name
+    assert plain.log == traced.log
+
+    last_msg1, connected = {}, {}
+    for t, dev, kind, *_ in traced.trace:
+        if kind == "msg1":
+            last_msg1[dev] = t
+        elif kind == "connected":
+            connected[dev] = t
+    done = traced.completion_ticks.tolist()
+    assert {dev for dev, t in enumerate(done) if t >= 0} == set(connected)
+    cols = [getattr(traced, name).tolist() for name in (
+        "wait_ticks", "msg2_ticks", "msg3_ticks", "msg4_ticks",
+    )]
+    for dev, (arrival, wait, *legs) in enumerate(
+        zip(arrivals.tolist(), *cols)
+    ):
+        if dev in connected:
+            assert done[dev] == connected[dev]
+            assert wait == last_msg1[dev] - arrival
+        else:
+            assert [done[dev], wait, *legs] == [-1] * 5
 
 
 def fold_records(result):

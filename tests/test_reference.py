@@ -55,12 +55,12 @@ def test_pooled_report_memoizes():
     a = pooled_report("baseline-5k", (1,), jobs=1, log=lines.append)
     b = pooled_report("baseline-5k", (1,), jobs=1, log=lines.append)
     assert a is b
-    # The pool logs its start and its wall time once; the memoized call
-    # logs nothing.
+    # The pool logs its start, and its wall and CPU time, once; the
+    # memoized call logs nothing.
     assert len(lines) == 2
     assert lines[0] == "running baseline-5k over 1 seed(s)"
-    assert re.fullmatch(r"ran baseline-5k over 1 seed\(s\) in \d+\.\d\d s",
-                        lines[1]), lines[1]
+    assert re.fullmatch(r"ran baseline-5k over 1 seed\(s\) in \d+\.\d\d s "
+                        r"\(\d+\.\d\d s CPU\)", lines[1]), lines[1]
     c = pooled_report("baseline-5k", (1, 2), jobs=1)
     assert c is not a and c.n_seeds == 2
 
@@ -75,7 +75,14 @@ def test_table_names_cover_evaluators():
 
 
 def test_group_ii_entry_shape_and_lines():
-    results = run_validation(tables=["II"], seeds=(1,), jobs=1)
+    clear_cache()
+    lines = []
+    results = run_validation(tables=["II"], seeds=(1,), jobs=1,
+                             log=lines.append)
+    # The table's line comes first, then the start and end of each pool.
+    assert lines[0] == "scoring table II"
+    assert len(lines) == 1 + 2 * 2
+    assert all(line.startswith(("running ", "ran ")) for line in lines[1:])
     assert len(results) == 6
     for res in results:
         assert isinstance(res, EntryResult)

@@ -27,6 +27,12 @@ and the `RunResult`s identical device columns and `OpportunityLog`s. On
 the first seed of each scenario A and B also make one untimed traced run,
 whose trace rows must be equal one by one.
 
+After its timed calls, each package makes one more `engine.run` of the
+seed, untimed and under `tracemalloc`, taken in turns: the traced peak of
+that call, from a fresh source on the same placement and arrivals, is its
+memory sample. Tracing slows every allocation, so no timed call runs
+under it.
+
 The report layer is timed on each package's own `RunResult` of the seed:
 `build_report`, then `csv_row` and `cdf_points` on that report, as the
 median of REPORT_CALLS calls taken in turns. Once all seeds of a
@@ -38,10 +44,11 @@ revision. The
 merged one, must be equal across the packages. The script stops at the
 first difference and names it, for a trace the first row that differs.
 
-It prints four markdown tables, for `engine.run`, `place_devices`, the
-report layer and `merge`: per scenario, the median speed-up (time of A /
-time of B) with its quartiles and the pairs B won, the A/A column (time
-of A / time of A') in the same form, then the total time of each package.
+It prints five markdown tables, for `engine.run`, `place_devices`, the
+report layer, `merge` and the traced peak of `engine.run`: per scenario,
+the median ratio A / B (time, or peak bytes) with its quartiles and the
+pairs B won, the A/A column (A / A') in the same form, then the total of
+each package.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +114,7 @@ def scenarios(pkg) -> dict:
 # Device fields of a placement that both revisions must give bit for bit.
 PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
 TIMED = ("engine.run", "place_devices", "report", "merge")
+PEAK = "engine.run peak"
 # Packages by index: A, B and A' (the first revision imported again), and
 # the import and turn order of the first half of the seeds and odd seeds.
 TAGS = ("a", "b", "c")
@@ -144,6 +153,21 @@ def timed_run(pkg, scenario, placement, arrivals):
         scenario, source=fresh, placement=placement, arrivals=arrivals
     )
     return time.perf_counter() - t0, result
+
+
+def traced_peak(pkg, scenario, placement, arrivals) -> int:
+    """Peak bytes `tracemalloc` sees during one untimed engine.run on
+    `placement`, `arrivals` and a fresh source made before it starts."""
+    fresh = pkg.rng.RandomSource.from_seed(scenario.seed)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        pkg.engine.run(
+            scenario, source=fresh, placement=placement, arrivals=arrivals
+        )
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def timed_report(pkg, result):
@@ -228,10 +252,10 @@ def main(argv=None) -> int:
             for k in load_order:
                 pkgs[k] = load(trees[k], f"rachsim_{TAGS[k]}{half}")
             groups.append((pkgs, [scenarios(pkg) for pkg in pkgs]))
-        rows = {what: [] for what in TIMED}
-        totals = {what: [0.0] * len(trees) for what in TIMED}
+        rows = {what: [] for what in TIMED + (PEAK,)}
+        totals = {what: [0.0] * len(trees) for what in TIMED + (PEAK,)}
         for name in groups[0][1][0]:
-            ratios = {what: ([], []) for what in TIMED}
+            ratios = {what: ([], []) for what in TIMED + (PEAK,)}
             kept = ([], [], [])  # each package's report of every seed
             for seed in SEEDS:
                 pkgs, specs = groups[seed > SEEDS[len(SEEDS) // 2 - 1]]
@@ -254,6 +278,12 @@ def main(argv=None) -> int:
                     for k in order:
                         reports[k].append(
                             timed_report(pkgs[k], runs[k][-1][1]))
+                peaks = {k: traced_peak(pkgs[k], cases[k], *given[k])
+                         for k in order}
+                for k, peak in peaks.items():
+                    totals[PEAK][k] += peak / 1e6
+                ratios[PEAK][0].append(peaks[0] / peaks[1])
+                ratios[PEAK][1].append(peaks[0] / peaks[2])
                 out = {}
                 for k in order:
                     t_place = statistics.median(c[0] for c in calls[k])
@@ -299,7 +329,7 @@ def main(argv=None) -> int:
                     totals["merge"][k] += merged[k][0]
                 ratios["merge"][0].append(merged[0][0] / merged[1][0])
                 ratios["merge"][1].append(merged[0][0] / merged[2][0])
-            for what in TIMED:
+            for what in TIMED + (PEAK,):
                 ab, aa = ratios[what]
                 won = sum(r > 1.0 for r in ab)
                 rows[what].append(f"| {name} | {spread(ab)} | {won}/{len(ab)} "
@@ -310,18 +340,19 @@ def main(argv=None) -> int:
           f"imported again; seeds 1-{SEEDS[-1]}, import order swapped "
           "between the halves and turn order between odd and even seeds; "
           "speed-up = time A / time B, A/A = time A / time A', "
-          "median [q1, q3]")
-    for what in TIMED:
+          "and the same for the traced peak; median [q1, q3]")
+    for what in TIMED + (PEAK,):
         a, b, a2 = totals[what]
+        label, unit = ("A / B", "MB") if what == PEAK else ("speed-up", "s")
         print()
         print(f"`{what}`:")
         print()
-        print("| scenario | speed-up | pairs B won | A/A |")
+        print(f"| scenario | {label} | pairs B won | A/A |")
         print("| --- | --- | --- | --- |")
         print("\n".join(rows[what]))
         print()
-        print(f"Total {what} time: A {a:.2f} s, B {b:.2f} s ({a / b:.3f}x), "
-              f"A' {a2:.2f} s ({a / a2:.3f}x)")
+        print(f"Total {what}: A {a:.2f} {unit}, B {b:.2f} {unit} "
+              f"({a / b:.3f}x), A' {a2:.2f} {unit} ({a / a2:.3f}x)")
     return 0
 
 

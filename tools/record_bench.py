@@ -20,9 +20,13 @@ the highest BENCH_<nnn> already there, in the order of the --rev options.
 Each holds, per workload, the median and quartiles over the seeds of every
 end-to-end metric, with the per-seed values and failed operations; the
 sha256 and exit status of the validate stdout, its median wall time with
-the samples, and the median time of each replication pool, read from the
-`ran <pool> in <t> s` lines of its stderr; the line count of
-src/rachsim; and provenance. The benchmark itself stays out of tier-1.
+the samples, and the median wall time of each replication pool, read from
+the `ran <pool> in <t> s (<c> s CPU)` lines of its stderr. Where those
+lines give the CPU time (`time.process_time`; revisions before it give
+none), the row also holds each pool's median CPU time, and per table the
+sum of those medians over the pools the table ran first, after its
+`scoring table <T>` line. Then the line count of src/rachsim, and
+provenance. The benchmark itself stays out of tier-1.
 """
 
 from __future__ import annotations
@@ -50,8 +54,10 @@ SEEDS = list(range(1, 11))
 # Three paired validate runs per revision: the median is robust to one
 # slow minute of a shared machine.
 VALIDATE_REPEATS = 3
-# The stderr line `rachsim validate` logs when a replication pool is done.
-POOL_LINE = re.compile(r"^ran (.+) in ([0-9.]+) s$", re.MULTILINE)
+# The stderr lines `rachsim validate` logs as a table starts and when a
+# replication pool is done; older revisions log no table and no CPU time.
+TABLE_LINE = re.compile(r"scoring table (\S+)")
+POOL_LINE = re.compile(r"ran (.+) in ([0-9.]+) s(?: \(([0-9.]+) s CPU\))?")
 
 
 def git(*args: str) -> str:
@@ -88,9 +94,22 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return result
 
 
+def pool_times(stderr: str) -> dict:
+    """Each pool's (table, wall s, CPU s) from validate's stderr lines;
+    the table and the CPU time are None where the line gives none."""
+    pools, table = {}, None
+    for line in stderr.splitlines():
+        if m := TABLE_LINE.fullmatch(line):
+            table = m.group(1)
+        elif m := POOL_LINE.fullmatch(line):
+            what, wall, cpu = m.groups()
+            pools[what] = (table, float(wall), cpu and float(cpu))
+    return pools
+
+
 def validate_run(tree: Path) -> dict:
     """One `rachsim validate --jobs 1`: its stdout digest, exit status,
-    wall time and the time of each pool."""
+    wall time and the times of each pool."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     t0 = time.perf_counter()
     proc = subprocess.run(
@@ -105,8 +124,7 @@ def validate_run(tree: Path) -> dict:
         "exit_status": proc.returncode,
         "wall_s": wall,
         "gates_line": proc.stdout.decode().strip().splitlines()[-1],
-        "pools": {what: float(t) for what, t in
-                  POOL_LINE.findall(proc.stderr.decode())},
+        "pools": pool_times(proc.stderr.decode()),
     }
 
 
@@ -118,16 +136,26 @@ def validate_summary(tree: Path, runs: list[dict]) -> dict:
         raise RuntimeError(f"{tree.name}: validate output differs between "
                            f"repeats: {sorted(outputs)}")
     walls = [round(r["wall_s"], 2) for r in runs]
+    pools = runs[0]["pools"]
+
+    def median(what: str, i: int) -> float:
+        return round(statistics.median(r["pools"][what][i] for r in runs), 2)
+
+    cpu = {what: median(what, 2) for what, (_, _, c) in pools.items()
+           if c is not None}
+    tables = {}
+    for what, t in cpu.items():
+        table = pools[what][0]
+        tables[table] = round(tables.get(table, 0.0) + t, 2)
     return {
         "stdout_sha256": runs[0]["stdout_sha256"],
         "exit_status": runs[0]["exit_status"],
         "wall_s": statistics.median(walls),
         "wall_s_runs": walls,
         "gates_line": runs[0]["gates_line"],
-        "pool_s": {
-            what: round(statistics.median(r["pools"][what] for r in runs), 2)
-            for what in runs[0]["pools"]
-        },
+        "pool_s": {what: median(what, 1) for what in pools},
+        "pool_cpu_s": cpu,
+        "table_cpu_s": tables,
     }
 
 
