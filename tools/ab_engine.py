@@ -115,6 +115,7 @@ def scenarios(pkg) -> dict:
 PLACEMENT_FIELDS = ("serving_cell", "femto_cell", "serving_dist")
 TIMED = ("engine.run", "place_devices", "report", "merge")
 PEAK = "engine.run peak"
+TABLES = TIMED + (PEAK,)
 # Packages by index: A, B and A' (the first revision imported again), and
 # the import and turn order of the first half of the seeds and odd seeds.
 TAGS = ("a", "b", "c")
@@ -252,10 +253,10 @@ def main(argv=None) -> int:
             for k in load_order:
                 pkgs[k] = load(trees[k], f"rachsim_{TAGS[k]}{half}")
             groups.append((pkgs, [scenarios(pkg) for pkg in pkgs]))
-        rows = {what: [] for what in TIMED + (PEAK,)}
-        totals = {what: [0.0] * len(trees) for what in TIMED + (PEAK,)}
+        rows = {what: [] for what in TABLES}
+        totals = {what: [0.0] * len(trees) for what in TABLES}
         for name in groups[0][1][0]:
-            ratios = {what: ([], []) for what in TIMED + (PEAK,)}
+            ratios = {what: ([], []) for what in TABLES}
             kept = ([], [], [])  # each package's report of every seed
             for seed in SEEDS:
                 pkgs, specs = groups[seed > SEEDS[len(SEEDS) // 2 - 1]]
@@ -329,7 +330,7 @@ def main(argv=None) -> int:
                     totals["merge"][k] += merged[k][0]
                 ratios["merge"][0].append(merged[0][0] / merged[1][0])
                 ratios["merge"][1].append(merged[0][0] / merged[2][0])
-            for what in TIMED + (PEAK,):
+            for what in TABLES:
                 ab, aa = ratios[what]
                 won = sum(r > 1.0 for r in ab)
                 rows[what].append(f"| {name} | {spread(ab)} | {won}/{len(ab)} "
@@ -341,7 +342,7 @@ def main(argv=None) -> int:
           "between the halves and turn order between odd and even seeds; "
           "speed-up = time A / time B, A/A = time A / time A', "
           "and the same for the traced peak; median [q1, q3]")
-    for what in TIMED + (PEAK,):
+    for what in TABLES:
         a, b, a2 = totals[what]
         label, unit = ("A / B", "MB") if what == PEAK else ("speed-up", "s")
         print()
