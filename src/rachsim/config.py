@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .timebase import DEFAULT_TIMING, Numerology, TimingParams
+from .timebase import DEFAULT_TIMING, Numerology, TimingParams, require_finite
 
 ENHANCEMENT_FLAGS = ("edt", "rp", "drp", "ebf", "pp")
 
@@ -55,6 +55,7 @@ class TopologyConfig:
     sinr_threshold_db: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self, ScenarioConstraintError)
         if self.n_macro_cells < 1:
             raise ScenarioConstraintError("n_macro_cells must be >= 1")
         if self.cell_radius_m <= 0:
@@ -67,6 +68,8 @@ class TopologyConfig:
             )
         if self.pl_exponent <= 0:
             raise ScenarioConstraintError("pl_exponent must be > 0")
+        if self.pl_ref_dist_m <= 0:
+            raise ScenarioConstraintError("pl_ref_dist_m must be > 0")
 
 
 @dataclass(frozen=True)
@@ -77,6 +80,7 @@ class TrafficConfig:
     non_urllc_horizon_s: float = 30.0
 
     def __post_init__(self) -> None:
+        require_finite(self, ScenarioConstraintError)
         if self.urllc_alpha <= 0 or self.urllc_beta <= 0:
             raise ScenarioConstraintError(
                 "burst arrival shape parameters must be > 0"
@@ -105,6 +109,8 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        # No `require_finite`: the range checks of the two floats reject
+        # NaN and infinity, and `scenario_fingerprint` runs this per report.
         if self.n_devices < 0:
             raise ScenarioConstraintError("n_devices must be >= 0")
         if not 0.0 <= self.urllc_fraction <= 1.0:

@@ -41,7 +41,7 @@ as a range of ids. Ties keep device order, so every opportunity sees its
 contenders in the same sequence as under device ids, and every draw is
 the same. `run` maps back once, at its end: loop columns to device-id
 order, each list freed as its column is built, and trace rows to device
-ids. A device first transmits at its arrival's opportunity, so the
+ids, in place. A device first transmits at its arrival's opportunity, so the
 arrival and first-attempt columns come from the arrival array, and
 `wait_ticks` from completion = arrival + wait + t1 + msg2 + msg3 + msg4
 (an absent leg counts 0). `RunResult` is columnar; `records` builds
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -108,52 +108,52 @@ class AccessRecord:
         return self.completion_ticks - self.first_attempt_ticks
 
 
+def pooled_by(rule, **kwargs):
+    """A field that `kpi.merge` pools by `rule` of an iterator of the
+    reports' values; a field without one pools by `sum`."""
+    return field(metadata={"pool": rule}, **kwargs)
+
+
+def _cell_counter(bits: int, value: int):
+    """A counter of the occupied cells whose code c has c & bits == value."""
+    codes = tuple(c for c in range(32) if c & bits == value)
+    return field(default=0, metadata={"cells": codes})
+
+
 @dataclass
 class OpportunityLog:
     """Aggregated contention statistics for KPI computation.
 
     The one declaration of the contention counters: `kpi.KpiReport`
-    inherits them, so a new counter is one line here. Pooled over seeds,
-    the sizes `n_preambles`, `n_gnbs` and `n_macro` and the peak `r_max`
-    take the maximum; every other counter is summed.
+    inherits them, so a new counter is one line here, with its rules: the
+    cell codes it counts, and a pooling rule where it does not sum.
     """
 
-    n_preambles: int = 0
-    n_gnbs: int = 0
-    n_macro: int = 0
+    n_preambles: int = pooled_by(max, default=0)
+    n_gnbs: int = pooled_by(max, default=0)
+    n_macro: int = pooled_by(max, default=0)
     n_raos: int = 0
-    used_cells: int = 0
-    collided_cells: int = 0
-    used_reserved: int = 0
-    used_contention: int = 0
-    collided_reserved: int = 0
-    used_urllc: int = 0
-    used_non_urllc: int = 0
-    collided_urllc: int = 0
-    collided_non_urllc: int = 0
-    used_reserved_urllc: int = 0
-    used_reserved_non_urllc: int = 0
-    used_contention_urllc: int = 0
-    used_contention_non_urllc: int = 0
+    used_cells: int = _cell_counter(0, 0)
+    collided_cells: int = _cell_counter(4, 4)
+    used_reserved: int = _cell_counter(8, 8)
+    used_contention: int = _cell_counter(8, 0)
+    collided_reserved: int = _cell_counter(12, 12)
+    used_urllc: int = _cell_counter(1, 1)
+    used_non_urllc: int = _cell_counter(2, 2)
+    collided_urllc: int = _cell_counter(5, 5)
+    collided_non_urllc: int = _cell_counter(6, 6)
+    used_reserved_urllc: int = _cell_counter(9, 9)
+    used_reserved_non_urllc: int = _cell_counter(10, 10)
+    used_contention_urllc: int = _cell_counter(9, 1)
+    used_contention_non_urllc: int = _cell_counter(10, 2)
     sum_r: int = 0
     sum_pool_urllc: int = 0
     sum_pool_non_urllc: int = 0
     prio_macro_r_sum: int = 0
-    used_reserved_at_prio_macro: int = 0
+    used_reserved_at_prio_macro: int = _cell_counter(16, 16)
     total_msg1_tx: int = 0
-    r_max: int = 0
+    r_max: int = pooled_by(max, default=0)
 
-
-# Cell counters of OpportunityLog as (bits, value): a counter sums the
-# cell histogram over the codes with code & bits == value.
-_CELL_COUNTERS = dict(
-    used_cells=(0, 0), collided_cells=(4, 4), used_reserved=(8, 8),
-    used_contention=(8, 0), collided_reserved=(12, 12), used_urllc=(1, 1),
-    used_non_urllc=(2, 2), collided_urllc=(5, 5), collided_non_urllc=(6, 6),
-    used_reserved_urllc=(9, 9), used_reserved_non_urllc=(10, 10),
-    used_contention_urllc=(9, 1), used_contention_non_urllc=(10, 2),
-    used_reserved_at_prio_macro=(16, 16),
-)
 
 # Per-device integer columns of RunResult, in AccessRecord field order;
 # -1 marks an absent time (failed device, or no Msg3/Msg4 leg).
@@ -274,7 +274,8 @@ def run(
     trace = sim.trace
     if trace is not None:
         ids = order.tolist()
-        trace = [(t, ids[d], k, p, g, a) for t, d, k, p, g, a in trace]
+        for i, (t, d, k, p, g, a) in enumerate(trace):
+            trace[i] = (t, ids[d], k, p, g, a)
     return RunResult(
         log=sim.log,
         scenario=scenario,
@@ -427,8 +428,9 @@ class _Contention:
         `n_raos` is the span from the first opportunity to the last, and
         the opportunities without a pool are `n_raos` less the pooled ones.
         The tallies reach the log once per run, as do the cell counters,
-        folded from `hist` by `_CELL_COUNTERS`, and `total_msg1_tx`, the
-        sum of the final Msg1 counts.
+        each folded from `hist` by the codes its `_cell_counter` field of
+        `OpportunityLog` names, and `total_msg1_tx`, the sum of the final
+        Msg1 counts.
 
         Once the buckets are empty every arrival has had its opportunity,
         so the loop runs on only to the opportunity of the last resolution.
@@ -489,10 +491,10 @@ class _Contention:
         self.msg1_count = tx = np.array(self.msg1_count, dtype=np.int64)
         log.total_msg1_tx = int(tx.sum())
         self.attempt_count = _attempts(tx, self.dual)
-        for name, (bits, value) in _CELL_COUNTERS.items():
-            setattr(log, name, sum(
-                n for code, n in enumerate(self.hist) if code & bits == value
-            ))
+        hist = self.hist
+        for f in fields(log):
+            if codes := f.metadata.get("cells"):
+                setattr(log, f.name, sum(hist[c] for c in codes))
 
     def _preambles(self, prio: list[bool], r_use: int) -> list[int]:
         """Preambles in copy order under a pool of `r_use` > 0, one bulk

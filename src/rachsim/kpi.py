@@ -23,14 +23,15 @@ absent pool, or a delay figure of a class with no successes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 
 from .config import scenario_fingerprint
-from .engine import OpportunityLog, RunResult
+from .engine import OpportunityLog, RunResult, pooled_by
 from .timebase import ticks_to_ms
 
 PERCENTILE_LEVELS = (50.0, 95.0, 99.0, 99.99)
@@ -78,6 +79,13 @@ def _pooled(hists) -> list[list[int]]:
     return [ticks, [pooled[tick] for tick in ticks]]
 
 
+def _histogram_field():
+    """A class histogram: empty by default, pooled through `_pooled`."""
+    return pooled_by(
+        lambda hists: _frozen(*_pooled(hists)), default_factory=lambda: _EMPTY
+    )
+
+
 @dataclass(kw_only=True, slots=True)
 class KpiReport(OpportunityLog):
     """Pooled KPI counters for one scenario across one or more seeds.
@@ -88,18 +96,20 @@ class KpiReport(OpportunityLog):
     read-only as built: the ascending distinct delays in ticks, then their
     positive counts, and stays read-only through pickling and copying.
     The class histograms partition the successes, so `n_failed` is
-    derived, not stored. Every field, the log's included, is a slot.
+    derived, not stored. Every field, the log's included, is a slot and
+    states how `merge` pools it: `fingerprint` and `time_scale` keep the
+    first report's, the histograms pool through `_pooled`, the rest sum.
     """
 
-    fingerprint: str
-    time_scale: Fraction
+    fingerprint: str = pooled_by(next)
+    time_scale: Fraction = pooled_by(next)
     n_seeds: int = 0
     n_devices: int = 0
     n_urllc: int = 0
     n_success: int = 0
     n_success_urllc: int = 0
-    delay_hist_urllc: np.ndarray = field(default_factory=lambda: _EMPTY)
-    delay_hist_non_urllc: np.ndarray = field(default_factory=lambda: _EMPTY)
+    delay_hist_urllc: np.ndarray = _histogram_field()
+    delay_hist_non_urllc: np.ndarray = _histogram_field()
 
     def __eq__(self, other):  # field by field, arrays by their values
         if other.__class__ is not self.__class__:
@@ -363,9 +373,9 @@ def build_report(result: RunResult) -> KpiReport:
 
 
 def merge(reports) -> KpiReport:
-    """Pool reports from multiple seeds of the same scenario.
-
-    Count-weighted, commutative and associative; merging a report with
+    """Pool reports from multiple seeds of the same scenario, each field
+    by the rule it declares (`engine.pooled_by`; without one it sums):
+    count-weighted, commutative and associative. Merging a report with
     itself doubles every count and leaves every ratio unchanged. No input
     is written.
     """
@@ -374,29 +384,8 @@ def merge(reports) -> KpiReport:
         raise ValueError("nothing to merge")
     first = reports[0]
     if any(rep.fingerprint != first.fingerprint for rep in reports):
-        raise MergeMismatchError(
-            "cannot pool reports from different scenarios"
-        )
-    return KpiReport(
-        fingerprint=first.fingerprint,
-        time_scale=first.time_scale,
-        **{name: sum(getattr(rep, name) for rep in reports)
-           for name in _SUM_FIELDS},
-        **{name: max(getattr(rep, name) for rep in reports)
-           for name in _MAX_FIELDS},
-        delay_hist_urllc=_frozen(
-            *_pooled([rep.delay_hist_urllc for rep in reports])
-        ),
-        delay_hist_non_urllc=_frozen(
-            *_pooled([rep.delay_hist_non_urllc for rep in reports])
-        ),
-    )
-
-
-# Every int counter pools by sum, except these, which pool by max.
-_MAX_FIELDS = ("n_gnbs", "n_preambles", "n_macro", "r_max")
-_SUM_FIELDS = tuple(
-    f.name
-    for f in fields(KpiReport)
-    if f.type in ("int", int) and f.name not in _MAX_FIELDS
-)
+        raise MergeMismatchError("cannot pool reports from different scenarios")
+    return KpiReport(**{
+        f.name: f.metadata.get("pool", sum)(map(attrgetter(f.name), reports))
+        for f in fields(KpiReport)
+    })

@@ -184,21 +184,20 @@ def pooled_report(
 ) -> KpiReport:
     """Run `name` once per seed and merge; memoized per (name, seeds).
 
-    `log` gets one line when a pool starts and one with its wall and CPU
-    time (this process only) when it is merged; a memoized pool logs none.
+    `log` gets one line when a pool starts and one with its wall time
+    when it is merged; a memoized pool logs none.
     """
     key = (name, tuple(seeds))
     if key not in _POOL_CACHE:
         what = f"{name} over {len(seeds)} seed(s)"
         if log:
             log(f"running {what}")
-        t0, cpu0 = time.perf_counter(), time.process_time()
+        t0 = time.perf_counter()
         scenario = REFERENCE_SCENARIOS[name]
         work = [(scenario, s) for s in seeds]
         _POOL_CACHE[key] = merge(replicate(work, jobs))
         if log:
-            log(f"ran {what} in {time.perf_counter() - t0:.2f} s "
-                f"({time.process_time() - cpu0:.2f} s CPU)")
+            log(f"ran {what} in {time.perf_counter() - t0:.2f} s")
     return _POOL_CACHE[key]
 
 

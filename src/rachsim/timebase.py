@@ -64,6 +64,13 @@ def ticks_to_ms(ticks: int, scale: Fraction = Fraction(1)) -> float:
     return ticks * scale.numerator / (TICKS_PER_MS * scale.denominator)
 
 
+def require_finite(config, error=ValueError) -> None:
+    """Raise `error` at the first NaN or infinite float field of `config`."""
+    for name, value in vars(config).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise error(f"{name} must be finite")
+
+
 _POSITIVE_TIMINGS = (
     "t_msg1_ms", "t_msg2_ms", "t_msg3_ms", "t_msg4_ms", "ra_period_ms"
 )
@@ -85,10 +92,9 @@ class TimingParams:
     sib2_period_ms: float = 80.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite")
             if f.name in _POSITIVE_TIMINGS and value <= 0:
                 raise ValueError(f"{f.name} must be positive")
             if value < 0:

@@ -188,6 +188,33 @@ def test_bad_timing_exits_config_without_traceback(tmp_path, source):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run", "--set", "urllc_alpha=nan"),
+        ("run", "--set", "urllc_horizon_s=inf"),
+        ("sweep", "--jobs", "1", "urllc_horizon_s=inf", "seeds=1..1"),
+        ("dump-layout", "--set", "pl_ref_dist_m=0"),
+        ("dump-layout", "--set", "pl_ref_dist_m=-5"),
+        ("run", "--set", "sinr_threshold_db=3", "--set", "pl_ref_dist_m=0"),
+        ("run", "--set", "pl_exponent=nan"),
+        ("run", "--set", "sinr_threshold_db=nan"),
+        ("run", "--set", "noise_power_dbm=inf"),
+        ("run", "--set", "cell_radius_m=inf"),
+        ("run", "--set", "harq_fail_prob=nan"),
+    ],
+    ids=" ".join,
+)
+def test_bad_scenario_numbers_exit_config(tmp_path, capsys, argv):
+    # A NaN or infinite float, or a non-positive path-loss reference
+    # distance, is a scenario error before any model code reads it.
+    code = run_cli(*argv, "--out", str(tmp_path), "--set", "n_devices=10")
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("scenario error:"), err
+    assert "Traceback" not in err
+
+
 def test_missing_scenario_file_exits_io(tmp_path, capsys):
     code = run_cli(
         "run", "--out", str(tmp_path), "--scenario", str(tmp_path / "nope.cfg")

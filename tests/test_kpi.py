@@ -17,8 +17,6 @@ from rachsim.engine import OpportunityLog, RunResult, run
 from rachsim.reference import replicate
 from rachsim.timebase import ticks_to_ms
 from rachsim.kpi import (
-    _MAX_FIELDS,
-    _SUM_FIELDS,
     DEEP_PERCENTILE_MIN_SAMPLES,
     KpiReport,
     MergeMismatchError,
@@ -231,16 +229,46 @@ def test_class_split_histograms():
 
 
 def test_report_carries_the_log_counters():
-    # Every log field reaches the report under its own name and value, and
-    # every int field of a report pools by exactly one rule.
+    # Every log field reaches the report under its own name and value.
     log_fields = [f.name for f in fields(OpportunityLog)]
     values = {name: 7 + i for i, name in enumerate(log_fields)}
     rep = build_report(result_with([record(280)], **values))
     assert {name: getattr(rep, name) for name in log_fields} == values
-    int_fields = [f.name for f in fields(KpiReport) if f.type in ("int", int)]
-    for name in int_fields:
-        assert (name in _SUM_FIELDS) != (name in _MAX_FIELDS), name
-    assert set(_SUM_FIELDS) | set(_MAX_FIELDS) == set(int_fields)
+
+
+MAX_POOLED = {"n_preambles", "n_gnbs", "n_macro", "r_max"}
+FIRST_KEPT = {"fingerprint", "time_scale"}
+HISTOGRAMS = {"delay_hist_urllc", "delay_hist_non_urllc"}
+
+
+def test_merge_pools_each_field_by_its_rule():
+    # Three reports of one fingerprint whose every counter differs, the
+    # largest in the middle: the sizes and the peak pool take the maximum,
+    # the scenario fields keep the first report's value, the histogram
+    # counts add, and every other field sums.
+    names = [f.name for f in fields(KpiReport)]
+    counters = [n for n in names if n not in FIRST_KEPT | HISTOGRAMS]
+    assert MAX_POOLED <= set(counters) and HISTOGRAMS <= set(names)
+    reports = []
+    for j, scale in enumerate((1, 3, 2)):
+        rep = KpiReport(
+            fingerprint="fp", time_scale=Fraction(1 + j, 2),
+            **{n: scale * (i + 1) for i, n in enumerate(counters)},
+        )
+        rep.delay_hist_urllc = np.array([[56, 57 + j], [1, 2 + j]])
+        rep.delay_hist_non_urllc = np.array([[112 * scale], [scale]])
+        reports.append(rep)
+    pooled = merge(reports)
+    for i, name in enumerate(counters):
+        rule = 3 if name in MAX_POOLED else 6
+        assert getattr(pooled, name) == rule * (i + 1), name
+    assert pooled.fingerprint == "fp"
+    assert pooled.time_scale == Fraction(1, 2)
+    for name in HISTOGRAMS:
+        summed = sum(
+            (Counter(hist_dict(getattr(r, name))) for r in reports), Counter()
+        )
+        assert hist_dict(getattr(pooled, name)) == summed, name
 
 
 # Small runs of one drp scenario with a dense priority burst: the peak

@@ -21,12 +21,11 @@ Each holds, per workload, the median and quartiles over the seeds of every
 end-to-end metric, with the per-seed values and failed operations; the
 sha256 and exit status of the validate stdout, its median wall time with
 the samples, and the median wall time of each replication pool, read from
-the `ran <pool> in <t> s (<c> s CPU)` lines of its stderr. Where those
-lines give the CPU time (`time.process_time`; revisions before it give
-none), the row also holds each pool's median CPU time, and per table the
-sum of those medians over the pools the table ran first, after its
-`scoring table <T>` line. Then the line count of src/rachsim, and
-provenance. The benchmark itself stays out of tier-1.
+the `ran <pool> in <t> s` lines of its stderr (a CPU-time suffix, which
+some earlier revisions log, is ignored). Where the stderr names the
+tables (`scoring table <T>`), the row also holds per table the sum of
+those medians over the pools the table ran first. Then the line count of
+src/rachsim, and provenance. The benchmark itself stays out of tier-1.
 """
 
 from __future__ import annotations
@@ -55,9 +54,10 @@ SEEDS = list(range(1, 11))
 # slow minute of a shared machine.
 VALIDATE_REPEATS = 3
 # The stderr lines `rachsim validate` logs as a table starts and when a
-# replication pool is done; older revisions log no table and no CPU time.
+# replication pool is done; older revisions log no table, and some add a
+# CPU time to the pool line.
 TABLE_LINE = re.compile(r"scoring table (\S+)")
-POOL_LINE = re.compile(r"ran (.+) in ([0-9.]+) s(?: \(([0-9.]+) s CPU\))?")
+POOL_LINE = re.compile(r"ran (.+) in ([0-9.]+) s(?: \([0-9.]+ s CPU\))?")
 
 
 def git(*args: str) -> str:
@@ -95,15 +95,15 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def pool_times(stderr: str) -> dict:
-    """Each pool's (table, wall s, CPU s) from validate's stderr lines;
-    the table and the CPU time are None where the line gives none."""
+    """Each pool's (table, wall s) from validate's stderr lines; the table
+    is None where the stderr names none."""
     pools, table = {}, None
     for line in stderr.splitlines():
         if m := TABLE_LINE.fullmatch(line):
             table = m.group(1)
         elif m := POOL_LINE.fullmatch(line):
-            what, wall, cpu = m.groups()
-            pools[what] = (table, float(wall), cpu and float(cpu))
+            what, wall = m.groups()
+            pools[what] = (table, float(wall))
     return pools
 
 
@@ -138,24 +138,22 @@ def validate_summary(tree: Path, runs: list[dict]) -> dict:
     walls = [round(r["wall_s"], 2) for r in runs]
     pools = runs[0]["pools"]
 
-    def median(what: str, i: int) -> float:
-        return round(statistics.median(r["pools"][what][i] for r in runs), 2)
-
-    cpu = {what: median(what, 2) for what, (_, _, c) in pools.items()
-           if c is not None}
+    pool_s = {
+        what: round(statistics.median(r["pools"][what][1] for r in runs), 2)
+        for what in pools
+    }
     tables = {}
-    for what, t in cpu.items():
-        table = pools[what][0]
-        tables[table] = round(tables.get(table, 0.0) + t, 2)
+    for what, (table, _) in pools.items():
+        if table is not None:
+            tables[table] = round(tables.get(table, 0.0) + pool_s[what], 2)
     return {
         "stdout_sha256": runs[0]["stdout_sha256"],
         "exit_status": runs[0]["exit_status"],
         "wall_s": statistics.median(walls),
         "wall_s_runs": walls,
         "gates_line": runs[0]["gates_line"],
-        "pool_s": {what: median(what, 1) for what in pools},
-        "pool_cpu_s": cpu,
-        "table_cpu_s": tables,
+        "pool_s": pool_s,
+        "table_s": tables,
     }
 
 
