@@ -41,8 +41,8 @@ as a range of ids. Ties keep device order, so every opportunity sees its
 contenders in the same sequence as under device ids, and every draw is
 the same. `run` maps back once, at its end: loop columns to device-id
 order, each list freed as its column is built, and trace rows to device
-ids, in place. A device first transmits at its arrival's opportunity, so the
-arrival and first-attempt columns come from the arrival array, and
+ids, in place. A device first transmits at its arrival's opportunity, so
+the arrival and first-attempt columns come from the arrival array, and
 `wait_ticks` from completion = arrival + wait + t1 + msg2 + msg3 + msg4
 (an absent leg counts 0). `RunResult` is columnar; `records` builds
 `AccessRecord`s.

@@ -384,7 +384,9 @@ def merge(reports) -> KpiReport:
         raise ValueError("nothing to merge")
     first = reports[0]
     if any(rep.fingerprint != first.fingerprint for rep in reports):
-        raise MergeMismatchError("cannot pool reports from different scenarios")
+        raise MergeMismatchError(
+            "cannot pool reports from different scenarios"
+        )
     return KpiReport(**{
         f.name: f.metadata.get("pool", sum)(map(attrgetter(f.name), reports))
         for f in fields(KpiReport)
