@@ -230,8 +230,7 @@ def _cmd_dump_layout(args) -> int:
     lines = ["device_id,x_m,y_m,urllc,serving_cell,femto_cell,path_loss_db"]
     for dev in range(scenario.n_devices):
         x, y = placement.positions[dev]
-        dist = max(float(placement.serving_dist[dev]), 1e-9)
-        pl = path_loss_db(dist, scenario.topology)
+        pl = path_loss_db(float(placement.serving_dist[dev]), scenario.topology)
         lines.append(
             f"{dev},{x:.6f},{y:.6f},{int(is_ur[dev])},"
             f"{placement.serving_cell[dev]},{placement.femto_cell[dev]},"

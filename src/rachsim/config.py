@@ -4,15 +4,22 @@ A scenario file is a UTF-8 text document of `key = value` lines with `#`
 comments. Keys mirror the scenario fields below; durations are in ms,
 distances in meters. Unknown keys are rejected with the offending line
 number so typos cannot silently fall back to defaults.
+
+A new key is one `key_field` of `Scenario` or of a config dataclass it
+holds, stating the key's description and, where needed, its parser; the
+key order, parsing, text form, fingerprint and `rachsim keys` listing
+are read off the fields.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Union
 
-from .timebase import DEFAULT_TIMING, Numerology, TimingParams, require_finite
+from .timebase import DEFAULT_TIMING, TICKS_PER_MS, Numerology, TimingParams
+from .timebase import key_field, require_finite
 
 ENHANCEMENT_FLAGS = ("edt", "rp", "drp", "ebf", "pp")
 
@@ -37,22 +44,45 @@ class ScenarioConstraintError(ConfigError):
     pass
 
 
+def optfloat(raw: str) -> float | None:
+    """A float, or None for an empty value, 'none' or 'off'."""
+    return None if raw.lower() in ("", "none", "off") else float(raw)
+
+
+def reserved(raw: str) -> int | str:
+    """An integer pool size, or 'dynamic' in any case."""
+    return DYNAMIC if raw.lower() == DYNAMIC else int(raw)
+
+
+def flags(raw: str) -> frozenset:
+    """The comma-separated names, blanks dropped."""
+    return frozenset(p.strip() for p in raw.split(",") if p.strip())
+
+
 @dataclass(frozen=True)
 class TopologyConfig:
-    n_macro_cells: int = 3
-    cell_radius_m: float = 50.0
-    n_femto_cells: int = 0
-    femto_radius_m: float = 10.0
-    pl_ref_db: float = 63.57
-    pl_ref_dist_m: float = 15.0
-    pl_exponent: float = 3.44
-    p_max_dbm: float = 14.0
-    p_init_target_dbm: float = -104.0
-    ramp_step_db: float = 2.0
-    noise_power_dbm: float = -107.0
-    freq_ghz: float = 2.6
-    bw_mhz: float = 5.0
-    sinr_threshold_db: float | None = None
+    n_macro_cells: int = key_field(3, "macro cell count")
+    cell_radius_m: float = key_field(50.0, "macro radius")
+    n_femto_cells: int = key_field(0, "femto cell count")
+    femto_radius_m: float = key_field(10.0, "femto radius")
+    pl_ref_db: float = key_field(63.57, "path loss at the reference distance")
+    pl_ref_dist_m: float = key_field(15.0, "path-loss reference distance")
+    pl_exponent: float = key_field(3.44, "path-loss exponent")
+    p_max_dbm: float = key_field(14.0, "transmit power cap")
+    p_init_target_dbm: float = key_field(
+        -104.0, "initial received-power target"
+    )
+    ramp_step_db: float = key_field(2.0, "per-attempt power ramp step")
+    noise_power_dbm: float = key_field(-107.0, "receiver noise floor")
+    freq_ghz: float = key_field(
+        2.6, "carrier frequency; recorded only, no model reads it"
+    )
+    bw_mhz: float = key_field(
+        5.0, "system bandwidth; recorded only, no model reads it"
+    )
+    sinr_threshold_db: float | None = key_field(
+        None, "optional detection gate; omit to disable", optfloat
+    )
 
     def __post_init__(self) -> None:
         require_finite(self, ScenarioConstraintError)
@@ -60,6 +90,13 @@ class TopologyConfig:
             raise ScenarioConstraintError("n_macro_cells must be >= 1")
         if self.cell_radius_m <= 0:
             raise ScenarioConstraintError("cell_radius_m must be > 0")
+        # `reach` bounds each coordinate difference in the layout.
+        reach = 2.0 * self.cell_radius_m * (self.n_macro_cells + 1)
+        if not math.isfinite(2.0 * reach * reach):
+            raise ScenarioConstraintError(
+                "cell_radius_m is too large: the layout's squared distances "
+                "overflow a float"
+            )
         if self.n_femto_cells < 0:
             raise ScenarioConstraintError("n_femto_cells must be >= 0")
         if not 0 < self.femto_radius_m < self.cell_radius_m:
@@ -74,10 +111,12 @@ class TopologyConfig:
 
 @dataclass(frozen=True)
 class TrafficConfig:
-    urllc_alpha: float = 3.0
-    urllc_beta: float = 4.0
-    urllc_horizon_s: float = 10.0
-    non_urllc_horizon_s: float = 30.0
+    urllc_alpha: float = key_field(3.0, "burst arrival shape alpha")
+    urllc_beta: float = key_field(4.0, "burst arrival shape beta")
+    urllc_horizon_s: float = key_field(10.0, "burst arrival horizon (s)")
+    non_urllc_horizon_s: float = key_field(
+        30.0, "background arrival horizon (s)"
+    )
 
     def __post_init__(self) -> None:
         require_finite(self, ScenarioConstraintError)
@@ -87,26 +126,48 @@ class TrafficConfig:
             )
         if self.urllc_horizon_s <= 0 or self.non_urllc_horizon_s <= 0:
             raise ScenarioConstraintError("arrival horizons must be > 0")
+        horizon = max(self.urllc_horizon_s, self.non_urllc_horizon_s)
+        if horizon * 1000.0 * TICKS_PER_MS >= 2**63:
+            raise ScenarioConstraintError(
+                "arrival horizons must be below 2**63 ticks, the int64 "
+                "arrival instants"
+            )
 
 
 @dataclass(frozen=True)
 class Scenario:
-    n_devices: int = 5000
-    urllc_fraction: float = 1.0
-    n_preambles: int = 54
-    max_preamble_tx: int = 10
-    reserved_r: Union[int, str] = 0
-    enhancements: frozenset = frozenset()
+    n_devices: int = key_field(5000, "number of devices")
+    urllc_fraction: float = key_field(
+        1.0, "fraction of devices in the low-latency class"
+    )
+    n_preambles: int = key_field(54, "preamble signatures per cell")
+    max_preamble_tx: int = key_field(
+        10, "per-device budget of preamble transmissions"
+    )
+    reserved_r: Union[int, str] = key_field(
+        0, "reserved-pool size: integer or 'dynamic'; 3 when a scenario "
+        "file sets rp and omits it", reserved
+    )
+    enhancements: frozenset = key_field(
+        frozenset(),
+        "comma-separated subset of " + ",".join(ENHANCEMENT_FLAGS), flags
+    )
     numerology: Numerology = Numerology()
     timing: TimingParams = DEFAULT_TIMING
     topology: TopologyConfig = TopologyConfig()
     traffic: TrafficConfig = TrafficConfig()
-    harq_fail_prob: float = 0.10
-    max_harq: int = 5
-    rar_grants_per_msg: int = 3
-    cce_total: int = 16
-    cce_per_pdcch: int = 4
-    seed: int = 1
+    harq_fail_prob: float = key_field(
+        0.10, "per-transmission loss probability for Msg3/Msg4"
+    )
+    max_harq: int = key_field(5, "max transmissions per HARQ message")
+    rar_grants_per_msg: int = key_field(
+        3, "uplink grants carried by one RAR message"
+    )
+    cce_total: int = key_field(16, "control elements per subframe")
+    cce_per_pdcch: int = key_field(
+        4, "control elements consumed per RAR PDCCH"
+    )
+    seed: int = key_field(1, "master RNG seed")
 
     def __post_init__(self) -> None:
         # No `require_finite`: the range checks of the two floats reject
@@ -117,6 +178,8 @@ class Scenario:
             raise ScenarioConstraintError("urllc_fraction must be in [0, 1]")
         if self.n_preambles < 1:
             raise ScenarioConstraintError("n_preambles must be >= 1")
+        if self.n_preambles > 2**32:  # the widest range a draw takes
+            raise ScenarioConstraintError("n_preambles must be <= 2**32")
         if self.max_preamble_tx < 1:
             raise ScenarioConstraintError("max_preamble_tx must be >= 1")
         if not 0.0 <= self.harq_fail_prob <= 1.0:
@@ -171,90 +234,20 @@ class Scenario:
                 )
 
 
-# One row per config key: (section, parse kind, description). The key is
-# also the attribute name; a section is "" for a Scenario field, else the
-# Scenario field holding it.
-_SECTIONS = ("", "numerology", "timing", "topology", "traffic")
-_KEYS: dict[str, tuple[str, str, str]] = {
-    "n_devices": ("", "int", "number of devices"),
-    "urllc_fraction": ("", "float",
-                       "fraction of devices in the low-latency class"),
-    "n_preambles": ("", "int", "preamble signatures per cell"),
-    "max_preamble_tx": ("", "int",
-                        "per-device budget of preamble transmissions"),
-    "reserved_r": ("", "reserved", "reserved-pool size: integer or 'dynamic'"
-                   "; 3 when a scenario file sets rp and omits it"),
-    "enhancements": ("", "flags",
-                     "comma-separated subset of " + ",".join(ENHANCEMENT_FLAGS)),
-    "harq_fail_prob": ("", "float",
-                       "per-transmission loss probability for Msg3/Msg4"),
-    "max_harq": ("", "int", "max transmissions per HARQ message"),
-    "rar_grants_per_msg": ("", "int",
-                           "uplink grants carried by one RAR message"),
-    "cce_total": ("", "int", "control elements per subframe"),
-    "cce_per_pdcch": ("", "int", "control elements consumed per RAR PDCCH"),
-    "seed": ("", "int", "master RNG seed"),
-    "subcarrier_spacing_khz": ("numerology", "int",
-                               "subcarrier spacing (15/30/60/120)"),
-    "symbols_per_slot": ("numerology", "int", "symbols per slot (7/4/2)"),
-    "t_msg1_ms": ("timing", "float", "Msg1 duration"),
-    "t_msg2_ms": ("timing", "float", "Msg2 processing delay"),
-    "t_msg3_ms": ("timing", "float", "Msg3 transmission time"),
-    "t_msg4_ms": ("timing", "float", "Msg4 transmission time"),
-    "ra_period_ms": ("timing", "float", "spacing of RA opportunities"),
-    "rar_window_ms": ("timing", "float", "RAR response window"),
-    "bi_max_ms": ("timing", "float",
-                  "default backoff bound; no effect under ebf, where "
-                  "priority backoff is 0 and background backoff is "
-                  "bounded by 10 ms"),
-    "contention_resolution_timer_ms": ("timing", "float",
-                                       "Msg3-to-Msg4 completion deadline"),
-    "sib2_period_ms": ("timing", "float",
-                       "broadcast period driving the dynamic pool average"),
-    "n_macro_cells": ("topology", "int", "macro cell count"),
-    "cell_radius_m": ("topology", "float", "macro radius"),
-    "n_femto_cells": ("topology", "int", "femto cell count"),
-    "femto_radius_m": ("topology", "float", "femto radius"),
-    "pl_ref_db": ("topology", "float", "path loss at the reference distance"),
-    "pl_ref_dist_m": ("topology", "float", "path-loss reference distance"),
-    "pl_exponent": ("topology", "float", "path-loss exponent"),
-    "p_max_dbm": ("topology", "float", "transmit power cap"),
-    "p_init_target_dbm": ("topology", "float",
-                          "initial received-power target"),
-    "ramp_step_db": ("topology", "float", "per-attempt power ramp step"),
-    "noise_power_dbm": ("topology", "float", "receiver noise floor"),
-    "freq_ghz": ("topology", "float",
-                 "carrier frequency; recorded only, no model reads it"),
-    "bw_mhz": ("topology", "float",
-               "system bandwidth; recorded only, no model reads it"),
-    "sinr_threshold_db": ("topology", "optfloat",
-                          "optional detection gate; omit to disable"),
-    "urllc_alpha": ("traffic", "float", "burst arrival shape alpha"),
-    "urllc_beta": ("traffic", "float", "burst arrival shape beta"),
-    "urllc_horizon_s": ("traffic", "float", "burst arrival horizon (s)"),
-    "non_urllc_horizon_s": ("traffic", "float",
-                            "background arrival horizon (s)"),
-}
+def _key_fields() -> dict:
+    """key -> (section, field): Scenario's own keys, then the keys of each
+    config dataclass it holds, in declaration order. A key's section is
+    the Scenario field holding it, "" for Scenario's own."""
+    nested = [f for f in fields(Scenario) if is_dataclass(f.default)]
+    rows = [("", f) for f in fields(Scenario) if f not in nested]
+    rows += [(s.name, f) for s in nested for f in fields(s.default)]
+    for _, f in rows:
+        if "doc" not in f.metadata:
+            raise TypeError(f"scenario field {f.name!r} is not a key_field")
+    return {f.name: (section, f) for section, f in rows}
 
 
-def _parse_value(kind: str, raw: str, key: str, line: int):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "optfloat":
-            return None if raw.lower() in ("", "none", "off") else float(raw)
-        if kind == "reserved":
-            return DYNAMIC if raw.lower() == DYNAMIC else int(raw)
-        if kind == "flags":
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            return frozenset(parts)
-    except ValueError:
-        pass
-    raise ScenarioParseError(
-        f"invalid value {raw!r} for key {key!r} (expected {kind})", line
-    )
+_KEY_FIELDS = _key_fields()
 
 
 def build_scenario(text: str) -> Scenario:
@@ -282,10 +275,8 @@ def _document_entries(text: str):
             raise ScenarioParseError(f"duplicate key {key!r}", lineno)
         seen[key] = raw
         yield key, raw, lineno
-    flags = _parse_value(
-        "flags", seen.get("enhancements", ""), "enhancements", None
-    )
-    default = "3" if "rp" in flags else DYNAMIC if "drp" in flags else None
+    names = flags(seen.get("enhancements", ""))
+    default = "3" if "rp" in names else DYNAMIC if "drp" in names else None
     if default and "reserved_r" not in seen:
         yield "reserved_r", default, None
 
@@ -308,40 +299,38 @@ def apply_overrides(scenario: Scenario, pairs) -> Scenario:
 
 def _applied(scenario: Scenario, entries) -> Scenario:
     """`scenario` with each (key, raw value, line) entry set, revalidated."""
-    sections: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    sections = {section: {} for section, _ in _KEY_FIELDS.values()}
     for key, raw, line in entries:
-        if key not in _KEYS:
+        if key not in _KEY_FIELDS:
             raise ScenarioParseError(f"unknown key {key!r}", line)
-        section, kind, _ = _KEYS[key]
-        sections[section][key] = _parse_value(kind, raw, key, line)
+        section, f = _KEY_FIELDS[key]
+        parse = f.metadata["parse"]
+        try:
+            sections[section][key] = parse(raw)
+        except ValueError:
+            raise ScenarioParseError(
+                f"invalid value {raw!r} for key {key!r} "
+                f"(expected {parse.__name__})", line
+            ) from None
+    own = sections.pop("")
     try:
-        numerology = replace(scenario.numerology, **sections["numerology"])
-        timing = replace(scenario.timing, **sections["timing"])
+        nested = {
+            name: replace(getattr(scenario, name), **values)
+            for name, values in sections.items()
+        }
     except ValueError as exc:
         raise ScenarioConstraintError(str(exc)) from exc
-    return replace(
-        scenario,
-        numerology=numerology,
-        timing=timing,
-        topology=replace(scenario.topology, **sections["topology"]),
-        traffic=replace(scenario.traffic, **sections["traffic"]),
-        **sections[""],
-    )
+    return replace(scenario, **nested, **own)
 
 
 def serialize_scenario(scenario: Scenario) -> str:
     """Canonical text form: every key, one per line, fixed order."""
     lines = []
-    for key, (section, kind, _) in _KEYS.items():
-        obj = getattr(scenario, section) if section else scenario
-        value = getattr(obj, key)
-        if kind == "flags":
+    for key, (section, _) in _KEY_FIELDS.items():
+        value = getattr(getattr(scenario, section) if section else scenario, key)
+        if isinstance(value, frozenset):
             value = ",".join(sorted(value))
-        elif kind == "optfloat" and value is None:
-            value = "off"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
+        lines.append(f"{key} = {'off' if value is None else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -353,4 +342,4 @@ def scenario_fingerprint(scenario: Scenario) -> str:
 
 def key_documentation() -> list[tuple[str, str]]:
     """(key, description) pairs for the shipped key list."""
-    return [(key, doc) for key, (_, _, doc) in _KEYS.items()]
+    return [(key, f.metadata["doc"]) for key, (_, f) in _KEY_FIELDS.items()]

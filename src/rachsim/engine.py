@@ -685,8 +685,7 @@ class _Contention:
         cfg = self.scenario.topology
         if gnb >= self.n_macro:
             return True
-        dist = max(float(self.serving_dist[dev]), 1e-9)
-        pl = path_loss_db(dist, cfg)
+        pl = path_loss_db(float(self.serving_dist[dev]), cfg)
         power = ramped_tx_power_dbm(pl, self._attempt(dev), cfg)
         return sinr_db(power - pl, cfg) >= cfg.sinr_threshold_db
 

@@ -10,7 +10,7 @@ counts and event ordering never depends on floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 TICKS_PER_MS = 56
@@ -19,12 +19,23 @@ SUBCARRIER_SPACINGS_KHZ = (15, 30, 60, 120)
 SYMBOLS_PER_SLOT = (7, 4, 2)
 
 
+def key_field(default, doc: str, parse=None):
+    """A scenario key: a dataclass field with its default, its `rachsim
+    keys` description and its text parser, `type(default)` unless given.
+    The parser's name is the kind a parse error reports."""
+    return field(
+        default=default, metadata={"doc": doc, "parse": parse or type(default)}
+    )
+
+
 @dataclass(frozen=True)
 class Numerology:
     """Frame configuration: subcarrier spacing and slot length."""
 
-    subcarrier_spacing_khz: int = 15
-    symbols_per_slot: int = 7
+    subcarrier_spacing_khz: int = key_field(
+        15, "subcarrier spacing (15/30/60/120)"
+    )
+    symbols_per_slot: int = key_field(7, "symbols per slot (7/4/2)")
 
     def __post_init__(self) -> None:
         if self.subcarrier_spacing_khz not in SUBCARRIER_SPACINGS_KHZ:
@@ -81,15 +92,22 @@ class TimingParams:
     """Control-plane durations in ms at the reference numerology, each a
     whole number of ticks (1/56 ms)."""
 
-    t_msg1_ms: float = 1.0
-    t_msg2_ms: float = 3.0
-    t_msg3_ms: float = 5.0
-    t_msg4_ms: float = 5.0
-    ra_period_ms: float = 5.0
-    rar_window_ms: float = 5.0
-    bi_max_ms: float = 20.0
-    contention_resolution_timer_ms: float = 48.0
-    sib2_period_ms: float = 80.0
+    t_msg1_ms: float = key_field(1.0, "Msg1 duration")
+    t_msg2_ms: float = key_field(3.0, "Msg2 processing delay")
+    t_msg3_ms: float = key_field(5.0, "Msg3 transmission time")
+    t_msg4_ms: float = key_field(5.0, "Msg4 transmission time")
+    ra_period_ms: float = key_field(5.0, "spacing of RA opportunities")
+    rar_window_ms: float = key_field(5.0, "RAR response window")
+    bi_max_ms: float = key_field(
+        20.0, "default backoff bound; no effect under ebf, where priority "
+        "backoff is 0 and background backoff is bounded by 10 ms"
+    )
+    contention_resolution_timer_ms: float = key_field(
+        48.0, "Msg3-to-Msg4 completion deadline"
+    )
+    sib2_period_ms: float = key_field(
+        80.0, "broadcast period driving the dynamic pool average"
+    )
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -107,6 +125,9 @@ class TimingParams:
                     f"tick lattice; the nearest lattice values are "
                     f"{ticks_to_ms(lo)} ms and {ticks_to_ms(lo + 1)} ms"
                 )
+            if f.name == "bi_max_ms" and ticks >= 2**32:
+                # A backoff draw spans bi_max + 1 values, at most 2**32.
+                raise ValueError("bi_max_ms must be below 2**32 ticks")
 
 
 DEFAULT_TIMING = TimingParams()

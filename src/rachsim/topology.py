@@ -166,9 +166,10 @@ def _distances(positions: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 
 def path_loss_db(d_m: float, cfg: TopologyConfig) -> float:
-    """Log-distance path loss; distances below the reference are clamped."""
-    if d_m <= 0:
-        raise ValueError("distance must be positive")
+    """Log-distance path loss; distances below the reference, 0 included,
+    are clamped to it."""
+    if d_m < 0:
+        raise ValueError("distance must be non-negative")
     d_eff = max(d_m, cfg.pl_ref_dist_m)
     return cfg.pl_ref_db + 10.0 * cfg.pl_exponent * math.log10(
         d_eff / cfg.pl_ref_dist_m

@@ -202,12 +202,20 @@ def test_bad_timing_exits_config_without_traceback(tmp_path, source):
         ("run", "--set", "noise_power_dbm=inf"),
         ("run", "--set", "cell_radius_m=inf"),
         ("run", "--set", "harq_fail_prob=nan"),
+        ("run", "--set", "urllc_horizon_s=1e300"),
+        ("run", "--set", "non_urllc_horizon_s=1e17",
+         "--set", "urllc_fraction=0"),
+        ("run", "--set", "bi_max_ms=1e8"),
+        ("run", "--set", "n_preambles=5000000000"),
+        ("run", "--set", "cell_radius_m=1e300"),
     ],
     ids=" ".join,
 )
 def test_bad_scenario_numbers_exit_config(tmp_path, capsys, argv):
-    # A NaN or infinite float, or a non-positive path-loss reference
-    # distance, is a scenario error before any model code reads it.
+    # A NaN or infinite float, a non-positive path-loss reference distance,
+    # or a number too large for the representation that the model stores
+    # it in (int64 arrival ticks, a draw of at most 2**32 values, finite
+    # squared distances) is a scenario error before any model code reads it.
     code = run_cli(*argv, "--out", str(tmp_path), "--set", "n_devices=10")
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err

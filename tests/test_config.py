@@ -1,5 +1,7 @@
 """Scenario parsing, validation, serialization, and overrides."""
 
+from dataclasses import fields, is_dataclass
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -7,14 +9,18 @@ from hypothesis import strategies as st
 from rachsim.config import (
     ENHANCEMENT_FLAGS,
     ConfigError,
+    Scenario,
     ScenarioConstraintError,
     ScenarioParseError,
+    TopologyConfig,
+    TrafficConfig,
     apply_overrides,
     build_scenario,
     scenario_fingerprint,
     scenario_with,
     serialize_scenario,
 )
+from rachsim.timebase import Numerology, TimingParams
 
 
 def test_empty_text_yields_defaults():
@@ -244,3 +250,46 @@ def test_seed_must_fit_64_bits():
 def test_femto_radius_must_be_inside_macro():
     with pytest.raises(ScenarioConstraintError):
         build_scenario("femto_radius_m = 50\n")  # equals macro radius
+
+
+# The config dataclasses, walked directly: a field of any of them that is
+# not a config dataclass itself must be a scenario key.
+CONFIG_CLASSES = (Scenario, Numerology, TimingParams, TopologyConfig,
+                  TrafficConfig)
+CONFIG_FIELDS = [
+    f for cls in CONFIG_CLASSES for f in fields(cls)
+    if not is_dataclass(f.default)
+]
+
+# A valid non-default text value, and the document lines it needs beside
+# it, for each key where 2 * default + 1 is not one.
+NON_DEFAULT = {
+    "urllc_fraction": ("0.5", ""),
+    "harq_fail_prob": ("0.5", ""),
+    "reserved_r": ("4", "enhancements = rp\n"),
+    "enhancements": ("edt,pp", ""),
+    "subcarrier_spacing_khz": ("30", ""),
+    "symbols_per_slot": ("2", ""),
+    "sinr_threshold_db": ("-3.5", ""),
+}
+
+
+def test_every_config_field_is_one_line_of_the_text_form():
+    text = serialize_scenario(Scenario())
+    keys = [line.split(" = ")[0] for line in text.splitlines()]
+    assert sorted(keys) == sorted(f.name for f in CONFIG_FIELDS)
+
+
+@pytest.mark.parametrize("f", CONFIG_FIELDS, ids=lambda f: f.name)
+def test_every_config_field_is_a_scenario_key(f):
+    if f.name in NON_DEFAULT:
+        value, extra = NON_DEFAULT[f.name]
+    else:
+        value, extra = str(2 * f.default + 1), ""
+    base = build_scenario(extra)
+    sc = build_scenario(f"{extra}{f.name} = {value}\n")
+    assert sc != base
+    assert f"{f.name} = {value}" in serialize_scenario(sc).splitlines()
+    assert build_scenario(serialize_scenario(sc)) == sc
+    pooled_apart = scenario_fingerprint(sc) != scenario_fingerprint(base)
+    assert pooled_apart == (f.name != "seed")

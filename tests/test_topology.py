@@ -235,9 +235,12 @@ def test_path_loss_clamps_below_reference():
     assert path_loss_db(3.0, cfg) == path_loss_db(15.0, cfg)
 
 
-def test_path_loss_rejects_nonpositive():
+def test_path_loss_rejects_negative():
+    # A device on a cell center is clamped to the reference distance.
+    cfg = TopologyConfig()
+    assert path_loss_db(0.0, cfg) == path_loss_db(15.0, cfg)
     with pytest.raises(ValueError):
-        path_loss_db(0.0, TopologyConfig())
+        path_loss_db(-1e-9, cfg)
 
 
 def test_power_ramp_first_attempts_and_cap():
