@@ -11,7 +11,6 @@ from .config import (
     TrafficConfig,
     apply_overrides,
     build_scenario,
-    scenario_fingerprint,
     scenario_with,
     serialize_scenario,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "pooled_report",
     "run",
     "run_validation",
-    "scenario_fingerprint",
     "scenario_with",
     "serialize_scenario",
     "ticks_to_ms",

@@ -60,9 +60,11 @@ def _set_pairs(sets: list[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-def _load_scenario(path: Path | None, sets: list[str]) -> Scenario:
+def _load_scenario(path: Path | None, sets: list[str], seed=None) -> Scenario:
+    """The file's scenario, or the defaults, under --set, then --seed."""
     text = "" if path is None else path.read_text(encoding="utf-8")
-    return apply_overrides(build_scenario(text), _set_pairs(sets))
+    scenario = apply_overrides(build_scenario(text), _set_pairs(sets))
+    return scenario if seed is None else scenario_with(scenario, seed=seed)
 
 
 def _write(path: Path, text: str) -> None:
@@ -95,9 +97,7 @@ def _trace_csv(result) -> str:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load_scenario(args.scenario, args.set or [])
-    if args.seed is not None:
-        scenario = scenario_with(scenario, seed=args.seed)
+    scenario = _load_scenario(args.scenario, args.set or [], args.seed)
     result = run(scenario, collect_trace=args.trace)
     report = build_report(result)
     out = args.out
@@ -220,9 +220,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_dump_layout(args) -> int:
-    scenario = _load_scenario(args.scenario, args.set or [])
-    if args.seed is not None:
-        scenario = scenario_with(scenario, seed=args.seed)
+    scenario = _load_scenario(args.scenario, args.set or [], args.seed)
     source = RandomSource.from_seed(scenario.seed)
     layout = build_layout(scenario.topology, source.placement)
     placement = place_devices(scenario.n_devices, layout, source.placement)

@@ -7,13 +7,12 @@ number so typos cannot silently fall back to defaults.
 
 A new key is one `key_field` of `Scenario` or of a config dataclass it
 holds, stating the key's description and, where needed, its parser; the
-key order, parsing, text form, fingerprint and `rachsim keys` listing
-are read off the fields.
+key order, parsing, text form and `rachsim keys` listing are read off
+the fields.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Union
@@ -171,7 +170,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # No `require_finite`: the range checks of the two floats reject
-        # NaN and infinity, and `scenario_fingerprint` runs this per report.
+        # NaN and infinity, and `kpi.build_report` runs this per report.
         if self.n_devices < 0:
             raise ScenarioConstraintError("n_devices must be >= 0")
         if not 0.0 <= self.urllc_fraction <= 1.0:
@@ -332,12 +331,6 @@ def serialize_scenario(scenario: Scenario) -> str:
             value = ",".join(sorted(value))
         lines.append(f"{key} = {'off' if value is None else value}")
     return "\n".join(lines) + "\n"
-
-
-def scenario_fingerprint(scenario: Scenario) -> str:
-    """Hash of the scenario with the seed masked out (pooling identity)."""
-    text = serialize_scenario(scenario_with(scenario, seed=0))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def key_documentation() -> list[tuple[str, str]]:

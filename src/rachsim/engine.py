@@ -18,34 +18,7 @@ contention-resolution deadline. Every failure path goes through the same
 backoff formula and returns at a later opportunity until the transmission
 budget runs out.
 
-The loop sizes the reserved pool for each opportunity itself. Under `drp`
-the window of priority counts is a fixed ring with an integer running
-sum, and the pool tallies move only at an opportunity with a non-zero
-pool; a static pool's tallies, and the opportunity count, follow after
-the loop in closed form. An opportunity with two or more contenders then
-runs three phases: preamble draw (one packed int per occupied cell), one
-pass over the cells that detects each sole copy and ranks it for an RAR
-grant, and resolution (one pass, HARQ legs and backoffs inline). A sole
-contender, the most common kind at sparse loads, cannot collide: one
-method takes its draws, its copies in one bulk draw, and its counts
-without the cell bookkeeping, and settles an early-data grant in place,
-calling `resolve` only for the handshake or a miss. Both paths count each
-occupied cell under a five-bit code in a histogram that the run folds
-into `OpportunityLog` once, at its end.
-
-Per-device state lives in plain lists under an internal numbering: the
-devices sorted by their start opportunity, stably, so that internal id i
-is device `order[i]` and the loop reads nearby list entries. Set-up
-sorts once, and cuts each opportunity's arrivals from the sorted starts
-as a range of ids. Ties keep device order, so every opportunity sees its
-contenders in the same sequence as under device ids, and every draw is
-the same. `run` maps back once, at its end: loop columns to device-id
-order, each list freed as its column is built, and trace rows to device
-ids, in place. A device first transmits at its arrival's opportunity, so
-the arrival and first-attempt columns come from the arrival array, and
-`wait_ticks` from completion = arrival + wait + t1 + msg2 + msg3 + msg4
-(an absent leg counts 0). `RunResult` is columnar; `records` builds
-`AccessRecord`s.
+The loop's implementation notes are on `_Contention` and `simulate`.
 """
 
 from __future__ import annotations
@@ -92,20 +65,6 @@ class AccessRecord:
     msg2_ticks: int | None   # Msg1 end -> RAR delivery
     msg3_ticks: int | None   # RAR -> Msg3 delivered, HARQ repeats included
     msg4_ticks: int | None   # None for early-data successes
-
-    @property
-    def total_ticks(self) -> int | None:
-        """Arrival-anchored total; equals the component sum for successes."""
-        if self.completion_ticks is None:
-            return None
-        return self.completion_ticks - self.arrival_ticks
-
-    @property
-    def delay_ticks(self) -> int | None:
-        """The KPI delay: first RA attempt to completion."""
-        if self.completion_ticks is None:
-            return None
-        return self.completion_ticks - self.first_attempt_ticks
 
 
 def pooled_by(rule, **kwargs):
@@ -178,8 +137,11 @@ class RunResult:
     """One run: per-device columns indexed by device id, plus the log.
 
     Times are reference ticks; -1 in a tick column marks an absent value.
-    A device succeeded exactly when its `completion_ticks` is set. `run`
-    derives `wait_ticks` from the other columns (see the module notes).
+    A device succeeded exactly when its `completion_ticks` is set. A
+    device first transmits at its arrival's opportunity, so `run` builds
+    the arrival and first-attempt columns from the arrivals, and
+    `wait_ticks` from completion = arrival + wait + t1 + msg2 + msg3 +
+    msg4 (an absent leg counts 0).
     """
 
     log: OpportunityLog
@@ -297,27 +259,31 @@ class _Contention:
     RunResult columns of `_LOOP_COLUMNS`: `msg1_count` and four times, -1
     for a time not (yet) reached; `simulate` adds `attempt_count` as an
     array. Internal id i is device `order[i]`, where `order` is the stable
-    argsort of the start opportunities; every per-device list is built in
-    that order, and `run` scatters the loop columns and trace rows back to
-    device ids. A phase sees the opportunity's contenders as `devs`, and a
-    contender's position in it is its local index. `detect()`, `harq()`
-    and `backoff()`, in the one range `(0, bi_max + 1)`, are C-level
-    `__next__` calls over per-block lists (`rng.doubles`,
-    `rng.integers_in`). `draw` takes its preambles with one bulk draw per
-    pool range (`rng.bulk_integers`), which gives the values of as many
-    scalar draws; copies of one range share a draw.
-    The loop counts only `msg1_count`, one write per Msg1 copy;
-    `_attempts` derives the attempts from it.
+    argsort of the start opportunities, so the loop reads nearby list
+    entries; every per-device list is built in that order, and `run`
+    scatters the loop columns and trace rows back to device ids. Ties keep
+    device order, so an opportunity sees its contenders in the sequence
+    they have under device ids, and every draw is the same. A phase sees
+    the opportunity's contenders as `devs`, and a contender's position in
+    it is its local index. `detect()`, `harq()` and `backoff()`, in the
+    one range `(0, bi_max + 1)`, are C-level `__next__` calls over
+    per-block lists (`rng.doubles`, `rng.integers_in`). `draw` takes its
+    preambles with one bulk draw per pool range (`rng.bulk_integers`),
+    which gives the values of as many scalar draws; copies of one range
+    share a draw. The loop counts only `msg1_count`, one write per Msg1
+    copy; `_attempts` derives the attempts from it.
 
     `simulate` sizes the reserved pool from a ring of the last `sib2`
-    priority counts under `drp`, then sends a sole contender to
-    `one_contender`, and any larger batch through `draw`, which packs
-    each occupied cell into one int, `cell_outcome`, which grants the
-    detected copies, and `resolve`. A cell's code is the sum of bits 1 (a
-    URLLC copy), 2 (a background copy), 4 (collided), 8 (reserved pool)
-    and 16 (reserved pool at a priority macro). Both paths count each
-    occupied cell under its code in `hist`, which `simulate` folds into
-    the log once per run.
+    priority counts under `drp`, then sends a sole contender, the most
+    common kind at sparse loads, to `one_contender`, which settles an
+    early-data grant in place and calls `resolve` only for the handshake
+    or a miss, and any larger batch through `draw`, which packs each
+    occupied cell into one int, `cell_outcome`, which grants the detected
+    copies, and `resolve`. A cell's code is the sum of bits 1 (a URLLC
+    copy), 2 (a background copy), 4 (collided), 8 (reserved pool) and 16
+    (reserved pool at a priority macro). Both paths count each occupied
+    cell under its code in `hist`, which `simulate` folds into the log
+    once per run.
     """
 
     def __init__(

@@ -30,7 +30,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .config import scenario_fingerprint
+from .config import Scenario, scenario_with
 from .engine import OpportunityLog, RunResult, pooled_by
 from .timebase import ticks_to_ms
 
@@ -96,12 +96,14 @@ class KpiReport(OpportunityLog):
     read-only as built: the ascending distinct delays in ticks, then their
     positive counts, and stays read-only through pickling and copying.
     The class histograms partition the successes, so `n_failed` is
-    derived, not stored. Every field, the log's included, is a slot and
-    states how `merge` pools it: `fingerprint` and `time_scale` keep the
-    first report's, the histograms pool through `_pooled`, the rest sum.
+    derived, not stored. `scenario` is the run's with its seed masked to
+    0, the identity that `merge` pools by. Every field, the log's
+    included, is a slot and states how `merge` pools it: `scenario` and
+    `time_scale` keep the first report's, the histograms pool through
+    `_pooled`, the rest sum.
     """
 
-    fingerprint: str = pooled_by(next)
+    scenario: Scenario = pooled_by(next)
     time_scale: Fraction = pooled_by(next)
     n_seeds: int = 0
     n_devices: int = 0
@@ -342,7 +344,7 @@ def _fmt(v) -> str:
 
 # The column names, in order, as `KpiReport.kpis` keys them.
 REPORT_COLUMNS = tuple(
-    KpiReport(fingerprint="", time_scale=Fraction(1)).kpis()
+    KpiReport(scenario=Scenario(), time_scale=Fraction(1)).kpis()
 )
 
 
@@ -352,14 +354,13 @@ def csv_header() -> str:
 
 def build_report(result: RunResult) -> KpiReport:
     """Fold one run's device columns and opportunity log into a report."""
-    scenario = result.scenario
     log = result.log
     urllc = result.urllc
     done = result.completion_ticks
     success = done >= 0
     delay = done - result.first_attempt_ticks
     return KpiReport(
-        fingerprint=scenario_fingerprint(scenario),
+        scenario=scenario_with(result.scenario, seed=0),
         time_scale=result.time_scale,
         n_seeds=1,
         n_devices=len(urllc),
@@ -377,13 +378,14 @@ def merge(reports) -> KpiReport:
     by the rule it declares (`engine.pooled_by`; without one it sums):
     count-weighted, commutative and associative. Merging a report with
     itself doubles every count and leaves every ratio unchanged. No input
-    is written.
+    is written. Reports whose seed-masked scenarios differ raise
+    `MergeMismatchError`.
     """
     reports = list(reports)
     if not reports:
         raise ValueError("nothing to merge")
     first = reports[0]
-    if any(rep.fingerprint != first.fingerprint for rep in reports):
+    if any(rep.scenario != first.scenario for rep in reports):
         raise MergeMismatchError(
             "cannot pool reports from different scenarios"
         )

@@ -39,7 +39,7 @@ from .config import (
 )
 from .engine import run
 from .kpi import KpiReport, build_report, merge
-from .timebase import Numerology
+from .timebase import SUBCARRIER_SPACINGS_KHZ, SYMBOLS_PER_SLOT, Numerology
 
 SEEDS_10 = tuple(range(1, 11))
 SEEDS_20 = tuple(range(1, 21))
@@ -57,6 +57,14 @@ _SINGLE_MACRO = TopologyConfig(n_macro_cells=1)
 _DENSE_OVERLAY = TopologyConfig(
     n_macro_cells=3, n_femto_cells=75, femto_radius_m=49.0
 )
+
+
+# (femto count, collision target) of the femto sweep, and the static
+# reserved-pool sizes.
+_FEMTO_TARGETS = (
+    (0, 0.0048), (5, 0.0042), (8, 0.0034), (10, 0.0026), (12, 0.0022)
+)
+_RESERVED = (1, 2, 3, 4, 5)
 
 
 def _femto_sweep_topology(n_femto: int) -> TopologyConfig:
@@ -101,19 +109,19 @@ def _build_scenarios() -> dict[str, Scenario]:
             topology=_DENSE_OVERLAY,
         ),
     }
-    for n_femto in (0, 5, 8, 10, 12):
+    for n_femto, _ in _FEMTO_TARGETS:
         out[f"pp-femto-{n_femto}"] = _base(
             enhancements=frozenset({"pp"}),
             topology=_femto_sweep_topology(n_femto),
         )
-    for r in (1, 2, 3, 4, 5):
+    for r in _RESERVED:
         out[f"rp-r{r}"] = _base(
             urllc_fraction=0.05,
             enhancements=frozenset({"rp"}),
             reserved_r=r,
         )
-    for scs in (15, 30, 60, 120):
-        for sym in (7, 4, 2):
+    for scs in SUBCARRIER_SPACINGS_KHZ:
+        for sym in SYMBOLS_PER_SLOT:
             out[f"numerology-{scs}-{sym}"] = _base(
                 numerology=Numerology(scs, sym)
             )
@@ -170,10 +178,6 @@ def replicate(
 
 
 _POOL_CACHE: dict[tuple[str, tuple[int, ...]], KpiReport] = {}
-
-
-def clear_cache() -> None:
-    _POOL_CACHE.clear()
 
 
 def pooled_report(
@@ -323,23 +327,20 @@ def _femto_reduction(table: str, pool: Pool) -> EntryResult:
     )
 
 
-_GRID_SCS = (15, 30, 60, 120)
-_GRID_SYMBOLS = (7, 4, 2)
 _GRID = tuple(
-    f"numerology-{scs}-{sym}" for scs in _GRID_SCS for sym in _GRID_SYMBOLS
+    f"numerology-{scs}-{sym}"
+    for scs in SUBCARRIER_SPACINGS_KHZ for sym in SYMBOLS_PER_SLOT
 )
 
 
 def _grid_delay_monotone(table: str, pool: Pool) -> EntryResult:
     """Mean delay falls strictly along every row and column of the grid."""
-    mean = {
-        (scs, sym): pool(f"numerology-{scs}-{sym}", GRID_SEEDS)
-        .kpis()["mean_delay_ms"]
-        for scs in _GRID_SCS
-        for sym in _GRID_SYMBOLS
-    }
-    lines = [[mean[(scs, sym)] for scs in _GRID_SCS] for sym in _GRID_SYMBOLS]
-    lines += [[mean[(scs, sym)] for sym in _GRID_SYMBOLS] for scs in _GRID_SCS]
+    grid = [
+        [pool(f"numerology-{scs}-{sym}", GRID_SEEDS).kpis()["mean_delay_ms"]
+         for sym in SYMBOLS_PER_SLOT]
+        for scs in SUBCARRIER_SPACINGS_KHZ
+    ]
+    lines = grid + list(zip(*grid))
     strict = all(b < a for line in lines for a, b in zip(line, line[1:]))
     return EntryResult(
         "V/delay-monotone", table, True, strict,
@@ -348,11 +349,6 @@ def _grid_delay_monotone(table: str, pool: Pool) -> EntryResult:
         "mean delay falls with wider spacing and shorter slots",
     )
 
-
-_FEMTO_TARGETS = (
-    (0, 0.0048), (5, 0.0042), (8, 0.0034), (10, 0.0026), (12, 0.0022)
-)
-_RESERVED = (1, 2, 3, 4, 5)
 
 ENTRIES: dict[str, tuple] = {
     "II": (

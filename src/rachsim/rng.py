@@ -18,19 +18,11 @@ from itertools import chain
 
 import numpy as np
 
-STREAM_NAMES = (
-    "placement",
-    "arrivals",
-    "preamble",
-    "detection",
-    "harq",
-    "backoff",
-)
-
 
 @dataclass
 class RandomSource:
-    """Bundle of independent per-purpose generators.
+    """Bundle of independent per-purpose generators. `from_seed` spawns
+    them in field order, so the field order is part of every seed's draws.
 
     `engine.run` reads preamble by `BlockStream`, detection and harq by
     `doubles` and backoff by `integers_in`, all in blocks, so after a run
@@ -46,12 +38,8 @@ class RandomSource:
 
     @classmethod
     def from_seed(cls, seed: int) -> "RandomSource":
-        children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-        gens = {
-            name: np.random.Generator(np.random.PCG64(child))
-            for name, child in zip(STREAM_NAMES, children)
-        }
-        return cls(**gens)
+        seeds = np.random.SeedSequence(seed).spawn(len(fields(cls)))
+        return cls(*(np.random.Generator(np.random.PCG64(s)) for s in seeds))
 
     def replaced(self, **streams) -> "RandomSource":
         """Copy with some streams substituted (testing hook)."""

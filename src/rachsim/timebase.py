@@ -57,13 +57,10 @@ def time_scale_fraction(numerology: Numerology) -> Fraction:
     )
 
 
-def ms_to_ticks(ms: float, scale: Fraction = Fraction(1)) -> int:
-    """Quantize a duration to the tick lattice, rounding half up.
-
-    The defaults (whole reference ms, scale with 56*scale integral) quantize
-    with zero error.
-    """
-    exact = Fraction(ms).limit_denominator(10**9) * TICKS_PER_MS * scale
+def ms_to_ticks(ms: float) -> int:
+    """Quantize a reference-lattice duration to ticks, rounding half up;
+    a whole number of 56ths of a ms quantizes with zero error."""
+    exact = Fraction(ms).limit_denominator(10**9) * TICKS_PER_MS
     return int(exact + Fraction(1, 2)) if exact >= 0 else -int(
         -exact + Fraction(1, 2)
     )

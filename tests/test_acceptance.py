@@ -354,7 +354,8 @@ def _small_instance_brute_force():
         assert won == expect_win, f"trial {trial}: {won} != {expect_win}"
         for rec in res.records:
             if rec.success:
-                assert rec.delay_ticks == rar_ticks
+                delay = rec.completion_ticks - rec.first_attempt_ticks
+                assert delay == rar_ticks
         assert res.log.used_cells == len(counts)
         assert res.log.collided_cells == sum(
             1 for c in counts.values() if c > 1
@@ -384,7 +385,8 @@ def _small_instance_brute_force():
         assert won == expect_win, f"{assignment}: {won} != {expect_win}"
         for rec in res.records:
             if rec.success:
-                assert rec.delay_ticks == handshake
+                delay = rec.completion_ticks - rec.first_attempt_ticks
+                assert delay == handshake
         assert res.log.used_cells == len(counts)
         assert res.log.collided_cells == sum(
             1 for c in counts.values() if c > 1
@@ -473,9 +475,6 @@ def _delay_decomposition():
                 + (rec.msg3_ticks or 0)
                 + (rec.msg4_ticks or 0)
             )
-            assert rec.total_ticks == parts
-            assert rec.delay_ticks == rec.total_ticks - (
-                rec.first_attempt_ticks - rec.arrival_ticks
-            )
+            assert rec.completion_ticks - rec.arrival_ticks == parts
             checked += 1
         assert checked > 0

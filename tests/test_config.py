@@ -1,6 +1,6 @@
 """Scenario parsing, validation, serialization, and overrides."""
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 from hypothesis import example, given
@@ -16,10 +16,11 @@ from rachsim.config import (
     TrafficConfig,
     apply_overrides,
     build_scenario,
-    scenario_fingerprint,
     scenario_with,
     serialize_scenario,
 )
+from rachsim.engine import run
+from rachsim.kpi import MergeMismatchError, build_report, merge
 from rachsim.timebase import Numerology, TimingParams
 
 
@@ -203,16 +204,6 @@ def test_serialization_is_canonical():
     assert serialize_scenario(a) == serialize_scenario(b)
 
 
-def test_fingerprint_ignores_seed_only():
-    base = build_scenario("n_devices = 50\n")
-    assert scenario_fingerprint(base) == scenario_fingerprint(
-        scenario_with(base, seed=999)
-    )
-    assert scenario_fingerprint(base) != scenario_fingerprint(
-        scenario_with(base, n_devices=51)
-    )
-
-
 def test_scenario_with_revalidates():
     base = build_scenario("")
     with pytest.raises(ScenarioConstraintError):
@@ -280,8 +271,13 @@ def test_every_config_field_is_one_line_of_the_text_form():
     assert sorted(keys) == sorted(f.name for f in CONFIG_FIELDS)
 
 
+@pytest.fixture(scope="module")
+def small_run():
+    return run(build_scenario("n_devices = 20\n"))
+
+
 @pytest.mark.parametrize("f", CONFIG_FIELDS, ids=lambda f: f.name)
-def test_every_config_field_is_a_scenario_key(f):
+def test_every_config_field_is_a_scenario_key(f, small_run):
     if f.name in NON_DEFAULT:
         value, extra = NON_DEFAULT[f.name]
     else:
@@ -291,5 +287,12 @@ def test_every_config_field_is_a_scenario_key(f):
     assert sc != base
     assert f"{f.name} = {value}" in serialize_scenario(sc).splitlines()
     assert build_scenario(serialize_scenario(sc)) == sc
-    pooled_apart = scenario_fingerprint(sc) != scenario_fingerprint(base)
-    assert pooled_apart == (f.name != "seed")
+    # The pooling identity: reports whose scenarios differ in this key
+    # alone pool only when the key is the seed. One small run stands in
+    # for both, since `build_report` reads the identity off `scenario`.
+    a, b = (build_report(replace(small_run, scenario=x)) for x in (base, sc))
+    if f.name == "seed":
+        assert merge([a, b]).n_seeds == 2
+    else:
+        with pytest.raises(MergeMismatchError):
+            merge([a, b])

@@ -131,8 +131,7 @@ def test_edt_single_device_exact_timeline():
     assert rec.msg2_ticks == 168
     assert rec.msg3_ticks is None and rec.msg4_ticks is None
     assert rec.completion_ticks == 224
-    assert rec.delay_ticks == 224
-    assert ticks_to_ms(rec.delay_ticks, res.time_scale) == 4.0
+    assert ticks_to_ms(rec.completion_ticks, res.time_scale) == 4.0
 
 
 def test_offgrid_arrival_waits_for_next_opportunity():
@@ -165,7 +164,7 @@ def test_four_step_single_device_exact_timeline():
         + rec.msg2_ticks
         + rec.msg3_ticks
         + rec.msg4_ticks
-        == rec.total_ticks
+        == rec.completion_ticks - rec.arrival_ticks
     )
 
 
@@ -319,7 +318,9 @@ def test_ebf_single_response_subframe():
     attempts = Counter(r.attempt_count for r in res.records)
     assert attempts == {1: 12, 2: 12, 3: 6}
     assert all(r.msg2_ticks == 168 for r in res.records)
-    delays = Counter(r.delay_ticks for r in res.records)
+    delays = Counter(
+        r.completion_ticks - r.first_attempt_ticks for r in res.records
+    )
     assert delays == {224: 12, 280 + 224: 12, 560 + 224: 6}
 
 
@@ -960,7 +961,7 @@ def test_invariants_on_mixed_runs(seed):
                 + (rec.msg3_ticks or 0)
                 + (rec.msg4_ticks or 0)
             )
-            assert parts == rec.total_ticks
+            assert parts == rec.completion_ticks - rec.arrival_ticks
         else:
             assert rec.msg1_count == sc.max_preamble_tx
     log = res.log
@@ -1064,8 +1065,9 @@ def fold_records(result):
         if rec.success:
             out["n_success"] += 1
             out["n_success_urllc"] += rec.urllc
-            hists["all"][rec.delay_ticks] += 1
-            hists["urllc" if rec.urllc else "non_urllc"][rec.delay_ticks] += 1
+            delay = rec.completion_ticks - rec.first_attempt_ticks
+            hists["all"][delay] += 1
+            hists["urllc" if rec.urllc else "non_urllc"][delay] += 1
         else:
             out["n_failed"] += 1
     return out, hists
@@ -1305,9 +1307,13 @@ def test_device_relabeling_leaves_aggregates_unchanged():
     a = run(sc, source=src_a, arrivals=arrivals)
     b = run(sc, source=src_b, arrivals=arrivals[perm])
     assert a.log == b.log
-    assert Counter(
-        r.delay_ticks for r in a.records if r.success
-    ) == Counter(r.delay_ticks for r in b.records if r.success)
+    def delays(res):
+        return Counter(
+            r.completion_ticks - r.first_attempt_ticks
+            for r in res.records if r.success
+        )
+
+    assert delays(a) == delays(b)
 
 
 def test_early_data_shifts_every_delay_by_msg34_time():
@@ -1321,7 +1327,8 @@ def test_early_data_shifts_every_delay_by_msg34_time():
     for x, y in zip(ra.records, rb.records):
         assert x.success == y.success
         if x.success:
-            assert x.delay_ticks == y.delay_ticks + 560
+            assert x.first_attempt_ticks == y.first_attempt_ticks
+            assert x.completion_ticks == y.completion_ticks + 560
 
 
 def test_numerology_only_rescales_reported_times():

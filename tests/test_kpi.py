@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rachsim.config import build_scenario, scenario_fingerprint, scenario_with
+from rachsim.config import build_scenario, scenario_with
 from rachsim.engine import OpportunityLog, RunResult, run
 from rachsim.reference import replicate
 from rachsim.timebase import ticks_to_ms
@@ -191,12 +191,11 @@ def test_single_record_percentiles_collapse():
 
 def test_deep_percentile_gate_boundary():
     scenario = build_scenario("")
-    fp = scenario_fingerprint(scenario)
-    below = KpiReport(fingerprint=fp, time_scale=Fraction(1))
+    below = KpiReport(scenario=scenario, time_scale=Fraction(1))
     below.delay_hist_urllc = np.array([[56], [99_999]])
     assert all_dict(below) == Counter({56: 99_999})
     assert below.delay_percentiles()[99.99] is None
-    at = KpiReport(fingerprint=fp, time_scale=Fraction(1))
+    at = KpiReport(scenario=scenario, time_scale=Fraction(1))
     at.delay_hist_non_urllc = np.array([[56], [100_000]])
     assert all_dict(at) == Counter({56: 100_000})
     assert at.delay_percentiles()[99.99] == 1.0
@@ -237,22 +236,24 @@ def test_report_carries_the_log_counters():
 
 
 MAX_POOLED = {"n_preambles", "n_gnbs", "n_macro", "r_max"}
-FIRST_KEPT = {"fingerprint", "time_scale"}
+FIRST_KEPT = {"scenario", "time_scale"}
 HISTOGRAMS = {"delay_hist_urllc", "delay_hist_non_urllc"}
 
 
 def test_merge_pools_each_field_by_its_rule():
-    # Three reports of one fingerprint whose every counter differs, the
+    # Three reports of one scenario whose every counter differs, the
     # largest in the middle: the sizes and the peak pool take the maximum,
-    # the scenario fields keep the first report's value, the histogram
-    # counts add, and every other field sums.
+    # the scenario fields keep the first report's value (of three equal
+    # scenarios, the first object), the histogram counts add, and every
+    # other field sums.
     names = [f.name for f in fields(KpiReport)]
     counters = [n for n in names if n not in FIRST_KEPT | HISTOGRAMS]
     assert MAX_POOLED <= set(counters) and HISTOGRAMS <= set(names)
     reports = []
     for j, scale in enumerate((1, 3, 2)):
         rep = KpiReport(
-            fingerprint="fp", time_scale=Fraction(1 + j, 2),
+            scenario=scenario_with(build_scenario(""), seed=0),
+            time_scale=Fraction(1 + j, 2),
             **{n: scale * (i + 1) for i, n in enumerate(counters)},
         )
         rep.delay_hist_urllc = np.array([[56, 57 + j], [1, 2 + j]])
@@ -262,7 +263,7 @@ def test_merge_pools_each_field_by_its_rule():
     for i, name in enumerate(counters):
         rule = 3 if name in MAX_POOLED else 6
         assert getattr(pooled, name) == rule * (i + 1), name
-    assert pooled.fingerprint == "fp"
+    assert pooled.scenario is reports[0].scenario
     assert pooled.time_scale == Fraction(1, 2)
     for name in HISTOGRAMS:
         summed = sum(

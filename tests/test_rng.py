@@ -1,5 +1,7 @@
 """Determinism and independence of the named random streams."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis import strategies as st
 
 from rachsim.rng import (
     BLOCK,
-    STREAM_NAMES,
     BlockStream,
     RandomSource,
     buffered,
@@ -15,6 +16,22 @@ from rachsim.rng import (
     doubles,
     integers_in,
 )
+
+
+STREAM_NAMES = [f.name for f in fields(RandomSource)]
+# Stream i of `from_seed(s)` is child i of `SeedSequence(s)`, so this order
+# is part of every seed's draws; it is pinned here, apart from the fields.
+SPAWN_ORDER = ("placement", "arrivals", "preamble", "detection", "harq",
+               "backoff")
+
+
+@pytest.mark.parametrize("i", range(len(SPAWN_ORDER)), ids=SPAWN_ORDER)
+def test_streams_spawn_in_the_pinned_order(i):
+    for seed in (0, 1, 2**64 - 1):
+        child = np.random.SeedSequence(seed).spawn(len(SPAWN_ORDER))[i]
+        want = np.random.Generator(np.random.PCG64(child)).bit_generator.state
+        got = getattr(RandomSource.from_seed(seed), SPAWN_ORDER[i])
+        assert got.bit_generator.state == want, (SPAWN_ORDER[i], seed)
 
 
 def test_same_seed_same_streams():

@@ -54,14 +54,14 @@ def test_grid_scales_are_exact_on_ticks(scs, sym):
     for ms in (1.0, 3.0, 5.0, 20.0, 48.0, 80.0):
         exact = Fraction(ms) * TICKS_PER_MS * s
         assert exact.denominator == 1
-        assert ms_to_ticks(ms, s) == exact
+        assert ms_to_ticks(ms) * s == exact
 
 
 def test_slot_duration_examples():
     # 30 kHz halves the slot; fewer symbols shorten it proportionally.
     assert time_scale_fraction(Numerology(30, 7)) == Fraction(1, 2)
     assert time_scale_fraction(Numerology(120, 2)) == Fraction(1, 28)
-    assert ms_to_ticks(3.0, time_scale_fraction(Numerology(30, 7))) == 84
+    assert ms_to_ticks(3.0) * time_scale_fraction(Numerology(30, 7)) == 84
 
 
 def test_scale_strictly_decreases_in_each_axis():

@@ -17,6 +17,9 @@ and stops if one revision's stdout differs between its repeats.
 
 One file per revision is written at the repository root, numbered after
 the highest BENCH_<nnn> already there, in the order of the --rev options.
+Each --rev gets its own checkout, so one revision given twice (an A/A
+control) is measured as two runs, and each file's `paired_with` names the
+files of the other runs.
 Each holds, per workload, the median and quartiles over the seeds of every
 end-to-end metric, with the per-seed values and failed operations; the
 sha256 and exit status of the validate stdout, its median wall time with
@@ -183,7 +186,8 @@ def main(argv=None) -> int:
     shas = [git("rev-parse", rev) for rev in args.rev]
 
     with tempfile.TemporaryDirectory(prefix="record-bench-") as tmp:
-        trees = [checkout(sha, Path(tmp) / sha[:10]) for sha in shas]
+        trees = [checkout(sha, Path(tmp) / f"{k}-{sha[:10]}")
+                 for k, sha in enumerate(shas)]
         spec = json.loads((trees[0] / "BENCHMARK.json").read_text())
         seconds = spec["run_seconds"]
         workloads = [w["name"] for w in spec["workloads"]]
@@ -209,6 +213,8 @@ def main(argv=None) -> int:
         lines = [line_count(tree) for tree in trees]
 
     number = next_number()
+    names = [f"BENCH_{number + k:03d}_{sha[:7]}.json"
+             for k, sha in enumerate(shas)]
     for k, sha in enumerate(shas):
         row = {
             "git_sha": sha,
@@ -231,7 +237,7 @@ def main(argv=None) -> int:
                 "command": "python3 perfbench/run.py --workload W --seed S "
                            f"--seconds {seconds} --trace 0",
                 "seeds": SEEDS,
-                "paired_with": [s for s in shas if s != sha],
+                "paired_with": [n for n in names if n != names[k]],
                 "recorded_utc": datetime.now(timezone.utc).isoformat(
                     timespec="seconds"),
                 "nproc": len(os.sched_getaffinity(0)),
@@ -240,7 +246,7 @@ def main(argv=None) -> int:
                 "numpy": numpy.__version__,
             },
         }
-        path = ROOT / f"BENCH_{number + k:03d}_{sha[:7]}.json"
+        path = ROOT / names[k]
         path.write_text(json.dumps(row, indent=1) + "\n")
         print(f"wrote {path.name}", file=sys.stderr)
     return 0
