@@ -258,6 +258,20 @@ def _cmd_keys(_args) -> int:
     return EXIT_OK
 
 
+def _positive_int(raw: str) -> int:
+    """An integer of at least 1, for `--jobs`; argparse exits 2 on
+    anything else."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {raw!r}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rachsim",
@@ -301,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "spec", nargs="+",
         help="one key=v1,v2,... token plus optional seeds=a..b",
     )
-    p_sweep.add_argument("--jobs", type=int, default=None,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=None,
                          help="parallel replications (default: cpu count)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -318,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seeds", default=None, metavar="A..B",
         help="override every entry's seed list (smoke runs)",
     )
-    p_val.add_argument("--jobs", type=int, default=None)
+    p_val.add_argument("--jobs", type=_positive_int, default=None)
     p_val.set_defaults(func=_cmd_validate)
 
     p_dump = sub.add_parser(
@@ -346,7 +360,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -281,9 +281,12 @@ class _Contention:
     occupied cell into one int, `cell_outcome`, which grants the detected
     copies, and `resolve`. A cell's code is the sum of bits 1 (a URLLC
     copy), 2 (a background copy), 4 (collided), 8 (reserved pool) and 16
-    (reserved pool at a priority macro). Both paths count each occupied
-    cell under its code in `hist`, which `simulate` folds into the log
-    once per run.
+    (reserved pool at a priority macro). A plain run, one with one gNB,
+    one class in `is_ur`, neither `rp` nor `drp`, no SNR gate and no
+    trace, sends every larger batch to `plain_cells` instead of `draw`
+    and `cell_outcome`; `simulate` decides this once per run. Every path
+    counts each occupied cell under its code in `hist`, which `simulate`
+    folds into the log once per run.
     """
 
     def __init__(
@@ -415,6 +418,10 @@ class _Contention:
         one_contender, draw, cell_outcome, resolve = (
             self.one_contender, self.draw, self.cell_outcome, self.resolve
         )
+        plain_cells = self.plain_cells
+        plain = self.log.n_gnbs == 1 and len(set(self.cls)) == 1 and not (
+            self.rp or drp or self.sinr_gate or self.trace is not None
+        )
         while buckets or rao_index <= -(-self.last_resolution // ra):
             if drp:
                 r_use = 0
@@ -436,6 +443,8 @@ class _Contention:
                 t = rao_index * ra
                 if len(devs) == 1:
                     n_prio = one_contender(t, devs, r_use)
+                elif plain:
+                    resolve(t, devs, plain_cells(t, devs))
                 else:
                     cells, base, prio_macros, n_prio = draw(t, devs, r_use)
                     resolve(t, devs, cell_outcome(
@@ -643,6 +652,38 @@ class _Contention:
                     grant = (first_rar + slot * sf, gnb)
                     if rar_at[j] is None or grant < rar_at[j]:
                         rar_at[j] = grant
+        return rar_at
+
+    def plain_cells(self, t: int, devs: list[int]) -> list:
+        """`draw` and `cell_outcome` in one pass for a plain run (see the
+        class docstring), with their draws, counts and grants. A cell is
+        keyed by its preamble and holds its copy's local index, or -1 once
+        two copies claim it; every cell has the run's one class code, and
+        every grant is at gNB 0."""
+        tx_count = self.msg1_count
+        for d in devs:
+            tx_count[d] += 1
+        cells: dict[int, int] = {}
+        claim = cells.setdefault
+        for j, pre in enumerate(self.preambles(0, self.n_pre, len(devs))):
+            if claim(pre, j) != j:
+                cells[pre] = -1
+        detect, p_detect, cap = self.detect, self.p_detect, self.grants_per_sf
+        limit, sf = cap * self.n_slots, self.subframe
+        first_rar = t + self.t1 + self.t2
+        rar_at: list[tuple[int, int] | None] = [None] * len(devs)
+        rank = collided = 0
+        for pre in sorted(cells):
+            j = cells[pre]
+            if j < 0:
+                collided += 1
+            elif detect() < p_detect[tx_count[devs[j]]]:
+                if rank < limit:
+                    rar_at[j] = (first_rar + rank // cap * sf, 0)
+                rank += 1
+        code = self.cls[devs[0]]
+        self.hist[code] += len(cells) - collided
+        self.hist[code | 4] += collided
         return rar_at
 
     def _sinr_ok(self, dev: int, gnb: int) -> bool:

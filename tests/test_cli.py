@@ -21,6 +21,10 @@ from rachsim.engine import EBF_BACKGROUND_BACKOFF_MS
 SMALL = ["--set", "n_devices=120"]
 
 
+# `--jobs` values that argparse rejects.
+BAD_JOBS = ("0", "-1")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -208,7 +212,8 @@ def test_bad_timing_exits_config_without_traceback(tmp_path, source):
         ("run", "--set", "bi_max_ms=1e8"),
         ("run", "--set", "n_preambles=5000000000"),
         ("run", "--set", "cell_radius_m=1e300"),
-    ],
+    ] + [("sweep", "--jobs", jobs, "n_devices=10", "seeds=1..2")
+         for jobs in BAD_JOBS],
     ids=" ".join,
 )
 def test_bad_scenario_numbers_exit_config(tmp_path, capsys, argv):
@@ -216,11 +221,24 @@ def test_bad_scenario_numbers_exit_config(tmp_path, capsys, argv):
     # or a number too large for the representation that the model stores
     # it in (int64 arrival ticks, a draw of at most 2**32 values, finite
     # squared distances) is a scenario error before any model code reads it.
-    code = run_cli(*argv, "--out", str(tmp_path), "--set", "n_devices=10")
+    # A `--jobs` below 1 is an argparse usage error, with the same code.
+    usage = argv[1] == "--jobs" and argv[2] in BAD_JOBS
+    try:
+        code = run_cli(*argv, "--out", str(tmp_path), "--set", "n_devices=10")
+    except SystemExit as exc:
+        code = exc.code
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG, err
-    assert err.startswith("scenario error:"), err
+    assert err.startswith("usage:" if usage else "scenario error:"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", BAD_JOBS)
+def test_validate_jobs_below_one_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("validate", "--seeds", "1..1", "--jobs", jobs)
+    assert exc.value.code == EXIT_CONFIG
+    assert "argument --jobs: expected an integer >= 1" in capsys.readouterr().err
 
 
 def test_missing_scenario_file_exits_io(tmp_path, capsys):

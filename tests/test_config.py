@@ -1,11 +1,12 @@
 """Scenario parsing, validation, serialization, and overrides."""
 
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from rachsim import config
 from rachsim.config import (
     ENHANCEMENT_FLAGS,
     ConfigError,
@@ -241,6 +242,49 @@ def test_seed_must_fit_64_bits():
 def test_femto_radius_must_be_inside_macro():
     with pytest.raises(ScenarioConstraintError):
         build_scenario("femto_radius_m = 50\n")  # equals macro radius
+
+
+# One constraint of a config dataclass per case, broken by one override,
+# and the start of the message it raises.
+BROKEN_CONSTRAINTS = {
+    "n_macro_cells": ("0", "n_macro_cells must be >= 1"),
+    "cell_radius_m": ("0", "cell_radius_m must be > 0"),
+    "n_femto_cells": ("-1", "n_femto_cells must be >= 0"),
+    "pl_exponent": ("0", "pl_exponent must be > 0"),
+    "urllc_beta": ("0", "burst arrival shape parameters must be > 0"),
+    "non_urllc_horizon_s": ("0", "arrival horizons must be > 0"),
+    "n_devices": ("-1", "n_devices must be >= 0"),
+    "urllc_fraction": ("1.5", "urllc_fraction must be in [0, 1]"),
+    "max_preamble_tx": ("0", "max_preamble_tx must be >= 1"),
+    "max_harq": ("0", "max_harq must be >= 1"),
+    "cce_total": ("0", "RAR capacity parameters must be >= 1"),
+    "cce_per_pdcch": ("17", "cce_per_pdcch must be in [1, cce_total]"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_CONSTRAINTS))
+def test_each_constraint_is_checked_through_apply_overrides(key):
+    raw, message = BROKEN_CONSTRAINTS[key]
+    with pytest.raises(ScenarioConstraintError) as exc:
+        apply_overrides(Scenario(), [(key, raw)])
+    assert str(exc.value).startswith(message)
+
+
+def test_reserved_r_of_another_type_is_rejected():
+    # The key's parser yields an int or 'dynamic'; this is the check for
+    # a Scenario built in code.
+    with pytest.raises(ScenarioConstraintError, match="integer or 'dynamic'"):
+        scenario_with(Scenario(), reserved_r=2.5)
+
+
+def test_a_field_without_key_field_is_rejected(monkeypatch):
+    @dataclass(frozen=True)
+    class Bare:
+        n_devices: int = 5
+
+    monkeypatch.setattr(config, "Scenario", Bare)
+    with pytest.raises(TypeError, match="'n_devices' is not a key_field"):
+        config._key_fields()
 
 
 # The config dataclasses, walked directly: a field of any of them that is

@@ -1429,6 +1429,116 @@ def test_one_contender_path_equals_general_phases(case, monkeypatch):
     assert dual == ("pp" in sc.enhancements and sc.max_preamble_tx >= 2)
 
 
+# -- plain batch pass --------------------------------------------------------
+
+
+def _plain_phases(self, t, devs):
+    """Reference for `_Contention.plain_cells`: `draw` and `cell_outcome`
+    without a pool."""
+    cells, base, prio_macros, _ = self.draw(t, devs, 0)
+    return self.cell_outcome(t, devs, 0, cells, base, prio_macros)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(1, 2**16),
+    n=st.integers(2, 2000),
+    span=st.integers(1, 2000),
+    n_pre=st.integers(2, 54),
+    enh=st.sets(st.sampled_from(("edt", "ebf", "pp"))),
+    urllc=st.sampled_from(("0", "1")),
+    harq_fail=st.floats(0.0, 1.0),
+    max_tx=st.integers(1, 10),
+    grants=st.integers(1, 3),
+    cce_per_pdcch=st.sampled_from((1, 3, 4, 16)),
+    rar_window_ms=st.integers(1, 10),
+)
+@example(seed=1, n=2000, span=1, n_pre=54, enh=set(), urllc="1",
+         harq_fail=0.1, max_tx=10, grants=1, cce_per_pdcch=16,
+         rar_window_ms=1)
+@example(seed=7, n=1500, span=40, n_pre=2, enh={"edt", "ebf", "pp"},
+         urllc="0", harq_fail=1.0, max_tx=1, grants=3, cce_per_pdcch=1,
+         rar_window_ms=10)
+@example(seed=3, n=2000, span=300, n_pre=12, enh={"pp"}, urllc="0",
+         harq_fail=0.6, max_tx=4, grants=2, cce_per_pdcch=3,
+         rar_window_ms=4)
+def test_plain_pass_equals_general_phases(
+    seed, n, span, n_pre, enh, urllc, harq_fail, max_tx, grants,
+    cce_per_pdcch, rar_window_ms,
+):
+    # Runs that take the pass: one macro, no femto, one class, no pool,
+    # no SNR gate, untraced. Arrivals over `span` opportunities give
+    # batches of every size, and a response capacity as low as one grant.
+    sc = apply_overrides(build_scenario(""), (
+        ("seed", seed), ("n_devices", n), ("n_preambles", n_pre),
+        ("enhancements", ",".join(sorted(enh))), ("urllc_fraction", urllc),
+        ("harq_fail_prob", harq_fail), ("max_preamble_tx", max_tx),
+        ("rar_grants_per_msg", grants), ("cce_per_pdcch", cce_per_pdcch),
+        ("rar_window_ms", rar_window_ms), ("n_macro_cells", 1),
+    ))
+    ra = ms_to_ticks(sc.timing.ra_period_ms)
+    arrivals = np.random.default_rng(seed).integers(0, span * ra, n)
+    fast = run(sc, arrivals=arrivals)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Contention, "plain_cells", _plain_phases)
+        ref = run(sc, arrivals=arrivals)
+    for col in ("urllc",) + engine._TICK_COLUMNS:
+        assert np.array_equal(getattr(fast, col), getattr(ref, col)), col
+    assert fast.log == ref.log
+
+
+# case id -> (scenario, collect_trace, whether the pass is taken); each
+# case not taken breaks one condition of a plain run.
+PLAIN_SELECTION_CASES = {
+    "baseline-10k": ("baseline-10k", (), False, True),
+    "pp-femto-0": ("pp-femto-0", (), False, True),
+    # 0.0002 of 2000 devices rounds to none: one class.
+    "one-macro-urllc-0.0002": (
+        "baseline-5k", (("urllc_fraction", "0.0002"),), False, True,
+    ),
+    "drp-mixed": ("drp-mixed", (), False, False),
+    "drp-one-class-one-macro": ("drp-mixed", (
+        ("urllc_fraction", "1"), ("n_macro_cells", "1"),
+        ("n_femto_cells", "0"), ("femto_radius_m", "10"),
+    ), False, False),
+    "rp-urllc-1": ("rp-r3", (("urllc_fraction", "1"),), False, False),
+    "baseline-mixed": ("baseline-mixed", (), False, False),
+    "three-macros-one-class": (
+        "baseline-mixed", (("urllc_fraction", "0"),), False, False,
+    ),
+    "pp-femto-5": ("pp-femto-5", (), False, False),
+    "one-macro-urllc-0.05": (
+        "baseline-5k", (("urllc_fraction", "0.05"),), False, False,
+    ),
+    "traced": ("baseline-10k", (), True, False),
+    "sinr-threshold": (
+        "baseline-10k", (("sinr_threshold_db", "-1000"),), False, False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PLAIN_SELECTION_CASES)
+def test_plain_pass_selection(case, monkeypatch):
+    name, overrides, traced, taken = PLAIN_SELECTION_CASES[case]
+    sc = apply_overrides(
+        REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
+    )
+    sizes = {"plain_cells": [], "cell_outcome": []}
+    for phase, calls in sizes.items():
+        def counted(self, t, devs, *args, _orig=getattr(
+            engine._Contention, phase
+        ), _calls=calls):
+            _calls.append(len(devs))
+            return _orig(self, t, devs, *args)
+        monkeypatch.setattr(engine._Contention, phase, counted)
+    run(sc, collect_trace=traced)
+    plain, general = sizes["plain_cells"], sizes["cell_outcome"]
+    # Every batch of two or more takes one path; a sole contender neither.
+    assert min(plain + general) >= 2
+    assert (plain, general) == ((plain, []) if taken else ([], general))
+    assert plain or general
+
+
 # -- batch grants ------------------------------------------------------------
 
 

@@ -476,6 +476,19 @@ def test_histograms_stay_read_only_through_pickle_and_copy():
                 hist[...] = 0
 
 
+@pytest.mark.parametrize(
+    "other", [None, 0, "report", "log"], ids=["None", "int", "str", "log"]
+)
+def test_report_is_unequal_to_a_non_report(other):
+    rep = build_report(run(build_scenario("n_devices = 10\n")))
+    if other == "log":  # the base class, with the same counters
+        other = OpportunityLog(
+            **{f.name: getattr(rep, f.name) for f in fields(OpportunityLog)}
+        )
+    assert rep != other and not rep == other
+    assert other != rep
+
+
 def test_merge_empty_rejected():
     with pytest.raises(ValueError):
         merge([])

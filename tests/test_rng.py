@@ -271,6 +271,18 @@ def test_block_stream_rejects_empty_range():
         stream.integers_bulk(2**63 - 3, 2**63 + 2, 4)
 
 
+@pytest.mark.parametrize("bulk", [False, True], ids=["scalar", "bulk"])
+def test_block_stream_rejects_ranges_wider_than_a_word(bulk):
+    # Lemire's rule on 32-bit words serves at most 2**32 values; the
+    # scenario caps `n_preambles` there.
+    stream, _ = twins(62)
+    with pytest.raises(ValueError, match="wider than 2"):
+        if bulk:
+            stream.integers_bulk(0, 2**32 + 1, 3)
+        else:
+            stream.integers(-1, 2**32)
+
+
 def test_buffered_wraps_only_generators():
     gen = np.random.Generator(np.random.PCG64(1))
     assert isinstance(buffered(gen), BlockStream)
