@@ -1487,8 +1487,9 @@ def test_plain_pass_equals_general_phases(
     assert fast.log == ref.log
 
 
-# case id -> (scenario, collect_trace, whether the pass is taken); each
-# case not taken breaks one condition of a plain run.
+# case id -> (reference scenario, overrides, traced, whether the pass is
+# taken). A case not taken breaks a condition of a plain run; for each
+# condition one case breaks it alone.
 PLAIN_SELECTION_CASES = {
     "baseline-10k": ("baseline-10k", (), False, True),
     "pp-femto-0": ("pp-femto-0", (), False, True),
@@ -1517,22 +1518,27 @@ PLAIN_SELECTION_CASES = {
 }
 
 
+def _counted(phase, sizes):
+    """`_Contention.<phase>`, appending each batch's size to `sizes`."""
+    orig = getattr(engine._Contention, phase)
+
+    def counted(self, t, devs, *args):
+        sizes.append(len(devs))
+        return orig(self, t, devs, *args)
+
+    return counted
+
+
 @pytest.mark.parametrize("case", PLAIN_SELECTION_CASES)
 def test_plain_pass_selection(case, monkeypatch):
     name, overrides, traced, taken = PLAIN_SELECTION_CASES[case]
     sc = apply_overrides(
         REFERENCE_SCENARIOS[name], (("n_devices", "2000"),) + overrides
     )
-    sizes = {"plain_cells": [], "cell_outcome": []}
-    for phase, calls in sizes.items():
-        def counted(self, t, devs, *args, _orig=getattr(
-            engine._Contention, phase
-        ), _calls=calls):
-            _calls.append(len(devs))
-            return _orig(self, t, devs, *args)
-        monkeypatch.setattr(engine._Contention, phase, counted)
+    plain, general = [], []
+    for phase, sizes in (("plain_cells", plain), ("cell_outcome", general)):
+        monkeypatch.setattr(engine._Contention, phase, _counted(phase, sizes))
     run(sc, collect_trace=traced)
-    plain, general = sizes["plain_cells"], sizes["cell_outcome"]
     # Every batch of two or more takes one path; a sole contender neither.
     assert min(plain + general) >= 2
     assert (plain, general) == ((plain, []) if taken else ([], general))

@@ -36,10 +36,12 @@ under it.
 The report layer is timed on each package's own `RunResult` of the seed:
 `build_report`, then `csv_row` and `cdf_points` on that report, as the
 median of REPORT_CALLS calls taken in turns. Once all seeds of a
-scenario are done, each revision's package times `merge` of its 30
+scenario are done, each revision's package times `merge` of its
 reports in MERGE_ROUNDS rounds, again taking turns; each round is one
 sample, and the rounds alternate between the two imports of each
-revision. The
+revision. A round pools only the 15 reports of its own import: `merge`
+compares the reports' scenarios, and each import has its own `Scenario`
+class, so reports of two imports never pool. The
 `csv_row` and `cdf_points` bytes, of each seed's report and of the
 merged one, must be equal across the packages. The script stops at the
 first difference and names it, for a trace the first row that differs.
@@ -257,9 +259,11 @@ def main(argv=None) -> int:
         totals = {what: [0.0] * len(trees) for what in TABLES}
         for name in groups[0][1][0]:
             ratios = {what: ([], []) for what in TABLES}
-            kept = ([], [], [])  # each package's report of every seed
+            # Per import, each package's report of every seed.
+            kept = (([], [], []), ([], [], []))
             for seed in SEEDS:
-                pkgs, specs = groups[seed > SEEDS[len(SEEDS) // 2 - 1]]
+                half = seed > SEEDS[len(SEEDS) // 2 - 1]
+                pkgs, specs = groups[half]
                 order = LOAD_ORDER if seed % 2 else LOAD_ORDER[::-1]
                 cases = [pkg.config.scenario_with(spec[name], seed=seed)
                          for pkg, spec in zip(pkgs, specs)]
@@ -293,7 +297,7 @@ def main(argv=None) -> int:
                     out[k] = ((t_run, runs[k][-1][1]),
                               (t_place, calls[k][-1][1]),
                               (t_report, reports[k][-1][1]))
-                    kept[k].append(reports[k][-1][2])
+                    kept[half][k].append(reports[k][-1][2])
                 for k in (1, 2):
                     differs = same_placement(out[0][1][1], out[k][1][1]) or (
                         same_result(out[0][0][1], out[k][0][1])
@@ -321,7 +325,8 @@ def main(argv=None) -> int:
             for r in range(MERGE_ROUNDS):
                 order = LOAD_ORDER if r % 2 else LOAD_ORDER[::-1]
                 pkgs = groups[r % 2][0]
-                merged = {k: timed_merge(pkgs[k], kept[k]) for k in order}
+                merged = {k: timed_merge(pkgs[k], kept[r % 2][k])
+                          for k in order}
                 if any(merged[k][1] != merged[0][1] for k in (1, 2)):
                     print(f"{name}: merged report bytes differ",
                           file=sys.stderr)
