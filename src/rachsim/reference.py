@@ -2,19 +2,15 @@
 
 The shipped reference set encodes the target values this simulator is
 validated against, grouped by opaque table ids (II through VII plus FIG6).
-`ENTRIES` maps each table id to its entries in output order. Most entries
-are `Row`s: a frozen scenario and seed list, the report.csv column read
-off the pooled report, a check (an absolute or relative band around the
-target, or a `<=` / `>=` bound), the value format, a description and
-whether the entry is a gate. One scorer turns any row into an
-`EntryResult`; adding an entry means adding a row. Deep tail entries
-(99.99th percentiles) carry seed lists long enough to pool at least
-100 000 successes of the class being measured.
-
-Seven entries read several pooled scenarios at once: the collision
-spreads of FIG6 and V, the monotone rows of III and VI, the reduction of
-III and the delay grid of V. Each is a small derived check placed in its
-table among the rows.
+`ENTRIES` maps each table id to its entries in output order. Every entry
+is a `Row`: one or several frozen scenarios and a seed list, the
+report.csv column read off each pooled report, a check (an absolute or
+relative band around the target, a `<=` / `>=` bound, or a spread, drop,
+monotone or grid rule over several scenarios), the value format, a
+description and whether the entry is a gate. One scorer turns any row
+into an `EntryResult`; adding an entry means adding a row. Deep tail
+entries (99.99th percentiles) carry seed lists long enough to pool at
+least 100 000 successes of the class being measured.
 
 Eight gated entries, across tables II, FIG6, VI and VII, are known to
 fail against a faithful implementation of the documented contention
@@ -164,11 +160,14 @@ def replicate(
     """One report per (scenario, seed) pair, in the order of `work`.
 
     The pairs are independent, so they fan out over one process pool of
-    `jobs` workers (the CPU count when unset), or run in this process at
-    `jobs == 1`. The output order is that of `work` for any job count, so
-    every report merged from it is the same to the byte.
+    `jobs` workers (the CPU count when None), or run in this process at
+    `jobs == 1`; `jobs` below 1 raises ValueError. The output order is that
+    of `work` for any job count, so every report merged from it is the
+    same to the byte.
     """
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = jobs or os.cpu_count() or 1
     if jobs == 1 or len(work) <= 1:
         return [_report_for(item) for item in work]
     from concurrent.futures import ProcessPoolExecutor  # ~16 ms to import
@@ -233,97 +232,82 @@ Pool = Callable[[str, tuple[int, ...]], KpiReport]
 
 @dataclass(frozen=True)
 class Row:
-    """One reference entry read off one pooled scenario.
+    """One reference entry read off one or several pooled scenarios.
 
     `kpi` names the report.csv column (a `KpiReport.kpis` key) that the
-    entry reads. `check` is "abs" (|measured - target| <= tol), "rel"
-    (the same with tol a fraction of the target), "<=" or ">=" (tol
-    unused).
+    entry reads on each scenario. `check` is "abs" (|measured - target|
+    <= tol), "rel" (the same with tol a fraction of the target), "<=" or
+    ">=" (tol unused) on one scenario's value v0. On several values
+    v0, v1, ...: "spread" bounds the largest |v - v0| by `<=` and "drop"
+    bounds (v0 - v1) / v0 (0.0 at v0 = 0) by `>=`; "falls" asks that the
+    values never rise (to within 1e-12) and "grid" that they fall
+    strictly along every row and column of the numerology grid, and
+    their `target` is the expected text.
     """
 
     entry_id: str
-    scenario: str
+    scenario: str | tuple[str, ...]
     seeds: tuple[int, ...]
     kpi: str
     check: str
-    target: float
+    target: float | str
     tol: float | None
     fmt: Callable[[float | None], str]
     description: str
     gate: bool = True
 
+    @property
+    def scenarios(self) -> tuple[str, ...]:
+        """Every scenario the entry reads, in reading order."""
+        if isinstance(self.scenario, str):
+            return (self.scenario,)
+        return self.scenario
+
 
 def _score(table: str, row: Row, pool: Pool) -> EntryResult:
-    """Measure `row` on its pooled scenario and judge it."""
-    measured = pool(row.scenario, row.seeds).kpis()[row.kpi]
-    target, tol, fmt = row.target, row.tol, row.fmt
-    if row.check in ("<=", ">="):
-        ok = measured is not None and (
-            measured <= target if row.check == "<=" else measured >= target
-        )
-        shown = f"{row.check} {fmt(target)}"
+    """Measure `row` on its pooled scenarios and judge it."""
+    values = [pool(name, row.seeds).kpis()[row.kpi] for name in row.scenarios]
+    check, target, tol, fmt = row.check, row.target, row.tol, row.fmt
+    absent = None in values
+    if absent:
+        value = None
+    elif check == "spread":
+        value = max(abs(v - values[0]) for v in values)
+    elif check == "drop":
+        value = (values[0] - values[1]) / values[0] if values[0] else 0.0
     else:
-        band = tol if row.check == "abs" else abs(target) * tol
-        ok = measured is not None and abs(measured - target) <= band
-        shown = (
-            f"{fmt(target)} +-{fmt(tol)}"
-            if row.check == "abs"
-            else f"{fmt(target)} +-{tol * 100:.0f}%"
-        )
-    return EntryResult(
-        row.entry_id, table, row.gate, ok, fmt(measured), shown,
-        row.description,
-    )
-
-
-# Derived checks: each reads several pooled scenarios and returns a
-# callable (table, pool) -> EntryResult that sits among the rows.
-
-
-def _collision_spread(entry_id, description, base, others, seeds):
-    """Largest |collision(other) - collision(base)|, at most 0.1 pp."""
-
-    def check(table: str, pool: Pool) -> EntryResult:
-        ref = pool(base, seeds).kpis()["collision_overall"]
-        spread = max(
-            abs(pool(name, seeds).kpis()["collision_overall"] - ref)
-            for name in others
-        )
-        return EntryResult(
-            entry_id, table, True, spread <= 0.001, _pct(spread),
-            f"<= {_pct(0.001)}", description,
-        )
-
-    return check
-
-
-def _non_increasing(entry_id, description, names, seeds, kpi, expected):
-    """Column `kpi` over `names` never rises (to within 1e-12)."""
-
-    def check(table: str, pool: Pool) -> EntryResult:
-        values = [pool(name, seeds).kpis()[kpi] for name in names]
-        ok = None not in values and all(
+        value = values[0]
+    if check == "falls":
+        ok = not absent and all(
             b <= a + 1e-12 for a, b in zip(values, values[1:])
         )
-        return EntryResult(
-            entry_id, table, True, ok, " -> ".join(map(_pct, values)),
-            expected, description,
+        measured, shown = " -> ".join(map(fmt, values)), target
+    elif check == "grid":
+        width = len(SYMBOLS_PER_SLOT)
+        grid = [values[i:i + width] for i in range(0, len(values), width)]
+        ok = not absent and all(
+            b < a for line in grid + list(zip(*grid))
+            for a, b in zip(line, line[1:])
         )
-
-    return check
-
-
-def _femto_reduction(table: str, pool: Pool) -> EntryResult:
-    """Relative collision drop from 0 to 10 femto cells, at least 40%."""
-    c0, c10 = (
-        pool(f"pp-femto-{n}", SEEDS_20).kpis()["collision_overall"]
-        for n in (0, 10)
-    )
-    reduction = (c0 - c10) / c0 if c0 else 0.0
+        measured = "absent" if absent else "strict" if ok else "violated"
+        shown = target
+    elif check in ("abs", "rel"):
+        band = tol if check == "abs" else abs(target) * tol
+        ok = value is not None and abs(value - target) <= band
+        measured = fmt(value)
+        shown = (
+            f"{fmt(target)} +-{fmt(tol)}"
+            if check == "abs"
+            else f"{fmt(target)} +-{tol * 100:.0f}%"
+        )
+    else:
+        bound = {"spread": "<=", "drop": ">="}.get(check, check)
+        ok = value is not None and (
+            value <= target if bound == "<=" else value >= target
+        )
+        measured, shown = fmt(value), f"{bound} {fmt(target)}"
     return EntryResult(
-        "III/reduction-at-10", table, True, reduction >= 0.40,
-        _pct1(reduction), f">= {_pct1(0.40)}",
-        "relative collision reduction with 10 femto cells",
+        row.entry_id, table, row.gate, ok, measured, shown, row.description
     )
 
 
@@ -333,24 +317,7 @@ _GRID = tuple(
 )
 
 
-def _grid_delay_monotone(table: str, pool: Pool) -> EntryResult:
-    """Mean delay falls strictly along every row and column of the grid."""
-    grid = [
-        [pool(f"numerology-{scs}-{sym}", GRID_SEEDS).kpis()["mean_delay_ms"]
-         for sym in SYMBOLS_PER_SLOT]
-        for scs in SUBCARRIER_SPACINGS_KHZ
-    ]
-    lines = grid + list(zip(*grid))
-    strict = all(b < a for line in lines for a, b in zip(line, line[1:]))
-    return EntryResult(
-        "V/delay-monotone", table, True, strict,
-        "strict" if strict else "violated",
-        "strict decrease along rows and columns",
-        "mean delay falls with wider spacing and shorter slots",
-    )
-
-
-ENTRIES: dict[str, tuple] = {
+ENTRIES: dict[str, tuple[Row, ...]] = {
     "II": (
         Row("II/5k/collision", "baseline-5k", SEEDS_10, "collision_overall",
             "abs", 0.0048, 0.0015, _pct, "5k baseline collision probability"),
@@ -370,11 +337,9 @@ ENTRIES: dict[str, tuple] = {
             "abs", 29.0, 1.5, _ms, "baseline median access delay"),
         Row("FIG6/median-edt", "edt-5k", SEEDS_10, "delay_p50_ms", "abs",
             6.0, 1.5, _ms, "early-data median access delay"),
-        _collision_spread(
-            "FIG6/collision-equal",
-            "early-data collision matches baseline (same seeds)",
-            "baseline-5k", ("edt-5k",), SEEDS_10,
-        ),
+        Row("FIG6/collision-equal", ("baseline-5k", "edt-5k"), SEEDS_10,
+            "collision_overall", "spread", 0.001, None, _pct,
+            "early-data collision matches baseline (same seeds)"),
     ),
     "III": (
         *(
@@ -383,13 +348,13 @@ ENTRIES: dict[str, tuple] = {
                 f"collision at {n} femto cells (absolute)", gate=False)
             for n, target in _FEMTO_TARGETS
         ),
-        _non_increasing(
-            "III/monotone",
-            "collision probability falls as femto cells are added",
-            [f"pp-femto-{n}" for n, _ in _FEMTO_TARGETS], SEEDS_20,
-            "collision_overall", "non-increasing in femto count",
-        ),
-        _femto_reduction,
+        Row("III/monotone", tuple(f"pp-femto-{n}" for n, _ in _FEMTO_TARGETS),
+            SEEDS_20, "collision_overall", "falls",
+            "non-increasing in femto count", None, _pct,
+            "collision probability falls as femto cells are added"),
+        Row("III/reduction-at-10", ("pp-femto-0", "pp-femto-10"), SEEDS_20,
+            "collision_overall", "drop", 0.40, None, _pct1,
+            "relative collision reduction with 10 femto cells"),
     ),
     "IV": (
         Row("IV/edt-pp/mean-delay", "edt-pp", SEEDS_21, "mean_delay_ms", "rel",
@@ -415,12 +380,12 @@ ENTRIES: dict[str, tuple] = {
             "rel", 6.0, 0.20, _ms, "mean delay at 60 kHz, 7-symbol slots"),
         Row("V/delay-15khz-2sym", "numerology-15-2", SEEDS_10, "mean_delay_ms",
             "rel", 6.9, 0.20, _ms, "mean delay at 15 kHz, 2-symbol slots"),
-        _collision_spread(
-            "V/collision-invariance",
-            "collision probability identical across the numerology grid",
-            "numerology-15-7", _GRID, GRID_SEEDS,
-        ),
-        _grid_delay_monotone,
+        Row("V/collision-invariance", ("numerology-15-7", *_GRID), GRID_SEEDS,
+            "collision_overall", "spread", 0.001, None, _pct,
+            "collision probability identical across the numerology grid"),
+        Row("V/delay-monotone", _GRID, GRID_SEEDS, "mean_delay_ms", "grid",
+            "strict decrease along rows and columns", None, _ms,
+            "mean delay falls with wider spacing and shorter slots"),
     ),
     "VI": (
         Row("VI/r1/collision-urllc", "rp-r1", SEEDS_10, "collision_urllc",
@@ -442,18 +407,14 @@ ENTRIES: dict[str, tuple] = {
                 gate=False)
             for r, target in ((2, 0.57), (4, 0.29), (5, 0.23))
         ),
-        _non_increasing(
-            "VI/monotone-collision",
-            "priority collision falls as the reserved pool grows",
-            [f"rp-r{r}" for r in _RESERVED], SEEDS_10, "collision_urllc",
-            "non-increasing in reservation size",
-        ),
-        _non_increasing(
-            "VI/monotone-utilization",
-            "reserved-pool utilization falls as the pool grows",
-            [f"rp-r{r}" for r in _RESERVED], SEEDS_10,
-            "util_reserved_priority", "non-increasing in reservation size",
-        ),
+        Row("VI/monotone-collision", tuple(f"rp-r{r}" for r in _RESERVED),
+            SEEDS_10, "collision_urllc", "falls",
+            "non-increasing in reservation size", None, _pct,
+            "priority collision falls as the reserved pool grows"),
+        Row("VI/monotone-utilization", tuple(f"rp-r{r}" for r in _RESERVED),
+            SEEDS_10, "util_reserved_priority", "falls",
+            "non-increasing in reservation size", None, _pct,
+            "reserved-pool utilization falls as the pool grows"),
     ),
     "VII": (
         Row("VII/mean-delay", "drp-mixed", SEEDS_DEEP, "mean_delay_ms", "rel",
@@ -499,6 +460,8 @@ def run_validation(
     """
     if seeds is not None and not seeds:
         raise ValueError("empty seed list; pass None for the frozen lists")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     def pool(name: str, default: tuple[int, ...]) -> KpiReport:
         return pooled_report(name, seeds or default, jobs, log)
@@ -514,11 +477,7 @@ def run_validation(
     for table in dict.fromkeys(map(str.upper, chosen)):  # first-seen order
         if log:
             log(f"scoring table {table}")
-        results += [
-            _score(table, entry, pool) if isinstance(entry, Row)
-            else entry(table, pool)
-            for entry in ENTRIES[table]
-        ]
+        results += [_score(table, row, pool) for row in ENTRIES[table]]
     return results
 
 
